@@ -15,7 +15,6 @@ from .graph import (  # noqa: E402,F401
     Partition,
     decompose,
     load_edge_list,
-    neighborhood,
     read_partition,
     write_edge_list,
     write_partition,
@@ -34,8 +33,6 @@ from .outcomes import (  # noqa: F401
     PartialLinearModel,
     interior_mean_gap,
     linear_two_hop,
-    potential,
-    realize,
     true_gate,
 )
 from .predictor import (  # noqa: F401

@@ -11,7 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import __version__, community, design, estimators, oracles, outcomes
+from . import __version__, community, design, oracles, outcomes
 from .graph import load_edge_list, read_partition, write_partition
 from .harness import ExperimentConfig, emit_report, run, verify_theorem2
 
@@ -149,13 +149,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     try:
         g = load_edge_list(args.graph)
+        if args.partition:
+            part = read_partition(g, args.partition)
+        else:
+            part = community.louvain(g, args.gamma, args.seed)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.partition:
-        part = read_partition(g, args.partition)
-    else:
-        part = community.louvain(g, args.gamma, args.seed)
     if part.cluster_count > design.ENUMERATION_MAX_CLUSTERS:
         print(
             f"error: {part.cluster_count} clusters exceed the enumeration guard "
@@ -167,15 +167,12 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         g, beta=args.beta, r1=args.r1, r2=0.0, sigma=0.0,
         interaction=(), p_part=part,
     )
-    tau = outcomes.true_gate(model)
-    expect = 0.0
-    for atom in design.enumerate_assignments(part, args.p):
-        z = design.expand(part, atom.cluster_bits)
-        expect += atom.probability * estimators.ht(g, part, z, model.potential(z), args.p)
+    result = oracles.check_case(oracles.OracleCase(args.graph, g, part, model, args.p))
     print(f"clusters {part.cluster_count}")
-    print(f"true_gate {tau:.12g}")
-    print(f"exact_ht_expectation {expect:.12g}")
-    print(f"difference {abs(expect - tau):.3e}")
+    print(f"true_gate {outcomes.true_gate(model):.12g}")
+    print(f"difference {result.ht_expectation_error:.3e}")
+    print(f"exposure_probability_error {result.exposure_probability_error:.3e}")
+    print(f"probability_mass_error {result.probability_mass_error:.3e}")
     return 0
 
 

@@ -56,15 +56,56 @@ def exposure(g: Graph, z: np.ndarray, i: int, level: int) -> int:
     return 1
 
 
-def exposure_vector(g: Graph, z: np.ndarray, level: int) -> np.ndarray:
-    """exposure(g, z, ., level) for all nodes at once (int8)."""
+def clean_masks(g: Graph, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`exposure` at both levels for all nodes from one A @ z: (d1, d0),
+    where d1[i] iff node i and every neighbor are treated and d0[i] iff
+    they are all control."""
     z = np.asarray(z, dtype=np.float64)
     treated_nbrs = g.adjacency() @ z
-    if level == 1:
-        ok = (z == 1) & (treated_nbrs == g.degrees)
-    else:
-        ok = (z == 0) & (treated_nbrs == 0)
-    return ok.astype(np.int8)
+    return (z == 1) & (treated_nbrs == g.degrees), (z == 0) & (treated_nbrs == 0)
+
+
+def exposure_vector(g: Graph, z: np.ndarray, level: int) -> np.ndarray:
+    """exposure(g, z, ., level) for all nodes at once (int8)."""
+    d1, d0 = clean_masks(g, z)
+    return (d1 if level == 1 else d0).astype(np.int8)
+
+
+@dataclass(frozen=True)
+class DrawExposure:
+    """One draw's clean exposure as HT, Hajek and CAE read it.
+
+    w1 = 1/p^c and w0 = 1/(1-p)^c are set on the clean nodes of their level
+    and are 0 elsewhere, so a probability that underflows to 0 on a node
+    that is not clean never enters a 0/0.
+    """
+
+    cluster_bits: np.ndarray  # bool, length K
+    d1: np.ndarray  # bool, length n
+    d0: np.ndarray
+    w1: np.ndarray  # float64, length n
+    w0: np.ndarray
+
+
+def draw_exposure(g: Graph, p_part: Partition, z: np.ndarray, p: float) -> DrawExposure:
+    """The exposure record of unit bits z drawn at treatment proportion p."""
+    d1, d0 = clean_masks(g, z)
+    q1 = exposure_probability_vector(p_part, p, 1)
+    q0 = exposure_probability_vector(p_part, p, 0)
+    return DrawExposure(
+        cluster_bits=cluster_bits(p_part, z),
+        d1=d1,
+        d0=d0,
+        w1=np.divide(1.0, q1, out=np.zeros_like(q1), where=d1),
+        w0=np.divide(1.0, q0, out=np.zeros_like(q0), where=d0),
+    )
+
+
+def cluster_bits(p_part: Partition, z: np.ndarray) -> np.ndarray:
+    """Cluster bits of unit bits z (z is constant on each cluster)."""
+    bits = np.zeros(p_part.cluster_count, dtype=bool)
+    bits[p_part.cluster_of[np.asarray(z) == 1]] = True
+    return bits
 
 
 def exposure_probability(p_part: Partition, p: float, i: int, level: int) -> float:

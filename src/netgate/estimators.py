@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .design import exposure_probability_vector, exposure_vector
+from .design import DrawExposure, clean_masks, cluster_bits, draw_exposure
 from .graph import Graph, Partition
 
 ESTIMATOR_NAMES = ("DIM", "HT", "HAJEK", "CAE", "MII", "GNN", "AMII")
@@ -37,62 +37,43 @@ def dim(z: np.ndarray, y: np.ndarray) -> float:
     return float(y[treated].mean() - y[~treated].mean())
 
 
+def _ht(e: DrawExposure, y: np.ndarray) -> float:
+    return float(np.mean((e.w1 - e.w0) * y))
+
+
 def ht(g: Graph, p_part: Partition, z: np.ndarray, y: np.ndarray, p: float) -> float:
     """Inverse-probability estimator over cleanly exposed nodes, with analytic
     exposure probabilities p^c and (1-p)^c."""
-    z = _as_float(z)
-    y = _as_float(y)
-    d1 = exposure_vector(g, z, 1).astype(np.float64)
-    d0 = exposure_vector(g, z, 0).astype(np.float64)
-    q1 = exposure_probability_vector(p_part, p, 1)
-    q0 = exposure_probability_vector(p_part, p, 0)
-    return float(np.mean((d1 / q1 - d0 / q0) * y))
+    return _ht(draw_exposure(g, p_part, z, p), _as_float(y))
+
+
+def _hajek(e: DrawExposure, y: np.ndarray) -> float:
+    s1, s0 = e.w1.sum(), e.w0.sum()
+    if s1 == 0 or s0 == 0:
+        raise DegenerateArmError("an arm has no cleanly exposed nodes")
+    return float((e.w1 @ y) / s1 - (e.w0 @ y) / s0)
 
 
 def hajek(g: Graph, p_part: Partition, z: np.ndarray, y: np.ndarray, p: float) -> float:
     """Self-normalized variant of ht; requires a clean node in each arm."""
-    z = _as_float(z)
-    y = _as_float(y)
-    w1 = exposure_vector(g, z, 1) / exposure_probability_vector(p_part, p, 1)
-    w0 = exposure_vector(g, z, 0) / exposure_probability_vector(p_part, p, 0)
-    s1, s0 = w1.sum(), w0.sum()
-    if s1 == 0 or s0 == 0:
-        raise DegenerateArmError("an arm has no cleanly exposed nodes")
-    return float((w1 @ y) / s1 - (w0 @ y) / s0)
-
-
-def _cluster_bits(p_part: Partition, z: np.ndarray) -> np.ndarray:
-    """Cluster-level bits recovered from unit bits (first member per cluster)."""
-    _, first = np.unique(p_part.cluster_of, return_index=True)
-    return np.asarray(z)[first] == 1
+    return _hajek(draw_exposure(g, p_part, z, p), _as_float(y))
 
 
 def _cae_arm_means(
-    g: Graph, p_part: Partition, z: np.ndarray, y: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
-    """Per-cluster clean-node means at each cluster's own level, plus skip counts."""
-    z = _as_float(z)
-    y = _as_float(y)
-    t = _cluster_bits(p_part, z)
-    d1 = exposure_vector(g, z, 1).astype(np.float64)
-    d0 = exposure_vector(g, z, 0).astype(np.float64)
-    own = np.where(t[p_part.cluster_of], d1, d0)
+    p_part: Partition, clean: np.ndarray, y: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Which clusters have a node that is clean at the cluster's own level,
+    and the mean outcome of those nodes per cluster (0 where none)."""
     k = p_part.cluster_count
-    counts = np.bincount(p_part.cluster_of, weights=own, minlength=k)
-    sums = np.bincount(p_part.cluster_of, weights=own * y, minlength=k)
+    counts = np.bincount(p_part.cluster_of, weights=clean, minlength=k)
+    sums = np.bincount(p_part.cluster_of, weights=clean * y, minlength=k)
     usable = counts > 0
     means = np.zeros(k)
     means[usable] = sums[usable] / counts[usable]
-    skipped_t = int((~usable & t).sum())
-    skipped_c = int((~usable & ~t).sum())
-    return t, usable, means, skipped_t, skipped_c
+    return usable, means
 
 
-def cae(g: Graph, p_part: Partition, z: np.ndarray, y: np.ndarray) -> float:
-    """Within-cluster averages of clean nodes, then an unweighted average
-    across contributing clusters per arm; clusters with no clean node at
-    their level are skipped."""
-    t, usable, means, _, _ = _cae_arm_means(g, p_part, z, y)
+def _cae(t: np.ndarray, usable: np.ndarray, means: np.ndarray) -> float:
     arm1 = means[t & usable]
     arm0 = means[~t & usable]
     if len(arm1) == 0 or len(arm0) == 0:
@@ -100,16 +81,29 @@ def cae(g: Graph, p_part: Partition, z: np.ndarray, y: np.ndarray) -> float:
     return float(arm1.mean() - arm0.mean())
 
 
-def mii(p_part: Partition, z: np.ndarray, y: np.ndarray) -> float:
-    """Difference in mean outcomes between treated and control interior nodes."""
-    z = _as_float(z)
-    y = _as_float(y)
+def cae(g: Graph, p_part: Partition, z: np.ndarray, y: np.ndarray) -> float:
+    """Within-cluster averages of clean nodes, then an unweighted average
+    across contributing clusters per arm; clusters with no clean node at
+    their level are skipped."""
+    d1, d0 = clean_masks(g, z)
+    return _cae(cluster_bits(p_part, z), *_cae_arm_means(p_part, d1 | d0, _as_float(y)))
+
+
+def _interior_arms(p_part: Partition, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Treated and control interior nodes, where clean exposure is z itself."""
     interior = p_part.interior_mask
-    it = interior & (z == 1)
-    ic = interior & (z == 0)
+    return interior & (z == 1), interior & (z == 0)
+
+
+def _mii(it: np.ndarray, ic: np.ndarray, y: np.ndarray) -> float:
     if not it.any() or not ic.any():
         raise DegenerateArmError("interior set lacks a treated or control node")
     return float(y[it].mean() - y[ic].mean())
+
+
+def mii(p_part: Partition, z: np.ndarray, y: np.ndarray) -> float:
+    """Difference in mean outcomes between treated and control interior nodes."""
+    return _mii(*_interior_arms(p_part, _as_float(z)), _as_float(y))
 
 
 def gnn_point(pred1: np.ndarray, pred0: np.ndarray) -> float:
@@ -121,6 +115,15 @@ def gnn_point(pred1: np.ndarray, pred0: np.ndarray) -> float:
     return float(pred1.mean() - pred0.mean())
 
 
+def _amii(
+    it: np.ndarray, ic: np.ndarray, y: np.ndarray, pred1: np.ndarray, pred0: np.ndarray
+) -> float:
+    base = _mii(it, ic, y)
+    adj1 = pred1.mean() - pred1[it].mean()
+    adj0 = pred0.mean() - pred0[ic].mean()
+    return float(base + adj1 - adj0)
+
+
 def amii(
     p_part: Partition,
     z: np.ndarray,
@@ -130,18 +133,8 @@ def amii(
 ) -> float:
     """Interior difference-in-means plus the predictor correction for the
     covariate shift between interior nodes and the full population."""
-    z = _as_float(z)
-    pred1 = _as_float(pred1)
-    pred0 = _as_float(pred0)
-    interior = p_part.interior_mask
-    it = interior & (z == 1)
-    ic = interior & (z == 0)
-    if not it.any() or not ic.any():
-        raise DegenerateArmError("interior set lacks a treated or control node")
-    base = mii(p_part, z, y)
-    adj1 = pred1.mean() - pred1[it].mean()
-    adj0 = pred0.mean() - pred0[ic].mean()
-    return float(base + adj1 - adj0)
+    it, ic = _interior_arms(p_part, _as_float(z))
+    return _amii(it, ic, _as_float(y), _as_float(pred1), _as_float(pred0))
 
 
 def amii_ppi_form(
@@ -150,10 +143,9 @@ def amii_ppi_form(
     """Treated-arm rearrangement: population prediction mean plus the mean
     residual over treated interior nodes. Differencing this against the
     analogous control form reproduces amii exactly."""
-    z = _as_float(z)
     y = _as_float(y)
     pred1 = _as_float(pred1)
-    it = p_part.interior_mask & (z == 1)
+    it, _ = _interior_arms(p_part, _as_float(z))
     if not it.any():
         raise DegenerateArmError("no treated interior nodes")
     return float(pred1.mean() + (y[it] - pred1[it]).mean())
@@ -185,11 +177,12 @@ def estimate_all(
     z = _as_float(z)
     y = _as_float(y)
     result = EstimateSet()
-    interior = p_part.interior_mask
-    s1 = int((interior & (z == 1)).sum())
-    s0 = int((interior & (z == 0)).sum())
-    clean1 = int(exposure_vector(g, z, 1).sum())
-    clean0 = int(exposure_vector(g, z, 0).sum())
+    e = draw_exposure(g, p_part, z, p)
+    it, ic = _interior_arms(p_part, z)
+    clean1 = int(e.d1.sum())
+    clean0 = int(e.d0.sum())
+    s1 = int(it.sum())
+    s0 = int(ic.sum())
 
     for name in names:
         key = name.upper()
@@ -200,26 +193,27 @@ def estimate_all(
             if key == "DIM":
                 value = dim(z, y)
             elif key == "HT":
-                value = ht(g, p_part, z, y, p)
+                value = _ht(e, y)
                 diag.update(clean_treated=clean1, clean_control=clean0)
                 if clean1 == 0:
                     diag["flags"].append("no_clean_treated")
                 if clean0 == 0:
                     diag["flags"].append("no_clean_control")
             elif key == "HAJEK":
-                value = hajek(g, p_part, z, y, p)
+                value = _hajek(e, y)
                 diag.update(clean_treated=clean1, clean_control=clean0)
             elif key == "CAE":
-                t, usable, _, sk_t, sk_c = _cae_arm_means(g, p_part, z, y)
-                value = cae(g, p_part, z, y)
+                t = e.cluster_bits
+                usable, means = _cae_arm_means(p_part, e.d1 | e.d0, y)
+                value = _cae(t, usable, means)
                 diag.update(
                     clusters_used_treated=int((t & usable).sum()),
                     clusters_used_control=int((~t & usable).sum()),
-                    clusters_skipped_treated=sk_t,
-                    clusters_skipped_control=sk_c,
+                    clusters_skipped_treated=int((t & ~usable).sum()),
+                    clusters_skipped_control=int((~t & ~usable).sum()),
                 )
             elif key == "MII":
-                value = mii(p_part, z, y)
+                value = _mii(it, ic, y)
                 diag.update(s1=s1, s0=s0)
             elif key == "GNN":
                 if pred1 is None or pred0 is None:
@@ -228,7 +222,7 @@ def estimate_all(
             else:  # AMII
                 if pred1 is None or pred0 is None:
                     raise ValueError("AMII estimator needs prediction vectors")
-                value = amii(p_part, z, y, pred1, pred0)
+                value = _amii(it, ic, y, _as_float(pred1), _as_float(pred0))
                 diag.update(s1=s1, s0=s0)
             if not math.isfinite(value):
                 raise DegenerateArmError(f"{key} produced a non-finite value")

@@ -8,7 +8,6 @@ kept in a relabeling map.
 from __future__ import annotations
 
 import io
-from collections import deque
 from pathlib import Path
 from typing import IO, Iterable
 
@@ -177,7 +176,7 @@ def load_edge_list(source: str | Path | bytes | IO, fmt: str = "auto") -> Graph:
 
     raw_u: list[int] = []
     raw_v: list[int] = []
-    mm_size: tuple[int, int, int] | None = None
+    mm_size: tuple[int, int, int] | None = None  # (nodes, entries, header line)
     saw_banner = False
     first_data = True
 
@@ -219,7 +218,7 @@ def load_edge_list(source: str | Path | bytes | IO, fmt: str = "auto") -> Graph:
                     raise EdgeListFormatError(
                         f"adjacency must be square, got {rows}x{cols}", line_no
                     )
-                mm_size = (rows, cols, nnz)
+                mm_size = (rows, nnz, line_no)
                 continue
         if len(parts) < 2:
             raise EdgeListFormatError(f"expected 'u v', got {stripped!r}", line_no)
@@ -230,6 +229,10 @@ def load_edge_list(source: str | Path | bytes | IO, fmt: str = "auto") -> Graph:
         raw_u.append(a)
         raw_v.append(b)
 
+    if mm_size is not None and len(raw_u) != mm_size[1]:
+        raise EdgeListFormatError(
+            f"size header declares {mm_size[1]} entries, file has {len(raw_u)}", mm_size[2]
+        )
     if not raw_u:
         raise EdgeListFormatError("empty graph: no edges found")
 
@@ -265,34 +268,6 @@ def write_edge_list(g: Graph, sink: str | Path | IO) -> None:
         sink.write(text)
 
 
-def neighborhood(g: Graph, i: int, r: int) -> set[int]:
-    """Nodes at shortest-path distance exactly r from i; r=0 gives {i}."""
-    n = g.node_count
-    if not 0 <= i < n:
-        raise IndexError(f"node {i} out of range for graph with {n} nodes")
-    if r < 0:
-        raise ValueError("radius must be nonnegative")
-    if r == 0:
-        return {i}
-    dist = np.full(n, -1, dtype=np.int64)
-    dist[i] = 0
-    frontier = deque([i])
-    result: set[int] = set()
-    while frontier:
-        node = frontier.popleft()
-        d = dist[node]
-        if d == r:
-            continue
-        for j in g.neighbors(node):
-            if dist[j] < 0:
-                dist[j] = d + 1
-                if d + 1 == r:
-                    result.add(int(j))
-                else:
-                    frontier.append(int(j))
-    return result
-
-
 class Partition:
     """Node-to-cluster assignment with the induced interior/boundary split.
 
@@ -313,23 +288,8 @@ class Partition:
     def node_count(self) -> int:
         return len(self.cluster_of)
 
-    def clusters(self) -> list[np.ndarray]:
-        """Node sets C_k, k = 0..K-1."""
-        order = np.argsort(self.cluster_of, kind="stable")
-        bounds = np.searchsorted(self.cluster_of[order], np.arange(self.cluster_count + 1))
-        return [order[bounds[k] : bounds[k + 1]] for k in range(self.cluster_count)]
-
-    def interior_sets(self) -> list[np.ndarray]:
-        return [c[self.interior_mask[c]] for c in self.clusters()]
-
-    def boundary_sets(self) -> list[np.ndarray]:
-        return [c[~self.interior_mask[c]] for c in self.clusters()]
-
     def interior_nodes(self) -> np.ndarray:
         return np.flatnonzero(self.interior_mask)
-
-    def cluster_sizes(self) -> np.ndarray:
-        return np.bincount(self.cluster_of, minlength=self.cluster_count)
 
 
 def decompose(g: Graph, cluster_of: np.ndarray) -> Partition:
@@ -382,9 +342,14 @@ def read_partition(g: Graph, source: str | Path | IO) -> Partition:
         parts = stripped.split()
         if len(parts) != 2:
             raise EdgeListFormatError(f"expected 'node cluster', got {stripped!r}", line_no)
-        node, cluster = int(parts[0]), int(parts[1])
+        try:
+            node, cluster = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise EdgeListFormatError(f"non-integer entry in {stripped!r}", line_no) from None
         if not 0 <= node < g.node_count:
             raise EdgeListFormatError(f"node {node} out of range", line_no)
+        if seen[node]:
+            raise EdgeListFormatError(f"node {node} listed twice", line_no)
         cluster_of[node] = cluster
         seen[node] = True
     if not seen.all():

@@ -162,9 +162,10 @@ def check_case(case: OracleCase) -> OracleResult:
     for atom in design.enumerate_assignments(part, p):
         z = design.expand(part, atom.cluster_bits)
         y = model.potential(z)
-        ht_expect += atom.probability * estimators.ht(g, part, z, y, p)
-        freq1 += atom.probability * design.exposure_vector(g, z, 1)
-        freq0 += atom.probability * design.exposure_vector(g, z, 0)
+        e = design.draw_exposure(g, part, z, p)
+        ht_expect += atom.probability * estimators._ht(e, y)
+        freq1 += atom.probability * e.d1
+        freq0 += atom.probability * e.d0
         mass += atom.probability
     q1 = design.exposure_probability_vector(part, p, 1)
     q0 = design.exposure_probability_vector(part, p, 0)

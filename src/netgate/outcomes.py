@@ -164,16 +164,6 @@ def linear_two_hop(
     return LinearTwoHopModel(g, beta, r1, r2, sigma, combined, tuple(interaction))
 
 
-def potential(model: OutcomeModel, z: np.ndarray) -> np.ndarray:
-    """Noiseless potential outcomes Y(z)."""
-    return model.potential(z)
-
-
-def realize(model: OutcomeModel, z: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Observed outcomes: potential(z) plus sigma-scaled Gaussian noise."""
-    return model.realize(z, rng)
-
-
 def true_gate(model: OutcomeModel) -> float:
     """(1/n) sum_i (Y_i(1) - Y_i(0)), noiseless."""
     n = model.graph.node_count

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -98,6 +100,57 @@ def test_ht_is_not_shift_invariant(toy_graph, toy_partition):
     assert ht(toy_graph, toy_partition, z, y, 0.3) != pytest.approx(
         ht(toy_graph, toy_partition, z, y + 5.0, 0.3)
     )
+
+
+def star_with_isolates(leaves, leaf_clusters, isolates):
+    """Hub 0 joined to `leaves` leaves, then `isolates` isolated nodes. The
+    hub and each isolated node are singleton clusters; leaf i sits in
+    cluster 1 + i % leaf_clusters, so the hub touches leaf_clusters + 1."""
+    n = 1 + leaves + isolates
+    g = from_edges(np.zeros(leaves, dtype=np.int64), np.arange(1, leaves + 1), n)
+    labels = np.concatenate([
+        [0],
+        1 + np.arange(leaves) % leaf_clusters,
+        leaf_clusters + 1 + np.arange(isolates),
+    ])
+    return g, decompose(g, labels)
+
+
+def test_unreachable_hub_exposure_is_not_a_degenerate_draw():
+    # every node its own cluster: the hub touches 401 clusters, and its
+    # p^401 underflows to 0 although the hub is never cleanly treated
+    g, part = star_with_isolates(400, 400, 0)
+    assert part.touch_counts[0] == 401
+    rng = np.random.default_rng(0)
+    p = 0.1
+    for _ in range(200):
+        z = design.draw(part, p, rng).unit_bits
+        y = rng.standard_normal(g.node_count)
+        es = estimate_all(g, part, z, y, p, names=("HT", "HAJEK"))
+        assert es.estimates["HT"] is not None
+        # a star never has clean nodes at both levels: Hajek is degenerate
+        # for that reason, not for a non-finite value
+        assert es.diagnostics["HAJEK"]["flags"] == [
+            "degenerate: an arm has no cleanly exposed nodes"
+        ]
+
+
+@given(
+    leaves=st.integers(min_value=1, max_value=500),
+    leaf_clusters=st.integers(min_value=1, max_value=500),
+    p=st.one_of(st.floats(1e-4, 0.05), st.floats(0.95, 1 - 1e-4)),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_ht_and_hajek_finite_when_both_arms_have_a_clean_node(leaves, leaf_clusters, p, seed):
+    # two isolated nodes, one per arm, keep both arms clean on every draw
+    g, part = star_with_isolates(leaves, min(leaf_clusters, leaves), 2)
+    rng = np.random.default_rng(seed)
+    z = design.draw(part, p, rng).unit_bits
+    z[-2:] = (1, 0)
+    y = rng.standard_normal(g.node_count)
+    assert math.isfinite(ht(g, part, z, y, p))
+    assert math.isfinite(hajek(g, part, z, y, p))
 
 
 # ---------------------------------------------------------------- hajek

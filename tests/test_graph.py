@@ -10,7 +10,6 @@ from netgate.graph import (
     decompose,
     from_edges,
     load_edge_list,
-    neighborhood,
     read_partition,
     write_edge_list,
     write_partition,
@@ -80,6 +79,15 @@ def test_load_explicit_plain_format_ignores_trailing_weight_column():
     assert g.edge_count == 2
 
 
+def test_load_matrix_market_entry_count_must_match_header():
+    text = b"%%MatrixMarket matrix coordinate pattern symmetric\n4 4 3\n1 2\n"
+    with pytest.raises(EdgeListFormatError) as err:
+        load_edge_list(text)
+    assert err.value.line_number == 2
+    with pytest.raises(EdgeListFormatError):
+        load_edge_list(b"5 5 2\n1 2\n2 3\n4 5\n")
+
+
 def test_load_malformed_line_reports_line_number():
     with pytest.raises(EdgeListFormatError) as err:
         load_edge_list(b"0 1\nnot an edge\n")
@@ -99,25 +107,6 @@ def test_load_real_network_dimensions(stanford3):
     assert stanford3.edge_count == 568309
 
 
-def test_neighborhood_path_distance_two():
-    g = path_graph(3)
-    assert neighborhood(g, 0, 2) == {2}
-
-
-def test_neighborhood_radius_zero_is_self(toy_graph):
-    for i in range(toy_graph.node_count):
-        assert neighborhood(toy_graph, i, 0) == {i}
-
-
-def test_neighborhood_tri_ring(toy_graph):
-    assert neighborhood(toy_graph, 0, 1) == {1, 2, 8}
-
-
-def test_neighborhood_out_of_range(toy_graph):
-    with pytest.raises(IndexError):
-        neighborhood(toy_graph, 9, 1)
-
-
 def test_decompose_single_cluster_all_interior(toy_graph):
     part = decompose(toy_graph, np.zeros(9, dtype=int))
     assert part.interior_mask.all()
@@ -128,7 +117,6 @@ def test_decompose_tri_ring(toy_graph, toy_clusters):
     part = decompose(toy_graph, toy_clusters)
     assert part.interior_nodes().tolist() == [1, 4, 7]
     assert part.touch_counts[0] == 2
-    assert [set(s) for s in part.interior_sets()] == [{1}, {4}, {7}]
 
 
 def test_decompose_rejects_non_dense_indices(toy_graph):
@@ -147,6 +135,20 @@ def test_partition_roundtrip(toy_graph, toy_clusters):
 def test_read_partition_requires_full_cover(toy_graph):
     with pytest.raises(ValueError):
         read_partition(toy_graph, io.StringIO("0 0\n1 0\n"))
+
+
+def test_read_partition_non_integer_reports_line_number():
+    g = path_graph(2)
+    with pytest.raises(EdgeListFormatError) as err:
+        read_partition(g, io.StringIO("0 0\n1 x\n"))
+    assert err.value.line_number == 2
+
+
+def test_read_partition_duplicate_node_reports_line_number():
+    g = path_graph(2)
+    with pytest.raises(EdgeListFormatError) as err:
+        read_partition(g, io.StringIO("0 0\n0 1\n1 0\n"))
+    assert err.value.line_number == 2
 
 
 @st.composite
@@ -172,21 +174,12 @@ def graph_and_clusters(draw):
 def test_partition_invariants(gc):
     g, labels = gc
     part = decompose(g, labels)
-    sizes_int = sum(len(s) for s in part.interior_sets())
-    sizes_bnd = sum(len(s) for s in part.boundary_sets())
-    assert sizes_int + sizes_bnd == g.node_count
     # interior nodes see only their own cluster at one hop
     for i in part.interior_nodes():
         nbrs = g.neighbors(i)
         assert (labels[nbrs] == labels[i]).all()
     # touch count 1 exactly on the interior union
     assert np.array_equal(part.touch_counts == 1, part.interior_mask)
-    # every cluster decomposes exactly
-    for k, cluster in enumerate(part.clusters()):
-        ints = set(part.interior_sets()[k])
-        bnds = set(part.boundary_sets()[k])
-        assert ints | bnds == set(cluster)
-        assert not (ints & bnds)
 
 
 @given(graph_and_clusters())

@@ -9,8 +9,6 @@ from netgate.outcomes import (
     global_treatment_mean,
     interior_mean_gap,
     linear_two_hop,
-    potential,
-    realize,
     true_gate,
 )
 
@@ -28,42 +26,42 @@ def dense_interference(g, r1, r2):
 
 def test_potential_zero_vector_is_zero(toy_graph, toy_partition):
     model = linear_two_hop(toy_graph, interaction=("degree", "clusters"), p_part=toy_partition, sigma=0.0)
-    assert np.allclose(potential(model, np.zeros(9)), 0.0)
+    assert np.allclose(model.potential(np.zeros(9)), 0.0)
 
 
 def test_potential_no_interference_is_beta(toy_graph):
     model = linear_two_hop(toy_graph, beta=1.7, r1=0.0, r2=0.0, sigma=0.0)
-    assert np.allclose(potential(model, np.ones(9)), 1.7)
+    assert np.allclose(model.potential(np.ones(9)), 1.7)
 
 
 def test_potential_tri_ring_full_treatment(toy_graph):
     model = linear_two_hop(toy_graph, beta=1.0, r1=1.0, r2=0.0, sigma=0.0)
-    assert np.allclose(potential(model, np.ones(9)), 2.0)
+    assert np.allclose(model.potential(np.ones(9)), 2.0)
 
 
 def test_realize_sigma_zero_equals_potential(toy_graph):
     model = linear_two_hop(toy_graph, sigma=0.0)
     z = np.array([1, 0, 1, 0, 1, 0, 1, 0, 1], dtype=float)
-    assert np.array_equal(realize(model, z, np.random.default_rng(0)), potential(model, z))
+    assert np.array_equal(model.realize(z, np.random.default_rng(0)), model.potential(z))
 
 
 def test_realize_deterministic_for_fixed_seed(toy_graph):
     model = linear_two_hop(toy_graph, sigma=2.0)
     z = np.ones(9)
-    a = realize(model, z, np.random.default_rng(33))
-    b = realize(model, z, np.random.default_rng(33))
+    a = model.realize(z, np.random.default_rng(33))
+    b = model.realize(z, np.random.default_rng(33))
     assert np.array_equal(a, b)
 
 
 def test_realize_noise_mean_clt_bound(toy_graph):
     model = linear_two_hop(toy_graph, sigma=2.0)
     z = np.ones(9)
-    base = potential(model, z)
+    base = model.potential(z)
     rng = np.random.default_rng(17)
     acc = np.zeros(9)
     reps = 10_000
     for _ in range(reps):
-        acc += realize(model, z, rng) - base
+        acc += model.realize(z, rng) - base
     assert np.abs(acc / reps).max() <= 4 * 2.0 / np.sqrt(reps)
 
 
@@ -106,7 +104,7 @@ def test_sparse_matches_dense_on_random_graphs(r2):
         rng = np.random.default_rng(seed)
         z = (rng.random(g.node_count) < 0.4).astype(float)
         expected = 0.8 * z + b @ z + model.interaction * z
-        assert np.abs(potential(model, z) - expected).max() < 1e-10
+        assert np.abs(model.potential(z) - expected).max() < 1e-10
 
 
 def test_linearity_in_disjoint_assignments(toy_graph):
@@ -115,8 +113,8 @@ def test_linearity_in_disjoint_assignments(toy_graph):
     for _ in range(20):
         z1 = (rng.random(9) < 0.3).astype(float)
         z2 = (rng.random(9) < 0.3).astype(float) * (1 - z1)
-        lhs = potential(model, z1 + z2)
-        rhs = potential(model, z1) + potential(model, z2) - potential(model, np.zeros(9))
+        lhs = model.potential(z1 + z2)
+        rhs = model.potential(z1) + model.potential(z2) - model.potential(np.zeros(9))
         assert np.allclose(lhs, rhs, atol=1e-12)
 
 
@@ -127,8 +125,8 @@ def test_nia_holds_for_one_hop_and_fails_for_two_hop(toy_graph):
     z = np.zeros(9)
     z_far = z.copy()
     z_far[3] = 1.0
-    assert potential(one_hop, z)[1] == potential(one_hop, z_far)[1]
-    assert potential(two_hop, z)[1] != potential(two_hop, z_far)[1]
+    assert one_hop.potential(z)[1] == one_hop.potential(z_far)[1]
+    assert two_hop.potential(z)[1] != two_hop.potential(z_far)[1]
 
 
 def test_nia_partial_linear_model(toy_graph):
@@ -140,7 +138,7 @@ def test_nia_partial_linear_model(toy_graph):
     z = np.zeros(9)
     z_far = z.copy()
     z_far[4] = 1.0  # distance >= 2 from node 1
-    assert potential(model, z)[1] == potential(model, z_far)[1]
+    assert model.potential(z)[1] == model.potential(z_far)[1]
 
 
 def test_interior_mean_gap_constant_u(toy_graph, toy_partition):
@@ -170,11 +168,11 @@ def test_partial_linear_h_families(toy_graph):
     z = np.ones(9)
     for kind, value in (("linear", 1.0), ("sqrt", 1.0), ("quadratic", 1.0)):
         model = PartialLinearModel(toy_graph, 0.0, 0.0, u=np.zeros(9), sigma=0.0, h=kind, h_scale=3.0)
-        assert np.allclose(potential(model, z), 3.0 * value)
+        assert np.allclose(model.potential(z), 3.0 * value)
     half = np.zeros(9)
     half[[0, 1, 2]] = 1.0  # node 4's neighbors {3,5} untreated, node 3 has 1/3 treated
     model = PartialLinearModel(toy_graph, 0.0, 0.0, u=np.zeros(9), sigma=0.0, h="quadratic", h_scale=1.0)
-    assert potential(model, half)[3] == pytest.approx((1.0 / 3.0) ** 2)
+    assert model.potential(half)[3] == pytest.approx((1.0 / 3.0) ** 2)
 
 
 @pytest.mark.paperdata
@@ -195,4 +193,4 @@ def test_model_rejects_bad_params(toy_graph):
         PartialLinearModel(toy_graph, 1.0, 1.0, u=np.zeros(9), sigma=0.0, h="cubic")
     model = linear_two_hop(toy_graph)
     with pytest.raises(ValueError):
-        potential(model, np.zeros(4))
+        model.potential(np.zeros(4))
