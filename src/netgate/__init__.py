@@ -40,7 +40,6 @@ from .predictor import (  # noqa: F401
     LinearPredictor,
     build_features,
     fit,
-    predict_counterfactual,
 )
 from .estimators import (  # noqa: F401
     DegenerateArmError,

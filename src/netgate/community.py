@@ -29,13 +29,7 @@ def modularity(g: Graph, p: Partition, resolution: float) -> float:
     """Resolution-scaled modularity Q = sum_c [e_c/m - gamma (d_c/2m)^2]."""
     if g.edge_count == 0:
         raise ValueError("modularity undefined on an edgeless graph")
-    two_m = 2.0 * g.edge_count
-    labels = p.cluster_of
-    row = np.repeat(np.arange(g.node_count), g.degrees)
-    within = labels[row] == labels[g.indices]
-    intra = np.bincount(labels[row[within]], minlength=p.cluster_count).astype(float)
-    tot = np.bincount(labels, weights=g.degrees.astype(float), minlength=p.cluster_count)
-    return float(np.sum(intra / two_m - resolution * (tot / two_m) ** 2))
+    return _LevelGraph.from_graph(g).modularity_of(p.cluster_of, resolution)
 
 
 def stats(g: Graph, p: Partition, resolution: float) -> ClusteringStats:

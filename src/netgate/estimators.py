@@ -172,17 +172,18 @@ def estimate_all(
 ) -> EstimateSet:
     """Compute the requested estimators from one realized draw.
 
-    GNN and AMII need the counterfactual prediction vectors.
+    GNN and AMII need the counterfactual prediction vectors. Each
+    estimator's counts go into its diagnostics before it runs, so a
+    degenerate draw keeps them.
     """
     z = _as_float(z)
     y = _as_float(y)
     result = EstimateSet()
-    e = draw_exposure(g, p_part, z, p)
+    if {"HT", "HAJEK", "CAE"} & {name.upper() for name in names}:
+        e = draw_exposure(g, p_part, z, p)
+        clean = {"clean_treated": int(e.d1.sum()), "clean_control": int(e.d0.sum())}
     it, ic = _interior_arms(p_part, z)
-    clean1 = int(e.d1.sum())
-    clean0 = int(e.d0.sum())
-    s1 = int(it.sum())
-    s0 = int(ic.sum())
+    arms = {"s1": int(it.sum()), "s0": int(ic.sum())}
 
     for name in names:
         key = name.upper()
@@ -193,28 +194,28 @@ def estimate_all(
             if key == "DIM":
                 value = dim(z, y)
             elif key == "HT":
-                value = _ht(e, y)
-                diag.update(clean_treated=clean1, clean_control=clean0)
-                if clean1 == 0:
+                diag.update(clean)
+                if clean["clean_treated"] == 0:
                     diag["flags"].append("no_clean_treated")
-                if clean0 == 0:
+                if clean["clean_control"] == 0:
                     diag["flags"].append("no_clean_control")
+                value = _ht(e, y)
             elif key == "HAJEK":
+                diag.update(clean)
                 value = _hajek(e, y)
-                diag.update(clean_treated=clean1, clean_control=clean0)
             elif key == "CAE":
                 t = e.cluster_bits
                 usable, means = _cae_arm_means(p_part, e.d1 | e.d0, y)
-                value = _cae(t, usable, means)
                 diag.update(
                     clusters_used_treated=int((t & usable).sum()),
                     clusters_used_control=int((~t & usable).sum()),
                     clusters_skipped_treated=int((t & ~usable).sum()),
                     clusters_skipped_control=int((~t & ~usable).sum()),
                 )
+                value = _cae(t, usable, means)
             elif key == "MII":
+                diag.update(arms)
                 value = _mii(it, ic, y)
-                diag.update(s1=s1, s0=s0)
             elif key == "GNN":
                 if pred1 is None or pred0 is None:
                     raise ValueError("GNN estimator needs prediction vectors")
@@ -222,8 +223,8 @@ def estimate_all(
             else:  # AMII
                 if pred1 is None or pred0 is None:
                     raise ValueError("AMII estimator needs prediction vectors")
+                diag.update(arms)
                 value = _amii(it, ic, y, _as_float(pred1), _as_float(pred0))
-                diag.update(s1=s1, s0=s0)
             if not math.isfinite(value):
                 raise DegenerateArmError(f"{key} produced a non-finite value")
             result.estimates[key] = value

@@ -288,9 +288,6 @@ class Partition:
     def node_count(self) -> int:
         return len(self.cluster_of)
 
-    def interior_nodes(self) -> np.ndarray:
-        return np.flatnonzero(self.interior_mask)
-
 
 def decompose(g: Graph, cluster_of: np.ndarray) -> Partition:
     """Build the Partition induced on g by a dense cluster assignment.

@@ -191,8 +191,6 @@ class SimulationReport:
     config_digest: str
     master_seed: int
     version: str
-    estimator_names: list[str]
-    proportions: list[float]
     raw_estimates: dict | None = None
     raw_diagnostics: dict | None = None
     alpha_hat_mean: dict | None = None
@@ -245,12 +243,6 @@ class SimulationReport:
             payload["raw_diagnostics"] = self.raw_diagnostics
         return json.dumps(payload, indent=2, sort_keys=True)
 
-    def cell(self, estimator: str, p: float) -> CellStats:
-        for c in self.cells:
-            if c.estimator == estimator.upper() and abs(c.p - p) < 1e-12:
-                return c
-        raise KeyError(f"no cell for ({estimator}, {p})")
-
     def all_absent(self) -> bool:
         return bool(self.cells) and all(c.absent_reason is not None for c in self.cells)
 
@@ -268,33 +260,32 @@ class _SimulationState:
     """Shared read-only inputs for the repetition loop."""
 
     def __init__(self, config: ExperimentConfig, g: Graph, p_part: Partition, model: OutcomeModel):
-        self.config = config
         self.graph = g
         self.partition = p_part
         self.model = model
         self.names = [n.upper() for n in config.estimators]
         self.needs_predictor = bool({"GNN", "AMII"} & set(self.names))
         pspec = config.predictor
-        self.max_hop = int(pspec.get("max_hop", 2))
         self.ridge_lambda = pspec.get("ridge_lambda", None)
-        self.training_mask = pspec.get("training_mask", "full")
-        cov_names = list(pspec.get("covariates", ["degree"]))
-        self.covariates = {
-            name: outcomes.covariate_vector(name, g, p_part) for name in cov_names
+        training_mask = pspec.get("training_mask", "full")
+        covariates = {
+            name: outcomes.covariate_vector(name, g, p_part)
+            for name in pspec.get("covariates", ["degree"])
         }
         self.mask = None
-        if self.training_mask == "boundary":
+        if training_mask == "boundary":
             self.mask = ~p_part.interior_mask
-        elif self.training_mask != "full":
+        elif training_mask != "full":
             raise ValueError("training_mask must be 'full' or 'boundary'")
-        self.f1 = predictor.features_at_level(g, self.covariates, 1, self.max_hop)
-        self.f0 = predictor.features_at_level(g, self.covariates, 0, self.max_hop)
+        self.basis = predictor.FeatureBasis(g, covariates, int(pspec.get("max_hop", 2)))
+        self.f1 = self.basis.at(np.ones(g.node_count))
+        self.f0 = self.basis.at(np.zeros(g.node_count))
         # fitted interaction coefficient tracked for the bias-law checks
         self.tracked_column = None
         if isinstance(model, PartialLinearModel):
-            u_name = config.model.get("u", "degree")
-            if u_name in self.covariates:
-                self.tracked_column = f"{u_name}*z"
+            column = f"{config.model.get('u', 'degree')}*z"
+            if column in self.basis.names:
+                self.tracked_column = column
 
     def run_cell(self, rng: np.random.Generator, p: float):
         d = design.draw(self.partition, p, rng)
@@ -303,7 +294,7 @@ class _SimulationState:
         pred1 = pred0 = None
         alpha_hat = np.nan
         if self.needs_predictor:
-            feats = predictor.build_features(self.graph, z, self.covariates, self.max_hop)
+            feats = self.basis.at(z)
             fitted = predictor.fit(feats, y, self.ridge_lambda, self.mask)
             pred1 = predictor.predict(fitted, self.f1)
             pred0 = predictor.predict(fitted, self.f0)
@@ -421,8 +412,6 @@ def run(
         config_digest=config.digest(),
         master_seed=config.master_seed,
         version=__version__,
-        estimator_names=[n.upper() for n in config.estimators],
-        proportions=ps,
         raw_estimates=raw,
         raw_diagnostics=raw_diag,
         alpha_hat_mean=alpha_mean,
@@ -497,19 +486,17 @@ def verify_theorem2(config: ExperimentConfig) -> Theorem2Report:
     alpha = model.alpha
 
     values, alpha_hats, _ = _simulate(config, g, p_part, model)
+    ps = list(config.proportions)
+    agg = {(c.estimator, c.p): c for c in _aggregate(values, ps, truth, config.repetitions)}
     cells = []
-    for pi, p in enumerate(config.proportions):
-        mii_vals = values["MII"][pi]
-        amii_vals = values["AMII"][pi]
-        mii_kept = mii_vals[np.isfinite(mii_vals)]
-        amii_kept = amii_vals[np.isfinite(amii_vals)]
-        if len(mii_kept) < 2 or len(amii_kept) < 2:
+    for pi, p in enumerate(ps):
+        mii, amii = agg["MII", p], agg["AMII", p]
+        if mii.reps_used < 2 or amii.reps_used < 2:
             raise ValueError(f"too many degenerate repetitions at p={p}")
         alpha_hat_mean = float(np.nanmean(alpha_hats[pi]))
-        emp_mii = float(mii_kept.mean() - truth)
-        emp_amii = float(amii_kept.mean() - truth)
-        mii_se = float(mii_kept.std(ddof=1) / np.sqrt(len(mii_kept)))
-        amii_se = float(amii_kept.std(ddof=1) / np.sqrt(len(amii_kept)))
+        emp_mii, emp_amii = mii.bias, amii.bias
+        mii_se = float(mii.std / np.sqrt(mii.reps_used))
+        amii_se = float(amii.std / np.sqrt(amii.reps_used))
         pred_mii = alpha * gap
         pred_amii = (alpha_hat_mean - alpha) * (-gap)
         cells.append(

@@ -48,7 +48,6 @@ class LinearTwoHopModel:
         r2: float,
         sigma: float,
         interaction: np.ndarray | None = None,
-        interaction_names: tuple[str, ...] = (),
     ):
         if sigma < 0:
             raise ValueError("sigma must be nonnegative")
@@ -57,7 +56,6 @@ class LinearTwoHopModel:
         self.r1 = float(r1)
         self.r2 = float(r2)
         self.sigma = float(sigma)
-        self.interaction_names = interaction_names
         if interaction is None:
             interaction = np.zeros(g.node_count)
         self.interaction = np.asarray(interaction, dtype=np.float64)
@@ -161,7 +159,7 @@ def linear_two_hop(
         combined = np.zeros(g.node_count)
         for name, w in zip(interaction, interaction_weights):
             combined += w * covariate_vector(name, g, p_part)
-    return LinearTwoHopModel(g, beta, r1, r2, sigma, combined, tuple(interaction))
+    return LinearTwoHopModel(g, beta, r1, r2, sigma, combined)
 
 
 def true_gate(model: OutcomeModel) -> float:

@@ -9,7 +9,7 @@ predictor can then be evaluated under global treatment or global control.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -21,22 +21,49 @@ _NORMAL_EQ_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
-class ColumnSpec:
-    name: str
-    hop: int
-    source: str
-
-
-@dataclass(frozen=True)
 class FeatureMatrix:
     values: np.ndarray
-    columns: tuple[ColumnSpec, ...]
-    covariate_names: tuple[str, ...]
-    max_hop: int
+    names: tuple[str, ...]
 
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(c.name for c in self.columns)
+
+class FeatureBasis:
+    """Feature columns for one graph and covariate set.
+
+    The columns that do not depend on the assignment (1, u, P u, P^2 u) are
+    computed once here; `at(z)` adds z, u*z, P z and P^2 z. Columns: [1, z,
+    u..., u*z..., nbr-mean z, nbr-mean u..., and at max_hop=2 the 2-hop
+    neighbor means of the same]. Isolated nodes get neighbor means 0.
+    """
+
+    def __init__(self, g: Graph, covariates: dict[str, np.ndarray], max_hop: int = 2):
+        if max_hop not in (1, 2):
+            raise ValueError("max_hop must be 1 or 2")
+        n = g.node_count
+        for name, vec in covariates.items():
+            if np.asarray(vec).shape != (n,):
+                raise ValueError(f"covariate {name!r} length mismatch")
+        self._p = g.row_normalized()
+        self._two_hop = max_hop == 2
+        self._ones = np.ones(n)
+        self._u = [np.asarray(vec, dtype=np.float64) for vec in covariates.values()]
+        self._pu = [self._p @ u for u in self._u]
+        self._p2u = [self._p @ pu for pu in self._pu] if self._two_hop else []
+        names = ["const", "z", *covariates, *(f"{c}*z" for c in covariates)]
+        names += ["nbr_z", *(f"nbr_{c}" for c in covariates)]
+        if self._two_hop:
+            names += ["nbr2_z", *(f"nbr2_{c}" for c in covariates)]
+        self.names = tuple(names)
+
+    def at(self, z: np.ndarray) -> FeatureMatrix:
+        """The feature matrix under assignment z."""
+        z = np.asarray(z, dtype=np.float64)
+        if z.shape != self._ones.shape:
+            raise ValueError("treatment vector length mismatch")
+        pz = self._p @ z
+        cols = [self._ones, z, *self._u, *(u * z for u in self._u), pz, *self._pu]
+        if self._two_hop:
+            cols += [self._p @ pz, *self._p2u]
+        return FeatureMatrix(np.column_stack(cols), self.names)
 
 
 def build_features(
@@ -45,76 +72,28 @@ def build_features(
     covariates: dict[str, np.ndarray],
     max_hop: int = 2,
 ) -> FeatureMatrix:
-    """Deterministic feature matrix for predicting outcomes under assignment z.
-
-    Columns: [1, z, u..., u*z..., nbr-mean z, nbr-mean u..., and at max_hop=2
-    the 2-hop neighbor means of the same]. Isolated nodes get neighbor means 0.
-    """
-    if max_hop not in (1, 2):
-        raise ValueError("max_hop must be 1 or 2")
-    n = g.node_count
-    z = np.asarray(z, dtype=np.float64)
-    if z.shape != (n,):
-        raise ValueError("treatment vector length mismatch")
-    for name, vec in covariates.items():
-        if np.asarray(vec).shape != (n,):
-            raise ValueError(f"covariate {name!r} length mismatch")
-
-    p = g.row_normalized()
-    cols: list[np.ndarray] = [np.ones(n), z]
-    specs: list[ColumnSpec] = [ColumnSpec("const", 0, "1"), ColumnSpec("z", 0, "z")]
-    for name, vec in covariates.items():
-        cols.append(np.asarray(vec, dtype=np.float64))
-        specs.append(ColumnSpec(name, 0, name))
-    for name, vec in covariates.items():
-        cols.append(np.asarray(vec, dtype=np.float64) * z)
-        specs.append(ColumnSpec(f"{name}*z", 0, name))
-
-    hop1 = {"z": p @ z}
-    cols.append(hop1["z"])
-    specs.append(ColumnSpec("nbr_z", 1, "z"))
-    for name, vec in covariates.items():
-        hop1[name] = p @ np.asarray(vec, dtype=np.float64)
-        cols.append(hop1[name])
-        specs.append(ColumnSpec(f"nbr_{name}", 1, name))
-
-    if max_hop == 2:
-        cols.append(p @ hop1["z"])
-        specs.append(ColumnSpec("nbr2_z", 2, "z"))
-        for name in covariates:
-            cols.append(p @ hop1[name])
-            specs.append(ColumnSpec(f"nbr2_{name}", 2, name))
-
-    return FeatureMatrix(
-        values=np.column_stack(cols),
-        columns=tuple(specs),
-        covariate_names=tuple(covariates),
-        max_hop=max_hop,
-    )
+    """Deterministic feature matrix for predicting outcomes under assignment z."""
+    return FeatureBasis(g, covariates, max_hop).at(z)
 
 
 def features_at_level(
     g: Graph, covariates: dict[str, np.ndarray], level: int, max_hop: int = 2
 ) -> FeatureMatrix:
     """Features under the constant assignment z = level."""
-    return build_features(g, np.full(g.node_count, float(level)), covariates, max_hop)
+    return FeatureBasis(g, covariates, max_hop).at(np.full(g.node_count, float(level)))
 
 
 @dataclass(frozen=True)
 class LinearPredictor:
     coefficients: np.ndarray
     ridge_lambda: float
-    columns: tuple[ColumnSpec, ...]
-    covariate_names: tuple[str, ...]
-    max_hop: int
-    training_mask: np.ndarray
-    fallback_used: bool = field(default=False)
+    names: tuple[str, ...]
+    fallback_used: bool = False
 
     def coefficient(self, name: str) -> float:
-        for spec, w in zip(self.columns, self.coefficients):
-            if spec.name == name:
-                return float(w)
-        raise KeyError(f"no feature column named {name!r}")
+        if name not in self.names:
+            raise KeyError(f"no feature column named {name!r}")
+        return float(self.coefficients[self.names.index(name)])
 
 
 def fit(
@@ -122,7 +101,6 @@ def fit(
     y: np.ndarray,
     ridge_lambda: float | None = None,
     mask: np.ndarray | None = None,
-    penalize_intercept: bool = True,
 ) -> LinearPredictor:
     """Ridge least squares over the masked rows, solved by a deterministic
     Cholesky factorization of the normal equations.
@@ -149,12 +127,8 @@ def fit(
     if ridge_lambda < 0:
         raise ValueError("ridge_lambda must be nonnegative")
 
-    reg = np.full(d, float(ridge_lambda))
-    if not penalize_intercept:
-        reg[0] = 0.0
-
-    def solve(lam_diag: np.ndarray) -> np.ndarray | None:
-        lhs = gram + np.diag(lam_diag)
+    def solve(lam: float) -> np.ndarray | None:
+        lhs = gram + np.diag(np.full(d, lam))
         try:
             w = scipy.linalg.solve(lhs, rhs, assume_a="pos")
         except np.linalg.LinAlgError:
@@ -166,39 +140,25 @@ def fit(
         return w
 
     fallback = False
-    coef = solve(reg)
+    coef = solve(float(ridge_lambda))
     if coef is None:
         fallback = True
         ridge_lambda = _FALLBACK_LAMBDA
-        coef = solve(np.full(d, _FALLBACK_LAMBDA))
+        coef = solve(_FALLBACK_LAMBDA)
         if coef is None:
             raise np.linalg.LinAlgError("normal equations unsolvable even with fallback ridge")
 
     return LinearPredictor(
         coefficients=coef,
         ridge_lambda=float(ridge_lambda),
-        columns=features.columns,
-        covariate_names=features.covariate_names,
-        max_hop=features.max_hop,
-        training_mask=rows,
+        names=features.names,
         fallback_used=fallback,
     )
 
 
 def predict(pred: LinearPredictor, features: FeatureMatrix) -> np.ndarray:
     """Apply fitted coefficients to a feature matrix with matching columns."""
-    if features.columns != pred.columns:
+    if features.names != pred.names:
         raise ValueError("feature columns do not match the fitted predictor")
     return features.values @ pred.coefficients
 
-
-def predict_counterfactual(
-    pred: LinearPredictor, g: Graph, covariates: dict[str, np.ndarray], level: int
-) -> np.ndarray:
-    """Predicted outcomes under global treatment (level=1) or control (level=0)."""
-    if tuple(covariates) != pred.covariate_names:
-        raise ValueError(
-            f"covariates {tuple(covariates)} do not match predictor {pred.covariate_names}"
-        )
-    feats = features_at_level(g, covariates, level, pred.max_hop)
-    return predict(pred, feats)

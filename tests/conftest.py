@@ -11,6 +11,7 @@ import pytest
 
 from netgate import community, sbm
 from netgate.graph import Graph, Partition, decompose, from_edges, load_edge_list
+from netgate.harness import CellStats, SimulationReport
 from netgate.oracles import TRI_RING_CLUSTERS, tri_ring, tri_ring_partition
 
 DATA_ENV = "NETGATE_DATA_DIR"
@@ -68,6 +69,14 @@ def interior_rich_sbm() -> tuple[Graph, Partition]:
     share of nodes is interior when blocks act as clusters."""
     g, labels = sbm.generate(communities=20, size=100, p_in=0.15, p_out=0.0009, seed=7)
     return g, decompose(g, labels)
+
+
+def report_cell(report: SimulationReport, estimator: str, p: float) -> CellStats:
+    """The report row for (estimator, p)."""
+    for c in report.cells:
+        if c.estimator == estimator.upper() and abs(c.p - p) < 1e-12:
+            return c
+    raise KeyError(f"no cell for ({estimator}, {p})")
 
 
 def path_graph(n: int) -> Graph:

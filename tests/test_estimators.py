@@ -391,6 +391,41 @@ def test_estimate_all_records_counts(toy_graph, toy_partition):
     assert set(es.estimates) == set(estimators.ESTIMATOR_NAMES)
 
 
+def test_estimate_all_keeps_counts_of_degenerate_draws(toy_graph, toy_partition):
+    # all-treated: every arm-0 quantity is empty, so HAJEK, CAE, MII and AMII
+    # are degenerate, and their diagnostics still say what the draw held
+    z = np.ones(9)
+    y = np.arange(9, dtype=float)
+    es = estimate_all(toy_graph, toy_partition, z, y, 0.5, np.ones(9), np.ones(9))
+    for key in ("HAJEK", "CAE", "MII", "AMII"):
+        assert es.estimates[key] is None, key
+        assert any(f.startswith("degenerate") for f in es.diagnostics[key]["flags"]), key
+    assert es.diagnostics["HAJEK"]["clean_treated"] == 9
+    assert es.diagnostics["HAJEK"]["clean_control"] == 0
+    cae_diag = es.diagnostics["CAE"]
+    assert (cae_diag["clusters_used_treated"], cae_diag["clusters_used_control"]) == (3, 0)
+    assert (cae_diag["clusters_skipped_treated"], cae_diag["clusters_skipped_control"]) == (0, 0)
+    for key in ("MII", "AMII"):
+        assert (es.diagnostics[key]["s1"], es.diagnostics[key]["s0"]) == (3, 0), key
+
+
+def test_estimate_all_skips_exposure_when_no_estimator_reads_it(
+    toy_graph, toy_partition, monkeypatch
+):
+    def no_exposure(*args):
+        raise AssertionError("exposure record built")
+
+    monkeypatch.setattr(estimators, "draw_exposure", no_exposure)
+    z = a_treated(toy_partition)
+    y = np.arange(9, dtype=float)
+    es = estimate_all(
+        toy_graph, toy_partition, z, y, 0.3, np.ones(9), np.zeros(9), ("DIM", "MII", "AMII", "GNN")
+    )
+    assert all(v is not None for v in es.estimates.values())
+    with pytest.raises(AssertionError):
+        estimate_all(toy_graph, toy_partition, z, y, 0.3, names=("DIM", "HT"))
+
+
 def test_estimate_all_rejects_unknown_names(toy_graph, toy_partition):
     with pytest.raises(ValueError):
         estimate_all(toy_graph, toy_partition, np.ones(9), np.ones(9), 0.5, names=("BOGUS",))

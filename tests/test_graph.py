@@ -115,7 +115,7 @@ def test_decompose_single_cluster_all_interior(toy_graph):
 
 def test_decompose_tri_ring(toy_graph, toy_clusters):
     part = decompose(toy_graph, toy_clusters)
-    assert part.interior_nodes().tolist() == [1, 4, 7]
+    assert np.flatnonzero(part.interior_mask).tolist() == [1, 4, 7]
     assert part.touch_counts[0] == 2
 
 
@@ -175,7 +175,7 @@ def test_partition_invariants(gc):
     g, labels = gc
     part = decompose(g, labels)
     # interior nodes see only their own cluster at one hop
-    for i in part.interior_nodes():
+    for i in np.flatnonzero(part.interior_mask):
         nbrs = g.neighbors(i)
         assert (labels[nbrs] == labels[i]).all()
     # touch count 1 exactly on the interior union

@@ -7,6 +7,8 @@ import yaml
 from netgate import cli
 from netgate.harness import ExperimentConfig, emit_report, run, verify_theorem2
 
+from conftest import report_cell
+
 
 def sbm_config(**overrides):
     base = dict(
@@ -69,7 +71,7 @@ def test_single_noiseless_repetition_has_zero_std():
         estimators=["AMII"],
     )
     report = run(cfg)
-    cell = report.cell("AMII", 0.5)
+    cell = report_cell(report, "AMII", 0.5)
     assert cell.std == 0.0
     assert cell.reps_used == 1
     assert cell.mse == pytest.approx(cell.bias**2, abs=1e-12)
@@ -131,7 +133,7 @@ def test_all_degenerate_cell_marked_absent():
         repetitions=10,
     )
     report = run(cfg)
-    cell = report.cell("MII", 0.5)
+    cell = report_cell(report, "MII", 0.5)
     assert cell.absent_reason == "all repetitions degenerate"
     assert cell.degenerate == 10
     assert report.all_absent()
@@ -144,8 +146,8 @@ def test_degenerate_reps_excluded_per_estimator():
     # p=0.1 with 12 clusters: all-control draws are common; DIM drops those
     # repetitions while HT keeps them
     report = run(sbm_config(repetitions=200, estimators=["DIM", "HT"]))
-    dim_cell = report.cell("DIM", 0.1)
-    ht_cell = report.cell("HT", 0.1)
+    dim_cell = report_cell(report, "DIM", 0.1)
+    ht_cell = report_cell(report, "HT", 0.1)
     assert dim_cell.degenerate > 0
     assert ht_cell.degenerate == 0
     assert dim_cell.reps_used + dim_cell.degenerate == 200
@@ -183,7 +185,7 @@ def test_mii_consistency_trend_in_cluster_count():
                 truth="gate",
             )
         )
-        cell = run(cfg).cell("MII", 0.3)
+        cell = report_cell(run(cfg), "MII", 0.3)
         se = cell.std / math.sqrt(cell.reps_used)
         results.append((abs(cell.bias), cell.std, se))
     for (b1, s1, e1), (b2, s2, e2) in zip(results, results[1:]):
@@ -193,7 +195,7 @@ def test_mii_consistency_trend_in_cluster_count():
 
 def test_gnn_improves_with_treatment_proportion():
     report = run(sbm_config(repetitions=200, estimators=["GNN"]))
-    assert report.cell("GNN", 0.5).mse < report.cell("GNN", 0.1).mse
+    assert report_cell(report, "GNN", 0.5).mse < report_cell(report, "GNN", 0.1).mse
 
 
 def theorem2_config(alpha, sigma, u="degree", reps=500):

@@ -10,6 +10,8 @@ import pytest
 
 from netgate.harness import ExperimentConfig, run
 
+from conftest import report_cell
+
 SBM_SPEC = {"communities": 20, "size": 100, "p_in": 0.15, "p_out": 0.0009, "seed": 7}
 PS = [0.1, 0.3, 0.5]
 
@@ -61,7 +63,7 @@ def two_hop_setting_report():
 
 def test_clean_setting_mii_near_unbiased(clean_setting_report):
     for p in PS:
-        cell = clean_setting_report.cell("MII", p)
+        cell = report_cell(clean_setting_report, "MII", p)
         se = cell.std / np.sqrt(cell.reps_used)
         assert abs(cell.bias) <= max(0.05, 3 * se)
 
@@ -71,47 +73,49 @@ def test_clean_setting_hajek_noisier_than_mii_at_small_p(clean_setting_report):
     # p=0.5, so the inflation only shows at the early-experiment proportions;
     # the real-network check in test_acceptance covers every p
     for p in (0.1, 0.3):
-        assert clean_setting_report.cell("HAJEK", p).std > clean_setting_report.cell("MII", p).std
+        hajek_cell = report_cell(clean_setting_report, "HAJEK", p)
+        assert hajek_cell.std > report_cell(clean_setting_report, "MII", p).std
 
 
 def test_covariate_setting_mii_systematically_biased(covariate_setting_report):
     # interior nodes touch one cluster by definition while the population
     # touch count is well above one, so the interacted model shifts them
     for p in PS:
-        assert abs(covariate_setting_report.cell("MII", p).bias) > 0.15
+        assert abs(report_cell(covariate_setting_report, "MII", p).bias) > 0.15
 
 
 def test_covariate_setting_amii_removes_the_shift(covariate_setting_report):
     for p in PS:
-        mii_cell = covariate_setting_report.cell("MII", p)
-        amii_cell = covariate_setting_report.cell("AMII", p)
+        mii_cell = report_cell(covariate_setting_report, "MII", p)
+        amii_cell = report_cell(covariate_setting_report, "AMII", p)
         assert abs(amii_cell.bias) < abs(mii_cell.bias) / 2
         assert amii_cell.mse < mii_cell.mse
 
 
 def test_covariate_setting_gnn_needs_high_proportion(covariate_setting_report):
     assert (
-        covariate_setting_report.cell("GNN", 0.5).mse
-        < covariate_setting_report.cell("GNN", 0.1).mse
+        report_cell(covariate_setting_report, "GNN", 0.5).mse
+        < report_cell(covariate_setting_report, "GNN", 0.1).mse
     )
 
 
 def test_two_hop_biases_every_trimming_estimator(two_hop_setting_report, covariate_setting_report):
     for p in PS:
         for name in ("HAJEK", "CAE", "MII"):
-            assert abs(two_hop_setting_report.cell(name, p).bias) > 0.1
+            assert abs(report_cell(two_hop_setting_report, name, p).bias) > 0.1
         # hidden 2-hop interference worsens the interior estimator
-        assert abs(two_hop_setting_report.cell("MII", p).bias) > abs(
-            covariate_setting_report.cell("MII", p).bias
+        assert abs(report_cell(two_hop_setting_report, "MII", p).bias) > abs(
+            report_cell(covariate_setting_report, "MII", p).bias
         )
 
 
 def test_two_hop_amii_still_dominates_mii(two_hop_setting_report):
     for p in PS:
-        assert abs(two_hop_setting_report.cell("AMII", p).bias) < abs(
-            two_hop_setting_report.cell("MII", p).bias
+        assert abs(report_cell(two_hop_setting_report, "AMII", p).bias) < abs(
+            report_cell(two_hop_setting_report, "MII", p).bias
         )
-        assert two_hop_setting_report.cell("AMII", p).mse < two_hop_setting_report.cell("MII", p).mse
+        amii_cell = report_cell(two_hop_setting_report, "AMII", p)
+        assert amii_cell.mse < report_cell(two_hop_setting_report, "MII", p).mse
 
 
 def test_boundary_trained_predictor_ablation(covariate_setting_report):
@@ -122,6 +126,6 @@ def test_boundary_trained_predictor_ablation(covariate_setting_report):
     cfg.predictor["training_mask"] = "boundary"
     boundary = run(cfg)
     for p in PS:
-        assert boundary.cell("AMII", p).mse < boundary.cell("MII", p).mse
+        assert report_cell(boundary, "AMII", p).mse < report_cell(boundary, "MII", p).mse
     full = covariate_setting_report
-    assert full.cell("AMII", 0.1).mse < boundary.cell("AMII", 0.1).mse
+    assert report_cell(full, "AMII", 0.1).mse < report_cell(boundary, "AMII", 0.1).mse

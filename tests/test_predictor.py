@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netgate import design, outcomes, sbm
-from netgate.graph import decompose
-from netgate.predictor import build_features, features_at_level, fit, predict, predict_counterfactual
+from netgate.graph import decompose, from_edges
+from netgate.predictor import FeatureBasis, build_features, features_at_level, fit, predict
 
 
 def toy_covariates(g, part):
@@ -42,6 +44,60 @@ def test_features_isolated_node_gets_zero_neighbor_means():
     assert rho[2] == 0.0
 
 
+def test_feature_names_pin_column_order(toy_graph, toy_partition):
+    covs = toy_covariates(toy_graph, toy_partition)
+    assert FeatureBasis(toy_graph, covs).names == (
+        "const", "z", "degree", "clusters", "degree*z", "clusters*z",
+        "nbr_z", "nbr_degree", "nbr_clusters", "nbr2_z", "nbr2_degree", "nbr2_clusters",
+    )
+    one = FeatureBasis(toy_graph, {"degree": covs["degree"]}, max_hop=1)
+    assert one.names == ("const", "z", "degree", "degree*z", "nbr_z", "nbr_degree")
+
+
+def reference_features(g, z, covariates, max_hop):
+    """Every column rebuilt from scratch, in the documented order."""
+    p = g.row_normalized()
+    z = np.asarray(z, dtype=np.float64)
+    us = [np.asarray(v, dtype=np.float64) for v in covariates.values()]
+    cols = [np.ones(g.node_count), z, *us, *(u * z for u in us), p @ z, *(p @ u for u in us)]
+    if max_hop == 2:
+        cols += [p @ (p @ z), *(p @ (p @ u) for u in us)]
+    return np.column_stack(cols)
+
+
+@st.composite
+def graph_with_isolates(draw):
+    n = draw(st.integers(min_value=3, max_value=25))
+    # the last two nodes never get an edge
+    pairs = st.tuples(st.integers(0, n - 3), st.integers(0, n - 3))
+    edges = {(min(a, b), max(a, b)) for a, b in draw(st.lists(pairs, max_size=60)) if a != b}
+    e = np.array(sorted(edges), dtype=np.int64).reshape(-1, 2)
+    return from_edges(e[:, 0], e[:, 1], n)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_feature_basis_reused_across_draws_matches_fresh_builds(data):
+    g = data.draw(graph_with_isolates())
+    n = g.node_count
+    values = st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)
+    covs = {f"u{j}": np.array(data.draw(values)) for j in range(data.draw(st.integers(1, 3)))}
+    max_hop = data.draw(st.sampled_from([1, 2]))
+    basis = FeatureBasis(g, covs, max_hop)
+    bits = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+    for z in data.draw(st.lists(bits, min_size=1, max_size=6)):
+        z = np.array(z, dtype=np.int8)
+        got = basis.at(z)
+        fresh = build_features(g, z, covs, max_hop)
+        assert got.names == fresh.names == basis.names
+        assert got.values.tobytes() == fresh.values.tobytes()
+        assert got.values.tobytes() == reference_features(g, z, covs, max_hop).tobytes()
+    for level in (0, 1):
+        at_level = features_at_level(g, covs, level, max_hop)
+        assert at_level.names == basis.names
+        assert at_level.values.tobytes() == basis.at(np.full(n, float(level))).values.tobytes()
+
+
 def test_fit_recovers_exact_linear_combination(interior_rich_sbm):
     # on the tri-ring toy the touch count is degree-1 exactly, which makes
     # [1, degree, clusters] collinear; use a graph where they are independent
@@ -63,7 +119,7 @@ def test_fit_constant_outcome_gives_intercept_only(interior_rich_sbm):
     feats = build_features(g, z, {"degree": outcomes.covariate_vector("degree", g)})
     fitted = fit(feats, np.full(g.node_count, 4.2), ridge_lambda=0.0)
     assert fitted.coefficient("const") == pytest.approx(4.2, abs=1e-8)
-    others = [w for spec, w in zip(fitted.columns, fitted.coefficients) if spec.name != "const"]
+    others = [w for name, w in zip(fitted.names, fitted.coefficients) if name != "const"]
     assert np.abs(np.asarray(others)).max() < 1e-8
 
 
@@ -143,8 +199,8 @@ def exact_span_setup(seed=5, p=0.5):
 def test_predict_counterfactual_exact_on_in_span_model():
     g, part, model, covs, d, y, feats = exact_span_setup()
     fitted = fit(feats, y, ridge_lambda=0.0)
-    pred1 = predict_counterfactual(fitted, g, covs, 1)
-    pred0 = predict_counterfactual(fitted, g, covs, 0)
+    pred1 = predict(fitted, features_at_level(g, covs, 1))
+    pred0 = predict(fitted, features_at_level(g, covs, 0))
     tau = outcomes.true_gate(model)
     assert abs((pred1.mean() - pred0.mean()) - tau) < 1e-6
     assert np.abs(pred0).max() < 1e-6  # Y(0) = 0 and the model is in span
@@ -157,7 +213,7 @@ def test_predict_constant_predictor(toy_graph, toy_partition):
     feats = build_features(toy_graph, z, covs)
     fitted = fit(feats, np.full(9, 2.5), ridge_lambda=0.0)
     for level in (0, 1):
-        pred = predict_counterfactual(fitted, toy_graph, covs, level)
+        pred = predict(fitted, features_at_level(toy_graph, covs, level))
         assert np.allclose(pred, 2.5, atol=1e-7)
 
 
@@ -166,7 +222,7 @@ def test_predict_descriptor_mismatch_errors(toy_graph, toy_partition):
     feats = build_features(toy_graph, np.ones(9), covs)
     fitted = fit(feats, np.ones(9))
     with pytest.raises(ValueError):
-        predict_counterfactual(fitted, toy_graph, {"degree": covs["degree"]}, 1)
+        predict(fitted, features_at_level(toy_graph, {"degree": covs["degree"]}, 1))
     other = features_at_level(toy_graph, covs, 1, max_hop=1)
     with pytest.raises(ValueError):
         predict(fitted, other)
