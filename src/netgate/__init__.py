@@ -16,7 +16,6 @@ from .graph import (  # noqa: E402,F401
     decompose,
     load_edge_list,
     read_partition,
-    write_edge_list,
     write_partition,
 )
 from .community import ClusteringStats, louvain, modularity, stats  # noqa: F401
@@ -25,8 +24,6 @@ from .design import (  # noqa: F401
     TreatmentDraw,
     draw,
     enumerate_assignments,
-    exposure,
-    exposure_probability,
 )
 from .outcomes import (  # noqa: F401
     LinearTwoHopModel,

@@ -11,6 +11,8 @@ import argparse
 import sys
 from pathlib import Path
 
+import yaml
+
 from . import __version__, community, design, oracles, outcomes
 from .graph import load_edge_list, read_partition, write_partition
 from .harness import ExperimentConfig, emit_report, run, verify_theorem2
@@ -42,17 +44,16 @@ def _apply_overrides(config: ExperimentConfig, args: argparse.Namespace) -> Expe
 def _cmd_run(args: argparse.Namespace) -> int:
     from .harness import build_graph, build_partition
 
-    if args.config:
-        config = ExperimentConfig.from_file(args.config)
-    else:
-        config = ExperimentConfig()
-    config = _apply_overrides(config, args)
-
     try:
+        if args.config:
+            config = ExperimentConfig.from_file(args.config)
+        else:
+            config = ExperimentConfig()
+        config = _apply_overrides(config, args)
         g = build_graph(config)
         p_part, _ = build_partition(config, g)
         report = run(config, g=g, p_part=p_part)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, yaml.YAMLError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if report.all_absent():

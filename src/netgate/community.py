@@ -121,7 +121,7 @@ def _one_level(
             sigma_tot[a] -= ki
             best_c = a
             best_gain = link.get(a, 0.0) - gamma_over_t * ki * sigma_tot[a]
-            for c in sorted(link):
+            for c in link:
                 if c == a:
                     continue
                 gain = link[c] - gamma_over_t * ki * sigma_tot[c]

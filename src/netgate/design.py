@@ -28,45 +28,30 @@ class AssignmentAtom:
     probability: float
 
 
-def draw(p_part: Partition, p: float, rng: np.random.Generator) -> TreatmentDraw:
-    """Assign each cluster Bernoulli(p) independently and expand to units."""
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"treatment proportion must be in (0,1), got {p}")
-    bits = rng.random(p_part.cluster_count) < p
-    units = bits[p_part.cluster_of].astype(np.int8)
-    return TreatmentDraw(cluster_bits=bits, unit_bits=units, p=p)
-
-
 def expand(p_part: Partition, cluster_bits: np.ndarray) -> np.ndarray:
     """Unit bits implied by cluster bits."""
     return np.asarray(cluster_bits)[p_part.cluster_of].astype(np.int8)
 
 
-def exposure(g: Graph, z: np.ndarray, i: int, level: int) -> int:
-    """Full-neighborhood exposure indicator: 1 iff z_i == level and every
-    neighbor of i carries the same level. Isolated nodes reduce to z_i == level."""
-    if not 0 <= i < g.node_count:
-        raise IndexError(f"node {i} out of range")
-    z = np.asarray(z)
-    if z[i] != level:
-        return 0
-    nbrs = g.neighbors(i)
-    if len(nbrs) and not np.all(z[nbrs] == level):
-        return 0
-    return 1
+def draw(p_part: Partition, p: float, rng: np.random.Generator) -> TreatmentDraw:
+    """Assign each cluster Bernoulli(p) independently and expand to units."""
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"treatment proportion must be in (0,1), got {p}")
+    bits = rng.random(p_part.cluster_count) < p
+    return TreatmentDraw(cluster_bits=bits, unit_bits=expand(p_part, bits), p=p)
 
 
 def clean_masks(g: Graph, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`exposure` at both levels for all nodes from one A @ z: (d1, d0),
-    where d1[i] iff node i and every neighbor are treated and d0[i] iff
-    they are all control."""
+    """Full-neighborhood exposure at both levels for all nodes from one A @ z:
+    (d1, d0), where d1[i] iff node i and every neighbor are treated and d0[i]
+    iff they are all control (isolated nodes reduce to their own bit)."""
     z = np.asarray(z, dtype=np.float64)
     treated_nbrs = g.adjacency() @ z
     return (z == 1) & (treated_nbrs == g.degrees), (z == 0) & (treated_nbrs == 0)
 
 
 def exposure_vector(g: Graph, z: np.ndarray, level: int) -> np.ndarray:
-    """exposure(g, z, ., level) for all nodes at once (int8)."""
+    """The clean-exposure indicator at one level for all nodes (int8)."""
     d1, d0 = clean_masks(g, z)
     return (d1 if level == 1 else d0).astype(np.int8)
 
@@ -90,8 +75,7 @@ class DrawExposure:
 def draw_exposure(g: Graph, p_part: Partition, z: np.ndarray, p: float) -> DrawExposure:
     """The exposure record of unit bits z drawn at treatment proportion p."""
     d1, d0 = clean_masks(g, z)
-    q1 = exposure_probability_vector(p_part, p, 1)
-    q0 = exposure_probability_vector(p_part, p, 0)
+    q1, q0 = p_part.clean_probability(p)
     return DrawExposure(
         cluster_bits=cluster_bits(p_part, z),
         d1=d1,
@@ -106,21 +90,6 @@ def cluster_bits(p_part: Partition, z: np.ndarray) -> np.ndarray:
     bits = np.zeros(p_part.cluster_count, dtype=bool)
     bits[p_part.cluster_of[np.asarray(z) == 1]] = True
     return bits
-
-
-def exposure_probability(p_part: Partition, p: float, i: int, level: int) -> float:
-    """Design probability of clean exposure: p^c_i at level 1, (1-p)^c_i at 0."""
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"treatment proportion must be in (0,1), got {p}")
-    c = int(p_part.touch_counts[i])
-    return float(p**c if level == 1 else (1.0 - p) ** c)
-
-
-def exposure_probability_vector(p_part: Partition, p: float, level: int) -> np.ndarray:
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"treatment proportion must be in (0,1), got {p}")
-    base = p if level == 1 else 1.0 - p
-    return base ** p_part.touch_counts.astype(np.float64)
 
 
 def enumerate_assignments(p_part: Partition, p: float) -> Iterator[AssignmentAtom]:

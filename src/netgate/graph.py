@@ -258,35 +258,41 @@ def load_edge_list(source: str | Path | bytes | IO, fmt: str = "auto") -> Graph:
     return from_edges(u, v, n, labels, n_loops, n_dups)
 
 
-def write_edge_list(g: Graph, sink: str | Path | IO) -> None:
-    """Write g as a plain edge list over internal ids (one 'u v' line per edge)."""
-    edges = g.edge_array()
-    text = "".join(f"{a} {b}\n" for a, b in edges)
-    if isinstance(sink, (str, Path)):
-        Path(sink).write_text(text, encoding="utf-8")
-    else:
-        sink.write(text)
-
-
 class Partition:
     """Node-to-cluster assignment with the induced interior/boundary split.
 
-    interior_mask[i] is True iff every neighbor of i shares i's cluster;
     touch_counts[i] is the number of distinct clusters met by the closed
-    neighborhood {i} union N(i,1), so touch_counts == 1 exactly on interiors.
+    neighborhood {i} union N(i,1); interior_mask[i] (touch count 1) is True
+    iff every neighbor of i shares i's cluster.
     """
 
-    def __init__(self, cluster_of: np.ndarray, interior_mask: np.ndarray, touch_counts: np.ndarray):
+    def __init__(self, cluster_of: np.ndarray, touch_counts: np.ndarray):
         self.cluster_of = np.asarray(cluster_of, dtype=np.int64)
-        self.interior_mask = np.asarray(interior_mask, dtype=bool)
         self.touch_counts = np.asarray(touch_counts, dtype=np.int64)
+        self.interior_mask = self.touch_counts == 1
         self.cluster_count = int(self.cluster_of.max()) + 1 if len(self.cluster_of) else 0
         for arr in (self.cluster_of, self.interior_mask, self.touch_counts):
             arr.setflags(write=False)
+        self._clean_probability: dict[float, tuple[np.ndarray, np.ndarray]] = {}
 
     @property
     def node_count(self) -> int:
         return len(self.cluster_of)
+
+    def clean_probability(self, p: float) -> tuple[np.ndarray, np.ndarray]:
+        """Design probabilities of clean exposure at treatment proportion p:
+        (p^c, (1-p)^c) per node, read-only and computed once per p."""
+        pair = self._clean_probability.get(p)
+        if pair is None:
+            if not 0.0 < p < 1.0:
+                raise ValueError(f"treatment proportion must be in (0,1), got {p}")
+            c = self.touch_counts.astype(np.float64)
+            pair = (p**c, (1.0 - p) ** c)
+            for arr in pair:
+                arr.setflags(write=False)
+            # threads racing on a new p all return the one pair kept here
+            pair = self._clean_probability.setdefault(p, pair)
+        return pair
 
 
 def decompose(g: Graph, cluster_of: np.ndarray) -> Partition:
@@ -302,17 +308,12 @@ def decompose(g: Graph, cluster_of: np.ndarray) -> Partition:
     if used[0] != 0 or used[-1] != len(used) - 1:
         raise ValueError("cluster indices must be dense 0..K-1")
 
-    row = np.repeat(np.arange(n), g.degrees)
-    neighbor_cluster = cluster_of[g.indices]
-    mismatch = neighbor_cluster != cluster_of[row]
-    boundary = np.bincount(row[mismatch], minlength=n) > 0
-    interior = ~boundary
-
     # distinct clusters over closed neighborhoods via unique (node, cluster) keys
+    row = np.repeat(np.arange(n), g.degrees)
     k = len(used)
-    keys = np.concatenate([row * k + neighbor_cluster, np.arange(n) * k + cluster_of])
+    keys = np.concatenate([row * k + cluster_of[g.indices], np.arange(n) * k + cluster_of])
     touch = np.bincount(np.unique(keys) // k, minlength=n)
-    return Partition(cluster_of, interior, touch)
+    return Partition(cluster_of, touch)
 
 
 def write_partition(p: Partition, sink: str | Path | IO) -> None:

@@ -167,8 +167,7 @@ def check_case(case: OracleCase) -> OracleResult:
         freq1 += atom.probability * e.d1
         freq0 += atom.probability * e.d0
         mass += atom.probability
-    q1 = design.exposure_probability_vector(part, p, 1)
-    q0 = design.exposure_probability_vector(part, p, 0)
+    q1, q0 = part.clean_probability(p)
     return OracleResult(
         name=case.name,
         ht_expectation_error=abs(ht_expect - tau),

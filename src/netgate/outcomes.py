@@ -32,7 +32,37 @@ def covariate_vector(name: str, g: Graph, p_part: Partition | None = None) -> np
     raise ValueError(f"unknown covariate {name!r}")
 
 
-class LinearTwoHopModel:
+class OutcomeModel:
+    """Y(z) = potential(z) + sigma eps with eps standard normal per node.
+
+    Subclasses define `potential` over the row-normalized adjacency P (`_p`)
+    and read their treatment vector through `_treatment`.
+    """
+
+    def __init__(self, g: Graph, sigma: float):
+        if sigma < 0:
+            raise ValueError("sigma must be nonnegative")
+        self.graph = g
+        self.sigma = float(sigma)
+        self._p = g.row_normalized()
+
+    def potential(self, z: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def _treatment(self, z: np.ndarray) -> np.ndarray:
+        z = np.asarray(z, dtype=np.float64)
+        if z.shape != (self.graph.node_count,):
+            raise ValueError("treatment vector length mismatch")
+        return z
+
+    def realize(self, z: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        y = self.potential(z)
+        if self.sigma > 0:
+            y = y + self.sigma * rng.standard_normal(self.graph.node_count)
+        return y
+
+
+class LinearTwoHopModel(OutcomeModel):
     """Y(z) = beta z + B z + (interaction weights) * z + sigma eps, where B is
     the zero-diagonal mask of r1 P + r2 P^2 with P the row-normalized adjacency.
 
@@ -49,35 +79,23 @@ class LinearTwoHopModel:
         sigma: float,
         interaction: np.ndarray | None = None,
     ):
-        if sigma < 0:
-            raise ValueError("sigma must be nonnegative")
-        self.graph = g
+        super().__init__(g, sigma)
         self.beta = float(beta)
         self.r1 = float(r1)
         self.r2 = float(r2)
-        self.sigma = float(sigma)
         if interaction is None:
             interaction = np.zeros(g.node_count)
         self.interaction = np.asarray(interaction, dtype=np.float64)
         self.interaction.setflags(write=False)
-        self._p = g.row_normalized()
         self._diag_p2 = g.diag_p_squared() if r2 != 0.0 else None
 
     def potential(self, z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=np.float64)
-        if z.shape != (self.graph.node_count,):
-            raise ValueError("treatment vector length mismatch")
+        z = self._treatment(z)
         pz = self._p @ z
         out = self.beta * z + self.r1 * pz + self.interaction * z
         if self.r2 != 0.0:
             out += self.r2 * (self._p @ pz - self._diag_p2 * z)
         return out
-
-    def realize(self, z: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        y = self.potential(z)
-        if self.sigma > 0:
-            y = y + self.sigma * rng.standard_normal(self.graph.node_count)
-        return y
 
 
 _H_BASE = {
@@ -87,7 +105,7 @@ _H_BASE = {
 }
 
 
-class PartialLinearModel:
+class PartialLinearModel(OutcomeModel):
     """Y(z) = (beta + alpha u) z + h_scale * h(rho(z)) + v + sigma eps, with
     rho(z) the treated fraction of each node's neighborhood (0 when isolated)."""
 
@@ -104,35 +122,20 @@ class PartialLinearModel:
     ):
         if h not in _H_BASE:
             raise ValueError(f"unknown response family {h!r}; pick from {sorted(_H_BASE)}")
-        if sigma < 0:
-            raise ValueError("sigma must be nonnegative")
-        self.graph = g
+        super().__init__(g, sigma)
         self.beta = float(beta)
         self.alpha = float(alpha)
         self.u = np.asarray(u, dtype=np.float64)
         self.v = np.zeros(g.node_count) if v is None else np.asarray(v, dtype=np.float64)
-        self.sigma = float(sigma)
         self.h_kind = h
         self.h_scale = float(h_scale)
         self.u.setflags(write=False)
         self.v.setflags(write=False)
-        self._p = g.row_normalized()
 
     def potential(self, z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=np.float64)
-        if z.shape != (self.graph.node_count,):
-            raise ValueError("treatment vector length mismatch")
+        z = self._treatment(z)
         rho = self._p @ z
         return (self.beta + self.alpha * self.u) * z + self.h_scale * _H_BASE[self.h_kind](rho) + self.v
-
-    def realize(self, z: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        y = self.potential(z)
-        if self.sigma > 0:
-            y = y + self.sigma * rng.standard_normal(self.graph.node_count)
-        return y
-
-
-OutcomeModel = LinearTwoHopModel | PartialLinearModel
 
 
 def linear_two_hop(

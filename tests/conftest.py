@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
+from typing import IO
 
 import numpy as np
 import pytest
@@ -87,3 +88,12 @@ def path_graph(n: int) -> Graph:
 def two_triangles() -> Graph:
     e = np.array([(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
     return from_edges(e[:, 0], e[:, 1], 6)
+
+
+def write_edge_list(g: Graph, sink: str | Path | IO) -> None:
+    """Write g as a plain edge list over internal ids (one 'u v' line per edge)."""
+    text = "".join(f"{a} {b}\n" for a, b in g.edge_array())
+    if isinstance(sink, (str, Path)):
+        Path(sink).write_text(text, encoding="utf-8")
+    else:
+        sink.write(text)

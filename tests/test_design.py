@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netgate import design
 from netgate.graph import decompose, from_edges
@@ -10,6 +12,21 @@ from conftest import path_graph
 def ring_graph(n):
     u = np.arange(n)
     return from_edges(u, (u + 1) % n, n)
+
+
+def exposure(g, z, i, level):
+    """Reference: 1 iff z_i == level and every neighbor of i carries the same
+    level, one node at a time. Isolated nodes reduce to z_i == level."""
+    z = np.asarray(z)
+    if z[i] != level:
+        return 0
+    return int(bool(np.all(z[g.neighbors(i)] == level)))
+
+
+def exposure_probability(p_part, p, i, level):
+    """Reference: p^c_i at level 1, (1-p)^c_i at level 0."""
+    c = int(p_part.touch_counts[i])
+    return float(p**c if level == 1 else (1.0 - p) ** c)
 
 
 def test_draw_single_cluster_shares_one_bit(toy_graph):
@@ -43,22 +60,22 @@ def test_draw_treated_fraction_concentrates():
 def test_exposure_under_global_treatment(toy_graph):
     z = np.ones(9, dtype=np.int8)
     for i in range(9):
-        assert design.exposure(toy_graph, z, i, 1) == 1
-        assert design.exposure(toy_graph, z, i, 0) == 0
+        assert exposure(toy_graph, z, i, 1) == 1
+        assert exposure(toy_graph, z, i, 0) == 0
 
 
 def test_exposure_tri_ring_boundary(toy_graph, toy_partition):
     # cluster A = {0,1,2} treated, B and C control
     z = design.expand(toy_partition, np.array([True, False, False]))
-    assert design.exposure(toy_graph, z, 1, 1) == 1  # interior of A
-    assert design.exposure(toy_graph, z, 2, 1) == 0  # neighbor 3 is control
+    assert exposure(toy_graph, z, 1, 1) == 1  # interior of A
+    assert exposure(toy_graph, z, 2, 1) == 0  # neighbor 3 is control
 
 
 def test_exposure_isolated_node_uses_own_bit():
     g = from_edges(np.array([0]), np.array([1]), 3)  # node 2 isolated
     z = np.array([1, 1, 0])
-    assert design.exposure(g, z, 2, 0) == 1
-    assert design.exposure(g, z, 2, 1) == 0
+    assert exposure(g, z, 2, 0) == 1
+    assert exposure(g, z, 2, 1) == 0
 
 
 def test_interior_exposure_equals_own_bit(toy_graph, toy_partition):
@@ -66,8 +83,8 @@ def test_interior_exposure_equals_own_bit(toy_graph, toy_partition):
     for _ in range(50):
         d = design.draw(toy_partition, 0.4, rng)
         for i in np.flatnonzero(toy_partition.interior_mask):
-            assert design.exposure(toy_graph, d.unit_bits, i, 1) == (d.unit_bits[i] == 1)
-            assert design.exposure(toy_graph, d.unit_bits, i, 0) == (d.unit_bits[i] == 0)
+            assert exposure(toy_graph, d.unit_bits, i, 1) == (d.unit_bits[i] == 1)
+            assert exposure(toy_graph, d.unit_bits, i, 0) == (d.unit_bits[i] == 0)
 
 
 def test_exposure_vector_matches_scalar(toy_graph, toy_partition):
@@ -75,14 +92,14 @@ def test_exposure_vector_matches_scalar(toy_graph, toy_partition):
     d = design.draw(toy_partition, 0.5, rng)
     for level in (0, 1):
         vec = design.exposure_vector(toy_graph, d.unit_bits, level)
-        scalars = [design.exposure(toy_graph, d.unit_bits, i, level) for i in range(9)]
+        scalars = [exposure(toy_graph, d.unit_bits, i, level) for i in range(9)]
         assert vec.tolist() == scalars
 
 
 def test_exposure_probability_values(toy_partition):
-    assert design.exposure_probability(toy_partition, 0.1, 1, 1) == pytest.approx(0.1)
-    assert design.exposure_probability(toy_partition, 0.5, 0, 1) == pytest.approx(0.25)
-    assert design.exposure_probability(toy_partition, 0.3, 0, 0) == pytest.approx(0.49)
+    assert exposure_probability(toy_partition, 0.1, 1, 1) == pytest.approx(0.1)
+    assert exposure_probability(toy_partition, 0.5, 0, 1) == pytest.approx(0.25)
+    assert exposure_probability(toy_partition, 0.3, 0, 0) == pytest.approx(0.49)
 
 
 def test_exposure_probability_matches_enumeration(toy_graph, toy_partition):
@@ -96,11 +113,60 @@ def test_exposure_probability_matches_enumeration(toy_graph, toy_partition):
             freq0 += atom.probability * design.exposure_vector(toy_graph, z, 0)
         for i in range(9):
             assert freq1[i] == pytest.approx(
-                design.exposure_probability(toy_partition, p, i, 1), abs=1e-12
+                exposure_probability(toy_partition, p, i, 1), abs=1e-12
             )
             assert freq0[i] == pytest.approx(
-                design.exposure_probability(toy_partition, p, i, 0), abs=1e-12
+                exposure_probability(toy_partition, p, i, 0), abs=1e-12
             )
+
+
+def test_clean_probability_is_computed_once_per_p(toy_partition):
+    q1, q0 = toy_partition.clean_probability(0.3)
+    again = toy_partition.clean_probability(0.3)
+    assert again[0] is q1 and again[1] is q0
+    assert not q1.flags.writeable and not q0.flags.writeable
+    for i in range(9):
+        assert q1[i] == pytest.approx(exposure_probability(toy_partition, 0.3, i, 1), rel=1e-15)
+        assert q0[i] == pytest.approx(exposure_probability(toy_partition, 0.3, i, 0), rel=1e-15)
+    assert toy_partition.clean_probability(0.6)[0] is not q1
+
+
+def test_clean_probability_rejects_bad_proportion(toy_partition):
+    for p in (0.0, 1.0, -0.1, 1.5, float("nan")):
+        with pytest.raises(ValueError):
+            toy_partition.clean_probability(p)
+
+
+@st.composite
+def partition_with_isolated_nodes(draw):
+    """A random graph whose last 1-3 nodes touch no edge, cut into K <= 10 clusters."""
+    linked = draw(st.integers(min_value=2, max_value=10))
+    n = linked + draw(st.integers(min_value=1, max_value=3))
+    pairs = st.tuples(st.integers(0, linked - 1), st.integers(0, linked - 1))
+    edges = [(a, b) for a, b in draw(st.lists(pairs, min_size=1, max_size=30)) if a != b]
+    if not edges:
+        edges = [(0, 1)]
+    e = np.unique(np.sort(np.array(edges), axis=1), axis=0)
+    g = from_edges(e[:, 0], e[:, 1], n)
+    raw = draw(st.lists(st.integers(0, 9), min_size=n, max_size=n))
+    _, dense = np.unique(np.array(raw), return_inverse=True)
+    return g, decompose(g, dense)
+
+
+@given(partition_with_isolated_nodes(), st.floats(min_value=0.01, max_value=0.99))
+@settings(max_examples=40, deadline=None)
+def test_enumerated_clean_frequencies_equal_clean_probability(gp, p):
+    g, part = gp
+    assert (g.degrees == 0).any() and part.cluster_count <= 10
+    freq1 = np.zeros(g.node_count)
+    freq0 = np.zeros(g.node_count)
+    for atom in design.enumerate_assignments(part, p):
+        d1, d0 = design.clean_masks(g, design.expand(part, atom.cluster_bits))
+        freq1 += atom.probability * d1
+        freq0 += atom.probability * d0
+    q1, q0 = part.clean_probability(p)
+    np.testing.assert_allclose(freq1, q1, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(freq0, q0, rtol=0, atol=1e-12)
 
 
 def test_empirical_exposure_frequency_converges(toy_graph, toy_partition):
@@ -112,7 +178,7 @@ def test_empirical_exposure_frequency_converges(toy_graph, toy_partition):
         d = design.draw(toy_partition, p, rng)
         counts += design.exposure_vector(toy_graph, d.unit_bits, 1)
     for i in range(9):
-        q = design.exposure_probability(toy_partition, p, i, 1)
+        q = exposure_probability(toy_partition, p, i, 1)
         assert abs(counts[i] / m - q) <= 4 * np.sqrt(q * (1 - q) / m)
 
 

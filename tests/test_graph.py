@@ -11,11 +11,10 @@ from netgate.graph import (
     from_edges,
     load_edge_list,
     read_partition,
-    write_edge_list,
     write_partition,
 )
 
-from conftest import path_graph
+from conftest import path_graph, write_edge_list
 
 
 def test_load_path_graph():
@@ -174,12 +173,12 @@ def graph_and_clusters(draw):
 def test_partition_invariants(gc):
     g, labels = gc
     part = decompose(g, labels)
-    # interior nodes see only their own cluster at one hop
-    for i in np.flatnonzero(part.interior_mask):
+    for i in range(g.node_count):
         nbrs = g.neighbors(i)
-        assert (labels[nbrs] == labels[i]).all()
-    # touch count 1 exactly on the interior union
-    assert np.array_equal(part.touch_counts == 1, part.interior_mask)
+        # interior exactly when every neighbor shares the node's cluster, both ways
+        assert part.interior_mask[i] == bool((labels[nbrs] == labels[i]).all()), i
+        # touch count: distinct clusters of the closed neighborhood
+        assert part.touch_counts[i] == len(set(labels[np.append(nbrs, i)].tolist())), i
 
 
 @given(graph_and_clusters())

@@ -7,7 +7,7 @@ import yaml
 from netgate import cli
 from netgate.harness import ExperimentConfig, emit_report, run, verify_theorem2
 
-from conftest import report_cell
+from conftest import report_cell, write_edge_list
 
 
 def sbm_config(**overrides):
@@ -269,7 +269,6 @@ def test_verify_theorem2_requires_partial_linear():
 
 def write_sbm_edge_file(tmp_path):
     from netgate import sbm
-    from netgate.graph import write_edge_list
 
     g, labels = sbm.generate(communities=6, size=25, p_in=0.3, p_out=0.01, seed=13)
     path = tmp_path / "net.edges"
@@ -328,6 +327,28 @@ def test_cli_run_missing_graph_fails(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "config_text, flags, message",
+    [
+        (None, [], "missing.yaml"),
+        ("bogus_key: 1\n", [], "unknown config keys"),
+        ("graph: {path: [unclosed\n", [], "error: "),
+        ("repetitions: 5\n", ["--p", "1.5"], "outside (0,1)"),
+        ("repetitions: 5\n", ["--p", "half"], "half"),
+    ],
+    ids=["missing-file", "unknown-key", "yaml-syntax", "p-out-of-range", "p-not-a-number"],
+)
+def test_cli_run_bad_config_is_a_usage_error(tmp_path, capsys, config_text, flags, message):
+    cfg_path = tmp_path / "missing.yaml"
+    if config_text is not None:
+        cfg_path.write_text(config_text, encoding="utf-8")
+    code = cli.main(["run", "--config", str(cfg_path), *flags, "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_stats(tmp_path, capsys):
     path, _ = write_sbm_edge_file(tmp_path)
     code = cli.main(["stats", "--graph", str(path), "--gamma", "1.0", "--seed", "4"])
@@ -337,7 +358,7 @@ def test_cli_stats(tmp_path, capsys):
 
 
 def test_cli_enumerate_refuses_large_cluster_counts(tmp_path, capsys):
-    from netgate.graph import from_edges, write_edge_list, write_partition, decompose
+    from netgate.graph import from_edges, write_partition, decompose
     import numpy as np
 
     n = 25
@@ -355,7 +376,6 @@ def test_cli_enumerate_refuses_large_cluster_counts(tmp_path, capsys):
 def test_cli_enumerate_reports_unbiasedness(tmp_path, capsys):
     from netgate.graph import write_partition
     from netgate.oracles import tri_ring, tri_ring_partition
-    from netgate.graph import write_edge_list
 
     g = tri_ring()
     gpath = tmp_path / "tri.edges"
