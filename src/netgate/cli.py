@@ -85,10 +85,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_stats(args: argparse.Namespace) -> int:
     try:
         g = load_edge_list(args.graph)
+        part = community.louvain(g, args.gamma, args.seed)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    part = community.louvain(g, args.gamma, args.seed)
     s = community.stats(g, part, args.gamma)
     print(f"nodes {g.node_count}")
     print(f"edges {g.edge_count}")
@@ -149,6 +149,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     try:
+        if not 0.0 < args.p < 1.0:
+            raise ValueError(f"treatment proportion must be in (0,1), got {args.p}")
         g = load_edge_list(args.graph)
         if args.partition:
             part = read_partition(g, args.partition)

@@ -1,9 +1,10 @@
-"""Cluster-level Bernoulli randomization, exposure indicators, and an exact
-enumeration oracle over assignments for small cluster counts."""
+"""Cluster-level Bernoulli randomization, the per-draw record of a treatment
+vector's sparse products, and an exact enumeration oracle for small K."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -41,47 +42,57 @@ def draw(p_part: Partition, p: float, rng: np.random.Generator) -> TreatmentDraw
     return TreatmentDraw(cluster_bits=bits, unit_bits=expand(p_part, bits), p=p)
 
 
-def clean_masks(g: Graph, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Full-neighborhood exposure at both levels for all nodes from one A @ z:
-    (d1, d0), where d1[i] iff node i and every neighbor are treated and d0[i]
-    iff they are all control (isolated nodes reduce to their own bit)."""
-    z = np.asarray(z, dtype=np.float64)
-    treated_nbrs = g.adjacency() @ z
-    return (z == 1) & (treated_nbrs == g.degrees), (z == 0) & (treated_nbrs == 0)
+class Assignment:
+    """One draw's treatment vector z (float64) and its sparse products, each
+    computed on first use and kept: the clean masks from A z, P z and P^2 z,
+    with P = D^-1 A the row-normalized adjacency."""
+
+    def __init__(self, g: Graph, z: np.ndarray):
+        z = np.asarray(z, dtype=np.float64)
+        if z.shape != (g.node_count,):
+            raise ValueError("treatment vector length mismatch")
+        self.graph = g
+        self.z = z
+
+    @cached_property
+    def clean(self) -> tuple[np.ndarray, np.ndarray]:
+        """(d1, d0): d1[i] iff node i and every neighbor are treated, d0[i]
+        iff they are all control (isolated nodes reduce to their own bit)."""
+        z, treated_nbrs = self.z, self.graph.adjacency() @ self.z
+        return (z == 1) & (treated_nbrs == self.graph.degrees), (z == 0) & (treated_nbrs == 0)
+
+    @cached_property
+    def pz(self) -> np.ndarray:
+        return self.graph.row_normalized() @ self.z
+
+    @cached_property
+    def p2z(self) -> np.ndarray:
+        return self.graph.row_normalized() @ self.pz
 
 
-def exposure_vector(g: Graph, z: np.ndarray, level: int) -> np.ndarray:
+def as_assignment(g: Graph, z: np.ndarray | Assignment) -> Assignment:
+    """z itself when it is already a record, else the record of z on g."""
+    return z if isinstance(z, Assignment) else Assignment(g, z)
+
+
+def exposure_vector(g: Graph, z: np.ndarray | Assignment, level: int) -> np.ndarray:
     """The clean-exposure indicator at one level for all nodes (int8)."""
-    d1, d0 = clean_masks(g, z)
+    d1, d0 = as_assignment(g, z).clean
     return (d1 if level == 1 else d0).astype(np.int8)
 
 
-@dataclass(frozen=True)
-class DrawExposure:
-    """One draw's clean exposure as HT, Hajek and CAE read it.
+def clean_weights(a: Assignment, p_part: Partition, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """HT and Hajek weights (w1, w0) of one draw at treatment proportion p.
 
     w1 = 1/p^c and w0 = 1/(1-p)^c are set on the clean nodes of their level
     and are 0 elsewhere, so a probability that underflows to 0 on a node
     that is not clean never enters a 0/0.
     """
-
-    cluster_bits: np.ndarray  # bool, length K
-    d1: np.ndarray  # bool, length n
-    d0: np.ndarray
-    w1: np.ndarray  # float64, length n
-    w0: np.ndarray
-
-
-def draw_exposure(g: Graph, p_part: Partition, z: np.ndarray, p: float) -> DrawExposure:
-    """The exposure record of unit bits z drawn at treatment proportion p."""
-    d1, d0 = clean_masks(g, z)
+    d1, d0 = a.clean
     q1, q0 = p_part.clean_probability(p)
-    return DrawExposure(
-        cluster_bits=cluster_bits(p_part, z),
-        d1=d1,
-        d0=d0,
-        w1=np.divide(1.0, q1, out=np.zeros_like(q1), where=d1),
-        w0=np.divide(1.0, q0, out=np.zeros_like(q0), where=d0),
+    return (
+        np.divide(1.0, q1, out=np.zeros_like(q1), where=d1),
+        np.divide(1.0, q0, out=np.zeros_like(q0), where=d0),
     )
 
 

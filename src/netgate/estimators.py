@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .design import DrawExposure, clean_masks, cluster_bits, draw_exposure
+from .design import Assignment, as_assignment, clean_weights, cluster_bits
 from .graph import Graph, Partition
 
 ESTIMATOR_NAMES = ("DIM", "HT", "HAJEK", "CAE", "MII", "GNN", "AMII")
@@ -37,40 +37,41 @@ def dim(z: np.ndarray, y: np.ndarray) -> float:
     return float(y[treated].mean() - y[~treated].mean())
 
 
-def _ht(e: DrawExposure, y: np.ndarray) -> float:
-    return float(np.mean((e.w1 - e.w0) * y))
+def _ht(w1: np.ndarray, w0: np.ndarray, y: np.ndarray) -> float:
+    return float(np.mean((w1 - w0) * y))
 
 
-def ht(g: Graph, p_part: Partition, z: np.ndarray, y: np.ndarray, p: float) -> float:
+def ht(g: Graph, p_part: Partition, z: np.ndarray | Assignment, y: np.ndarray, p: float) -> float:
     """Inverse-probability estimator over cleanly exposed nodes, with analytic
     exposure probabilities p^c and (1-p)^c."""
-    return _ht(draw_exposure(g, p_part, z, p), _as_float(y))
+    return _ht(*clean_weights(as_assignment(g, z), p_part, p), _as_float(y))
 
 
-def _hajek(e: DrawExposure, y: np.ndarray) -> float:
-    s1, s0 = e.w1.sum(), e.w0.sum()
+def _hajek(w1: np.ndarray, w0: np.ndarray, y: np.ndarray) -> float:
+    s1, s0 = w1.sum(), w0.sum()
     if s1 == 0 or s0 == 0:
         raise DegenerateArmError("an arm has no cleanly exposed nodes")
-    return float((e.w1 @ y) / s1 - (e.w0 @ y) / s0)
+    return float((w1 @ y) / s1 - (w0 @ y) / s0)
 
 
-def hajek(g: Graph, p_part: Partition, z: np.ndarray, y: np.ndarray, p: float) -> float:
+def hajek(g: Graph, p_part: Partition, z: np.ndarray | Assignment, y: np.ndarray, p: float) -> float:
     """Self-normalized variant of ht; requires a clean node in each arm."""
-    return _hajek(draw_exposure(g, p_part, z, p), _as_float(y))
+    return _hajek(*clean_weights(as_assignment(g, z), p_part, p), _as_float(y))
 
 
-def _cae_arm_means(
-    p_part: Partition, clean: np.ndarray, y: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Which clusters have a node that is clean at the cluster's own level,
-    and the mean outcome of those nodes per cluster (0 where none)."""
+def _cae_clusters(
+    p_part: Partition, a: Assignment, y: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cluster bits, which clusters have a node that is clean at their own
+    level, and the mean outcome of those nodes per cluster (0 where none)."""
     k = p_part.cluster_count
+    clean = a.clean[0] | a.clean[1]
     counts = np.bincount(p_part.cluster_of, weights=clean, minlength=k)
     sums = np.bincount(p_part.cluster_of, weights=clean * y, minlength=k)
     usable = counts > 0
     means = np.zeros(k)
     means[usable] = sums[usable] / counts[usable]
-    return usable, means
+    return cluster_bits(p_part, a.z), usable, means
 
 
 def _cae(t: np.ndarray, usable: np.ndarray, means: np.ndarray) -> float:
@@ -81,12 +82,11 @@ def _cae(t: np.ndarray, usable: np.ndarray, means: np.ndarray) -> float:
     return float(arm1.mean() - arm0.mean())
 
 
-def cae(g: Graph, p_part: Partition, z: np.ndarray, y: np.ndarray) -> float:
+def cae(g: Graph, p_part: Partition, z: np.ndarray | Assignment, y: np.ndarray) -> float:
     """Within-cluster averages of clean nodes, then an unweighted average
     across contributing clusters per arm; clusters with no clean node at
     their level are skipped."""
-    d1, d0 = clean_masks(g, z)
-    return _cae(cluster_bits(p_part, z), *_cae_arm_means(p_part, d1 | d0, _as_float(y)))
+    return _cae(*_cae_clusters(p_part, as_assignment(g, z), _as_float(y)))
 
 
 def _interior_arms(p_part: Partition, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -163,7 +163,7 @@ class EstimateSet:
 def estimate_all(
     g: Graph,
     p_part: Partition,
-    z: np.ndarray,
+    z: np.ndarray | Assignment,
     y: np.ndarray,
     p: float,
     pred1: np.ndarray | None = None,
@@ -176,13 +176,13 @@ def estimate_all(
     estimator's counts go into its diagnostics before it runs, so a
     degenerate draw keeps them.
     """
-    z = _as_float(z)
+    a = as_assignment(g, z)
     y = _as_float(y)
     result = EstimateSet()
-    if {"HT", "HAJEK", "CAE"} & {name.upper() for name in names}:
-        e = draw_exposure(g, p_part, z, p)
-        clean = {"clean_treated": int(e.d1.sum()), "clean_control": int(e.d0.sum())}
-    it, ic = _interior_arms(p_part, z)
+    if {"HT", "HAJEK"} & {name.upper() for name in names}:
+        w1, w0 = clean_weights(a, p_part, p)
+        clean = {"clean_treated": int(a.clean[0].sum()), "clean_control": int(a.clean[1].sum())}
+    it, ic = _interior_arms(p_part, a.z)
     arms = {"s1": int(it.sum()), "s0": int(ic.sum())}
 
     for name in names:
@@ -192,20 +192,19 @@ def estimate_all(
         diag: dict = {"flags": []}
         try:
             if key == "DIM":
-                value = dim(z, y)
+                value = dim(a.z, y)
             elif key == "HT":
                 diag.update(clean)
                 if clean["clean_treated"] == 0:
                     diag["flags"].append("no_clean_treated")
                 if clean["clean_control"] == 0:
                     diag["flags"].append("no_clean_control")
-                value = _ht(e, y)
+                value = _ht(w1, w0, y)
             elif key == "HAJEK":
                 diag.update(clean)
-                value = _hajek(e, y)
+                value = _hajek(w1, w0, y)
             elif key == "CAE":
-                t = e.cluster_bits
-                usable, means = _cae_arm_means(p_part, e.d1 | e.d0, y)
+                t, usable, means = _cae_clusters(p_part, a, y)
                 diag.update(
                     clusters_used_treated=int((t & usable).sum()),
                     clusters_used_control=int((~t & usable).sum()),

@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -23,6 +24,8 @@ from .graph import Graph, Partition, decompose, load_edge_list, read_partition
 from .outcomes import OutcomeModel, PartialLinearModel
 
 TRUTH_KINDS = ("gate", "global_treatment_mean")
+PREDICTOR_KEYS = {"max_hop", "ridge_lambda", "training_mask", "covariates"}
+PARTIAL_LINEAR_KEYS = {"beta", "alpha", "u", "sigma", "h", "h_scale", "v", "v_seed"}
 
 
 @dataclass
@@ -47,6 +50,20 @@ class ExperimentConfig:
     verbose: bool = False
 
     def validate(self) -> None:
+        for name in ("graph", "clustering", "model", "predictor"):
+            if not isinstance(getattr(self, name), dict):
+                raise ValueError(f"{name} must be a mapping")
+        for name in ("repetitions", "master_seed", "threads"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name, kind, what in (("proportions", numbers.Real, "numbers"), ("estimators", str, "names")):
+            items = getattr(self, name)
+            if not isinstance(items, list) or not all(isinstance(x, kind) for x in items):
+                raise ValueError(f"{name} must be a list of {what}, got {items!r}")
+        unknown = set(self.predictor) - PREDICTOR_KEYS
+        if unknown:
+            raise ValueError(f"unknown predictor keys: {sorted(unknown)}")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         if not self.proportions:
@@ -132,19 +149,14 @@ def build_model(config: ExperimentConfig, g: Graph, p_part: Partition) -> Outcom
     spec = dict(config.model)
     kind = spec.pop("kind", "linear_two_hop")
     if kind == "linear_two_hop":
-        return outcomes.linear_two_hop(
-            g,
-            beta=spec.get("beta", 1.0),
-            r1=spec.get("r1", 1.0),
-            r2=spec.get("r2", 0.0),
-            sigma=spec.get("sigma", 2.0),
-            interaction=tuple(spec.get("interaction", [])),
-            interaction_weights=(
-                tuple(spec["interaction_weights"]) if "interaction_weights" in spec else None
-            ),
-            p_part=p_part,
-        )
+        try:
+            return outcomes.linear_two_hop(g, p_part=p_part, **spec)
+        except TypeError as exc:
+            raise ValueError(f"model: {exc}") from exc
     if kind == "partial_linear":
+        unknown = set(spec) - PARTIAL_LINEAR_KEYS
+        if unknown:
+            raise ValueError(f"unknown model keys: {sorted(unknown)}")
         u = outcomes.covariate_vector(spec.get("u", "degree"), g, p_part)
         v = None
         if spec.get("v", "none") == "normal":
@@ -288,20 +300,19 @@ class _SimulationState:
                 self.tracked_column = column
 
     def run_cell(self, rng: np.random.Generator, p: float):
-        d = design.draw(self.partition, p, rng)
-        z = d.unit_bits
-        y = self.model.realize(z, rng)
+        a = design.Assignment(self.graph, design.draw(self.partition, p, rng).unit_bits)
+        y = self.model.realize(a, rng)
         pred1 = pred0 = None
         alpha_hat = np.nan
         if self.needs_predictor:
-            feats = self.basis.at(z)
+            feats = self.basis.at(a)
             fitted = predictor.fit(feats, y, self.ridge_lambda, self.mask)
             pred1 = predictor.predict(fitted, self.f1)
             pred0 = predictor.predict(fitted, self.f0)
             if self.tracked_column is not None:
                 alpha_hat = fitted.coefficient(self.tracked_column)
         est = estimators.estimate_all(
-            self.graph, self.partition, z, y, p, pred1, pred0, tuple(self.names)
+            self.graph, self.partition, a, y, p, pred1, pred0, tuple(self.names)
         )
         return est, alpha_hat
 

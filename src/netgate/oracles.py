@@ -160,12 +160,11 @@ def check_case(case: OracleCase) -> OracleResult:
     freq0 = np.zeros(n)
     mass = 0.0
     for atom in design.enumerate_assignments(part, p):
-        z = design.expand(part, atom.cluster_bits)
-        y = model.potential(z)
-        e = design.draw_exposure(g, part, z, p)
-        ht_expect += atom.probability * estimators._ht(e, y)
-        freq1 += atom.probability * e.d1
-        freq0 += atom.probability * e.d0
+        a = design.Assignment(g, design.expand(part, atom.cluster_bits))
+        y = model.potential(a)
+        ht_expect += atom.probability * estimators._ht(*design.clean_weights(a, part, p), y)
+        freq1 += atom.probability * a.clean[0]
+        freq0 += atom.probability * a.clean[1]
         mass += atom.probability
     q1, q0 = part.clean_probability(p)
     return OracleResult(

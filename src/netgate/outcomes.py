@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .design import Assignment, as_assignment
 from .graph import Graph, Partition
 
 
@@ -35,8 +36,8 @@ def covariate_vector(name: str, g: Graph, p_part: Partition | None = None) -> np
 class OutcomeModel:
     """Y(z) = potential(z) + sigma eps with eps standard normal per node.
 
-    Subclasses define `potential` over the row-normalized adjacency P (`_p`)
-    and read their treatment vector through `_treatment`.
+    Subclasses define `potential`, which takes a treatment vector or its
+    `design.Assignment` and reads the products of P = D^-1 A from the record.
     """
 
     def __init__(self, g: Graph, sigma: float):
@@ -44,18 +45,11 @@ class OutcomeModel:
             raise ValueError("sigma must be nonnegative")
         self.graph = g
         self.sigma = float(sigma)
-        self._p = g.row_normalized()
 
-    def potential(self, z: np.ndarray) -> np.ndarray:
+    def potential(self, z: np.ndarray | Assignment) -> np.ndarray:
         raise NotImplementedError
 
-    def _treatment(self, z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=np.float64)
-        if z.shape != (self.graph.node_count,):
-            raise ValueError("treatment vector length mismatch")
-        return z
-
-    def realize(self, z: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    def realize(self, z: np.ndarray | Assignment, rng: np.random.Generator) -> np.ndarray:
         y = self.potential(z)
         if self.sigma > 0:
             y = y + self.sigma * rng.standard_normal(self.graph.node_count)
@@ -66,8 +60,8 @@ class LinearTwoHopModel(OutcomeModel):
     """Y(z) = beta z + B z + (interaction weights) * z + sigma eps, where B is
     the zero-diagonal mask of r1 P + r2 P^2 with P the row-normalized adjacency.
 
-    B z is evaluated with two sparse matvecs; the diagonal of P^2 is removed
-    exactly, never materializing a dense matrix.
+    B z is evaluated from the record's P z and P^2 z; the diagonal of P^2 is
+    removed exactly, never materializing a dense matrix.
     """
 
     def __init__(
@@ -89,12 +83,11 @@ class LinearTwoHopModel(OutcomeModel):
         self.interaction.setflags(write=False)
         self._diag_p2 = g.diag_p_squared() if r2 != 0.0 else None
 
-    def potential(self, z: np.ndarray) -> np.ndarray:
-        z = self._treatment(z)
-        pz = self._p @ z
-        out = self.beta * z + self.r1 * pz + self.interaction * z
+    def potential(self, z: np.ndarray | Assignment) -> np.ndarray:
+        a = as_assignment(self.graph, z)
+        out = self.beta * a.z + self.r1 * a.pz + self.interaction * a.z
         if self.r2 != 0.0:
-            out += self.r2 * (self._p @ pz - self._diag_p2 * z)
+            out += self.r2 * (a.p2z - self._diag_p2 * a.z)
         return out
 
 
@@ -132,10 +125,10 @@ class PartialLinearModel(OutcomeModel):
         self.u.setflags(write=False)
         self.v.setflags(write=False)
 
-    def potential(self, z: np.ndarray) -> np.ndarray:
-        z = self._treatment(z)
-        rho = self._p @ z
-        return (self.beta + self.alpha * self.u) * z + self.h_scale * _H_BASE[self.h_kind](rho) + self.v
+    def potential(self, z: np.ndarray | Assignment) -> np.ndarray:
+        a = as_assignment(self.graph, z)
+        h = _H_BASE[self.h_kind](a.pz)
+        return (self.beta + self.alpha * self.u) * a.z + self.h_scale * h + self.v
 
 
 def linear_two_hop(

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from .design import Assignment, as_assignment
 from .graph import Graph
 
 _FALLBACK_LAMBDA = 1e-8
@@ -42,27 +43,25 @@ class FeatureBasis:
         for name, vec in covariates.items():
             if np.asarray(vec).shape != (n,):
                 raise ValueError(f"covariate {name!r} length mismatch")
-        self._p = g.row_normalized()
+        p = g.row_normalized()
+        self._graph = g
         self._two_hop = max_hop == 2
         self._ones = np.ones(n)
         self._u = [np.asarray(vec, dtype=np.float64) for vec in covariates.values()]
-        self._pu = [self._p @ u for u in self._u]
-        self._p2u = [self._p @ pu for pu in self._pu] if self._two_hop else []
+        self._pu = [p @ u for u in self._u]
+        self._p2u = [p @ pu for pu in self._pu] if self._two_hop else []
         names = ["const", "z", *covariates, *(f"{c}*z" for c in covariates)]
         names += ["nbr_z", *(f"nbr_{c}" for c in covariates)]
         if self._two_hop:
             names += ["nbr2_z", *(f"nbr2_{c}" for c in covariates)]
         self.names = tuple(names)
 
-    def at(self, z: np.ndarray) -> FeatureMatrix:
-        """The feature matrix under assignment z."""
-        z = np.asarray(z, dtype=np.float64)
-        if z.shape != self._ones.shape:
-            raise ValueError("treatment vector length mismatch")
-        pz = self._p @ z
-        cols = [self._ones, z, *self._u, *(u * z for u in self._u), pz, *self._pu]
+    def at(self, z: np.ndarray | Assignment) -> FeatureMatrix:
+        """The feature matrix under assignment z (an array or its record)."""
+        a = as_assignment(self._graph, z)
+        cols = [self._ones, a.z, *self._u, *(u * a.z for u in self._u), a.pz, *self._pu]
         if self._two_hop:
-            cols += [self._p @ pz, *self._p2u]
+            cols += [a.p2z, *self._p2u]
         return FeatureMatrix(np.column_stack(cols), self.names)
 
 

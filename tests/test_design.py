@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netgate import design
+from netgate import design, outcomes, predictor
 from netgate.graph import decompose, from_edges
 
 from conftest import path_graph
@@ -161,12 +161,46 @@ def test_enumerated_clean_frequencies_equal_clean_probability(gp, p):
     freq1 = np.zeros(g.node_count)
     freq0 = np.zeros(g.node_count)
     for atom in design.enumerate_assignments(part, p):
-        d1, d0 = design.clean_masks(g, design.expand(part, atom.cluster_bits))
+        d1, d0 = design.Assignment(g, design.expand(part, atom.cluster_bits)).clean
         freq1 += atom.probability * d1
         freq0 += atom.probability * d0
     q1, q0 = part.clean_probability(p)
     np.testing.assert_allclose(freq1, q1, rtol=0, atol=1e-12)
     np.testing.assert_allclose(freq0, q0, rtol=0, atol=1e-12)
+
+
+@given(partition_with_isolated_nodes(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_assignment_products_match_direct_products(gp, data):
+    g, part = gp
+    bits = data.draw(st.lists(st.booleans(), min_size=g.node_count, max_size=g.node_count))
+    z = np.array(bits, dtype=np.int8)
+    a = design.Assignment(g, z)
+    p_mat = g.row_normalized()
+    zf = z.astype(np.float64)
+    assert a.pz.tobytes() == (p_mat @ zf).tobytes()
+    assert a.p2z.tobytes() == (p_mat @ (p_mat @ zf)).tobytes()
+    d1, d0 = a.clean
+    for i in range(g.node_count):
+        assert d1[i] == exposure(g, z, i, 1) and d0[i] == exposure(g, z, i, 0), i
+
+    u = outcomes.covariate_vector("clusters", g, part)
+    models = [
+        outcomes.LinearTwoHopModel(g, 1.0, 0.7, r2, 1.5, interaction=u) for r2 in (0.0, 1.0)
+    ]
+    models.append(outcomes.PartialLinearModel(g, 1.0, 0.5, u, 1.5, h="sqrt"))
+    for model in models:
+        assert model.potential(a).tobytes() == model.potential(z).tobytes()
+        y_record = model.realize(a, np.random.default_rng(3))
+        assert y_record.tobytes() == model.realize(z, np.random.default_rng(3)).tobytes()
+    for max_hop in (1, 2):
+        basis = predictor.FeatureBasis(g, {"clusters": u}, max_hop)
+        assert basis.at(a).values.tobytes() == basis.at(z).values.tobytes()
+
+
+def test_assignment_rejects_length_mismatch(toy_graph):
+    with pytest.raises(ValueError, match="length mismatch"):
+        design.Assignment(toy_graph, np.ones(toy_graph.node_count + 1))
 
 
 def test_empirical_exposure_frequency_converges(toy_graph, toy_partition):

@@ -412,10 +412,10 @@ def test_estimate_all_keeps_counts_of_degenerate_draws(toy_graph, toy_partition)
 def test_estimate_all_skips_exposure_when_no_estimator_reads_it(
     toy_graph, toy_partition, monkeypatch
 ):
-    def no_exposure(*args):
-        raise AssertionError("exposure record built")
+    def no_exposure(self):
+        raise AssertionError("clean masks computed")
 
-    monkeypatch.setattr(estimators, "draw_exposure", no_exposure)
+    monkeypatch.setattr(design.Assignment, "clean", property(no_exposure))
     z = a_treated(toy_partition)
     y = np.arange(9, dtype=float)
     es = estimate_all(

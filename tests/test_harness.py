@@ -1,11 +1,23 @@
 import io
 import math
+from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
-from netgate import cli
-from netgate.harness import ExperimentConfig, emit_report, run, verify_theorem2
+from netgate import cli, sbm
+from netgate.graph import decompose
+from netgate.harness import (
+    ExperimentConfig,
+    _SimulationState,
+    build_graph,
+    build_model,
+    build_partition,
+    emit_report,
+    run,
+    verify_theorem2,
+)
 
 from conftest import report_cell, write_edge_list
 
@@ -33,6 +45,34 @@ def sbm_config(**overrides):
     return ExperimentConfig.from_dict(base)
 
 
+@pytest.mark.parametrize("r2", [0.0, 1.0])
+def test_run_cell_multiplies_by_each_sparse_matrix_once(monkeypatch, r2):
+    """One cell computes A z, P z and P (P z) once each: the model, the
+    features and the estimators share the draw's record."""
+    cfg = sbm_config(model={**sbm_config().model, "r2": r2}, repetitions=1)
+    g = build_graph(cfg)
+    part, _ = build_partition(cfg, g)
+    products = []
+
+    class Counting:
+        def __init__(self, name, matrix):
+            self.name, self.matrix = name, matrix
+
+        def __matmul__(self, v):
+            products.append(self.name)
+            return self.matrix @ v
+
+    for name in ("adjacency", "row_normalized"):
+        wrapped = Counting(name, getattr(g, name)())
+        monkeypatch.setattr(g, name, lambda w=wrapped: w)
+    state = _SimulationState(cfg, g, part, build_model(cfg, g, part))
+    rng = np.random.default_rng(0)
+    for p in cfg.proportions:
+        products.clear()
+        state.run_cell(rng, p)
+        assert sorted(products) == ["adjacency", "row_normalized", "row_normalized"], p
+
+
 def test_config_file_roundtrip(tmp_path):
     cfg = sbm_config()
     path = tmp_path / "exp.yaml"
@@ -53,6 +93,50 @@ def test_config_rejects_bad_fields():
         sbm_config(truth="other")
     with pytest.raises(ValueError):
         ExperimentConfig.from_dict({"bogus_key": 1})
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("proportions", 0.5),
+        ("proportions", ["0.5"]),
+        ("estimators", "MII"),
+        ("estimators", [1]),
+        ("repetitions", "ten"),
+        ("repetitions", True),
+        ("master_seed", 1.5),
+        ("threads", None),
+        ("graph", "net.mtx"),
+        ("clustering", [5.0]),
+        ("model", None),
+        ("predictor", ["degree"]),
+    ],
+)
+def test_config_rejects_wrong_types(field, value):
+    with pytest.raises(ValueError, match=field):
+        sbm_config(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "section, spec, typo",
+    [
+        ("model", {"r_2": 1.0}, "r_2"),
+        ("model", {"kind": "partial_linear", "alpah": 1.0}, "alpah"),
+        ("predictor", {"ridge_lamda": 5}, "ridge_lamda"),
+    ],
+)
+def test_config_rejects_unknown_section_keys(section, spec, typo):
+    with pytest.raises(ValueError, match=typo):
+        run(ExperimentConfig.from_dict({**sbm_config().to_dict(), section: spec}))
+
+
+@pytest.mark.parametrize("path", sorted(Path(__file__).parent.parent.glob("configs/*.yaml")))
+def test_shipped_configs_build_their_model_and_predictor(path):
+    cfg = ExperimentConfig.from_file(path)
+    g, labels = sbm.generate(communities=4, size=12, p_in=0.5, p_out=0.05, seed=2)
+    part = decompose(g, labels)
+    state = _SimulationState(cfg, g, part, build_model(cfg, g, part))
+    state.run_cell(np.random.default_rng(0), cfg.proportions[0])
 
 
 def test_single_noiseless_repetition_has_zero_std():
@@ -327,6 +411,12 @@ def test_cli_run_missing_graph_fails(tmp_path):
     assert code == 2
 
 
+SMALL_SBM = (
+    "graph: {sbm: {communities: 4, size: 12, p_in: 0.5, p_out: 0.05, seed: 2}}\n"
+    "clustering: {blocks: true}\nrepetitions: 2\n"
+)
+
+
 @pytest.mark.parametrize(
     "config_text, flags, message",
     [
@@ -335,8 +425,15 @@ def test_cli_run_missing_graph_fails(tmp_path):
         ("graph: {path: [unclosed\n", [], "error: "),
         ("repetitions: 5\n", ["--p", "1.5"], "outside (0,1)"),
         ("repetitions: 5\n", ["--p", "half"], "half"),
+        ("proportions: 0.5\n", [], "proportions must be a list"),
+        ("repetitions: ten\n", [], "repetitions must be an integer"),
+        (SMALL_SBM + "model: {r_2: 1.0}\n", [], "r_2"),
+        (SMALL_SBM + "predictor: {ridge_lamda: 5}\n", [], "ridge_lamda"),
     ],
-    ids=["missing-file", "unknown-key", "yaml-syntax", "p-out-of-range", "p-not-a-number"],
+    ids=[
+        "missing-file", "unknown-key", "yaml-syntax", "p-out-of-range", "p-not-a-number",
+        "proportions-not-a-list", "repetitions-not-an-int", "model-key-typo", "predictor-key-typo",
+    ],
 )
 def test_cli_run_bad_config_is_a_usage_error(tmp_path, capsys, config_text, flags, message):
     cfg_path = tmp_path / "missing.yaml"
@@ -347,6 +444,24 @@ def test_cli_run_bad_config_is_a_usage_error(tmp_path, capsys, config_text, flag
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert not (tmp_path / "o").exists()
+
+
+def test_cli_stats_bad_gamma_is_a_usage_error(tmp_path, capsys):
+    path, _ = write_sbm_edge_file(tmp_path)
+    code = cli.main(["stats", "--graph", str(path), "--gamma", "0"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: resolution must be positive")
+
+
+@pytest.mark.parametrize("p", ["1.5", "0", "nan"])
+def test_cli_enumerate_bad_p_is_a_usage_error(tmp_path, capsys, p):
+    from netgate.oracles import tri_ring
+
+    gpath = tmp_path / "tri.edges"
+    write_edge_list(tri_ring(), gpath)
+    code = cli.main(["enumerate", "--graph", str(gpath), "--p", p])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: treatment proportion must be in (0,1)")
 
 
 def test_cli_stats(tmp_path, capsys):
