@@ -166,10 +166,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    model = outcomes.linear_two_hop(
-        g, beta=args.beta, r1=args.r1, r2=0.0, sigma=0.0,
-        interaction=(), p_part=part,
-    )
+    model = outcomes.linear_two_hop(g, beta=args.beta, r1=args.r1, r2=0.0, sigma=0.0)
     result = oracles.check_case(oracles.OracleCase(args.graph, g, part, model, args.p))
     print(f"clusters {part.cluster_count}")
     print(f"true_gate {outcomes.true_gate(model):.12g}")

@@ -43,9 +43,9 @@ def draw(p_part: Partition, p: float, rng: np.random.Generator) -> TreatmentDraw
 
 
 class Assignment:
-    """One draw's treatment vector z (float64) and its sparse products, each
-    computed on first use and kept: the clean masks from A z, P z and P^2 z,
-    with P = D^-1 A the row-normalized adjacency."""
+    """One draw's 0/1 treatment vector z (float64) and its sparse products,
+    each computed on first use and kept: P z and P^2 z, with P = D^-1 A the
+    row-normalized adjacency, and the clean masks read off P z."""
 
     def __init__(self, g: Graph, z: np.ndarray):
         z = np.asarray(z, dtype=np.float64)
@@ -57,9 +57,14 @@ class Assignment:
     @cached_property
     def clean(self) -> tuple[np.ndarray, np.ndarray]:
         """(d1, d0): d1[i] iff node i and every neighbor are treated, d0[i]
-        iff they are all control (isolated nodes reduce to their own bit)."""
-        z, treated_nbrs = self.z, self.graph.adjacency() @ self.z
-        return (z == 1) & (treated_nbrs == self.graph.degrees), (z == 0) & (treated_nbrs == 0)
+        iff they are all control (isolated nodes reduce to their own bit).
+
+        Read exactly off P z: (P z)_i adds one fl(1/d_i) per treated neighbor,
+        so it is 0 iff none is, and with all treated it is computed exactly as
+        (P 1)_i is; otherwise the exact sums differ by at least 1/d_i, far above
+        the rounding of d_i terms for any d_i < 2^26."""
+        z, pz = self.z, self.pz
+        return (z == 1) & (pz == self.graph.p_ones()), (z == 0) & (pz == 0)
 
     @cached_property
     def pz(self) -> np.ndarray:

@@ -51,6 +51,7 @@ class Graph:
             self.labels.setflags(write=False)
         self._adjacency: sp.csr_matrix | None = None
         self._row_normalized: sp.csr_matrix | None = None
+        self._p_ones: np.ndarray | None = None
         self._diag_p2: np.ndarray | None = None
 
     @property
@@ -83,17 +84,23 @@ class Graph:
         return self._adjacency
 
     def row_normalized(self) -> sp.csr_matrix:
-        """Random-walk matrix D^-1 A; rows of isolated nodes are zero (cached)."""
+        """Random-walk matrix P = D^-1 A, zero rows on isolated nodes (cached, with p_ones)."""
         if self._row_normalized is None:
             n = self.node_count
             inv_deg = np.zeros(n)
             nz = self.degrees > 0
             inv_deg[nz] = 1.0 / self.degrees[nz]
             data = np.repeat(inv_deg, self.degrees)
-            self._row_normalized = sp.csr_matrix(
-                (data, self.indices, self.indptr), shape=(n, n)
-            )
+            p = sp.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
+            self._p_ones = p @ np.ones(n)
+            self._p_ones.setflags(write=False)
+            self._row_normalized = p  # last: a thread that sees P also sees P 1
         return self._row_normalized
+
+    def p_ones(self) -> np.ndarray:
+        """P 1 by the product P z uses: (P z)_i when all of i's neighbors are treated (read-only)."""
+        self.row_normalized()
+        return self._p_ones
 
     def diag_p_squared(self) -> np.ndarray:
         """diag((D^-1 A)^2): sum over neighbors j of 1/(deg_i deg_j) (cached)."""

@@ -24,8 +24,11 @@ from .graph import Graph, Partition, decompose, load_edge_list, read_partition
 from .outcomes import OutcomeModel, PartialLinearModel
 
 TRUTH_KINDS = ("gate", "global_treatment_mean")
-PREDICTOR_KEYS = {"max_hop", "ridge_lambda", "training_mask", "covariates"}
-PARTIAL_LINEAR_KEYS = {"beta", "alpha", "u", "sigma", "h", "h_scale", "v", "v_seed"}
+SECTION_KEYS = {
+    "graph": {"path", "format", "sbm"},
+    "clustering": {"gamma", "seed", "partition", "blocks"},
+    "predictor": {"max_hop", "ridge_lambda", "training_mask", "covariates"},
+}
 
 
 @dataclass
@@ -61,9 +64,10 @@ class ExperimentConfig:
             items = getattr(self, name)
             if not isinstance(items, list) or not all(isinstance(x, kind) for x in items):
                 raise ValueError(f"{name} must be a list of {what}, got {items!r}")
-        unknown = set(self.predictor) - PREDICTOR_KEYS
-        if unknown:
-            raise ValueError(f"unknown predictor keys: {sorted(unknown)}")
+        for name, keys in SECTION_KEYS.items():
+            unknown = set(getattr(self, name)) - keys
+            if unknown:
+                raise ValueError(f"unknown {name} keys: {sorted(unknown)}")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         if not self.proportions:
@@ -114,13 +118,20 @@ class ExperimentConfig:
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
+def _from_spec(section: str, build, spec: dict, *args, **kwargs):
+    """build(*args, **kwargs, **spec); a misspelt or missing key's TypeError becomes a ValueError."""
+    try:
+        return build(*args, **kwargs, **spec)
+    except TypeError as exc:
+        raise ValueError(f"{section}: {exc}") from exc
+
+
 def build_graph(config: ExperimentConfig) -> Graph:
     spec = config.graph
     if "path" in spec:
         return load_edge_list(spec["path"], spec.get("format", "auto"))
     if "sbm" in spec:
-        g, _ = sbm.generate(**spec["sbm"])
-        return g
+        return _from_spec("graph.sbm", sbm.generate, spec["sbm"])[0]
     raise ValueError("graph config needs 'path' or 'sbm'")
 
 
@@ -140,7 +151,7 @@ def build_partition(config: ExperimentConfig, g: Graph) -> tuple[Partition, dict
     if spec.get("blocks"):
         if "sbm" not in config.graph:
             raise ValueError("clustering 'blocks' requires an sbm graph")
-        _, labels = sbm.generate(**config.graph["sbm"])
+        _, labels = _from_spec("graph.sbm", sbm.generate, config.graph["sbm"])
         return decompose(g, labels), {"method": "sbm-blocks"}
     raise ValueError("clustering config needs 'gamma', 'partition', or 'blocks'")
 
@@ -148,31 +159,10 @@ def build_partition(config: ExperimentConfig, g: Graph) -> tuple[Partition, dict
 def build_model(config: ExperimentConfig, g: Graph, p_part: Partition) -> OutcomeModel:
     spec = dict(config.model)
     kind = spec.pop("kind", "linear_two_hop")
-    if kind == "linear_two_hop":
-        try:
-            return outcomes.linear_two_hop(g, p_part=p_part, **spec)
-        except TypeError as exc:
-            raise ValueError(f"model: {exc}") from exc
-    if kind == "partial_linear":
-        unknown = set(spec) - PARTIAL_LINEAR_KEYS
-        if unknown:
-            raise ValueError(f"unknown model keys: {sorted(unknown)}")
-        u = outcomes.covariate_vector(spec.get("u", "degree"), g, p_part)
-        v = None
-        if spec.get("v", "none") == "normal":
-            v_rng = np.random.default_rng(int(spec.get("v_seed", 2024)))
-            v = v_rng.standard_normal(g.node_count)
-        return PartialLinearModel(
-            g,
-            beta=spec.get("beta", 1.0),
-            alpha=spec.get("alpha", 1.0),
-            u=u,
-            sigma=spec.get("sigma", 2.0),
-            h=spec.get("h", "linear"),
-            h_scale=spec.get("h_scale", 1.0),
-            v=v,
-        )
-    raise ValueError(f"unknown model kind {kind!r}")
+    builders = {"linear_two_hop": outcomes.linear_two_hop, "partial_linear": outcomes.partial_linear}
+    if kind not in builders:
+        raise ValueError(f"unknown model kind {kind!r}")
+    return _from_spec("model", builders[kind], spec, g, p_part=p_part)
 
 
 def _truth_value(config: ExperimentConfig, model: OutcomeModel) -> float:

@@ -97,10 +97,8 @@ def default_oracle_cases() -> list[OracleCase]:
     e = np.array([(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
     g = from_edges(e[:, 0], e[:, 1], 7)
     part = decompose(g, np.array([0, 0, 0, 1, 1, 1, 1]))
-    rng = np.random.default_rng(11)
-    model = outcomes.PartialLinearModel(
-        g, beta=1.5, alpha=0.7, u=outcomes.covariate_vector("degree", g),
-        sigma=0.0, h="sqrt", h_scale=2.0, v=rng.standard_normal(7),
+    model = outcomes.partial_linear(
+        g, beta=1.5, alpha=0.7, sigma=0.0, h="sqrt", h_scale=2.0, v="normal", v_seed=11
     )
     cases.append(OracleCase("triangles+isolate", g, part, model, 0.4))
 

@@ -138,24 +138,30 @@ def linear_two_hop(
     r2: float = 0.0,
     sigma: float = 2.0,
     interaction: tuple[str, ...] = (),
-    interaction_weights: tuple[float, ...] | None = None,
     p_part: Partition | None = None,
 ) -> LinearTwoHopModel:
-    """Build a LinearTwoHopModel from named interaction covariates.
-
-    With k names and no explicit weights, each covariate gets weight 1/k
-    (so ("degree", "clusters") gives the half-half combination).
-    """
+    """Build a LinearTwoHopModel from named interaction covariates, each with
+    weight 1/k for k names (("degree", "clusters") gives the half-half mix)."""
     combined = None
     if interaction:
-        if interaction_weights is None:
-            interaction_weights = tuple(1.0 / len(interaction) for _ in interaction)
-        if len(interaction_weights) != len(interaction):
-            raise ValueError("one weight per interaction covariate required")
+        w = 1.0 / len(interaction)
         combined = np.zeros(g.node_count)
-        for name, w in zip(interaction, interaction_weights):
+        for name in interaction:
             combined += w * covariate_vector(name, g, p_part)
     return LinearTwoHopModel(g, beta, r1, r2, sigma, combined)
+
+
+def partial_linear(
+    g: Graph, beta: float = 1.0, alpha: float = 1.0, u: str = "degree", sigma: float = 2.0,
+    h: str = "linear", h_scale: float = 1.0, v: str = "none", v_seed: int = 2024,
+    p_part: Partition | None = None,
+) -> PartialLinearModel:
+    """Build a PartialLinearModel from a named covariate u, with node effects
+    v that are 0 ("none") or standard normal draws from v_seed ("normal")."""
+    if v not in ("none", "normal"):
+        raise ValueError(f"v must be 'none' or 'normal', got {v!r}")
+    v_vec = np.random.default_rng(int(v_seed)).standard_normal(g.node_count) if v == "normal" else None
+    return PartialLinearModel(g, beta, alpha, covariate_vector(u, g, p_part), sigma, h, h_scale, v_vec)
 
 
 def true_gate(model: OutcomeModel) -> float:

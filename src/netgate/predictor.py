@@ -109,18 +109,15 @@ def fit(
     """
     f = features.values
     y = np.asarray(y, dtype=np.float64)
-    if mask is None:
-        rows = np.arange(f.shape[0])
-    else:
+    if mask is not None:
         mask = np.asarray(mask)
         rows = np.flatnonzero(mask) if mask.dtype == bool else np.sort(mask.astype(np.int64))
-    if len(rows) == 0:
+        f, y = f[rows], y[rows]
+    if len(y) == 0:
         raise ValueError("training mask is empty")
-    fm = f[rows]
-    ym = y[rows]
-    d = fm.shape[1]
-    gram = fm.T @ fm
-    rhs = fm.T @ ym
+    d = f.shape[1]
+    gram = f.T @ f
+    rhs = f.T @ y
     if ridge_lambda is None:
         ridge_lambda = 1e-6 * np.trace(gram) / d
     if ridge_lambda < 0:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netgate import design, outcomes, predictor
-from netgate.graph import decompose, from_edges
+from netgate.graph import Graph, decompose, from_edges
 
 from conftest import path_graph
 
@@ -196,6 +196,55 @@ def test_assignment_products_match_direct_products(gp, data):
     for max_hop in (1, 2):
         basis = predictor.FeatureBasis(g, {"clusters": u}, max_hop)
         assert basis.at(a).values.tobytes() == basis.at(z).values.tobytes()
+
+
+def star_graph(d):
+    """Hub 0 joined to leaves 1..d."""
+    indptr = np.concatenate([[0], d + np.arange(d + 1)])
+    return Graph(indptr, np.concatenate([np.arange(1, d + 1), np.zeros(d, dtype=np.int64)]))
+
+
+def test_clean_masks_on_star_hubs_need_every_leaf():
+    for d in [*range(1, 3001), 10_000, 65_536, 100_007]:
+        g = star_graph(d)
+        z = np.ones(d + 1)
+        assert design.Assignment(g, z).clean[0][0], d
+        z[d] = 0.0
+        assert not design.Assignment(g, z).clean[0][0], d
+        assert not design.Assignment(g, 1.0 - z).clean[1][0], d
+
+
+@st.composite
+def hub_graph_and_draw(draw):
+    """A hub of degree up to ~1000 among random edges and 1-3 isolated nodes,
+    under random bits, or with the hub and all but one of its neighbors at one
+    level, or all of them at one level."""
+    d = draw(st.integers(1, 1000))
+    linked = d + 1 + draw(st.integers(0, 20))
+    n = linked + draw(st.integers(1, 3))
+    pairs = st.tuples(st.integers(0, linked - 1), st.integers(0, linked - 1))
+    edges = [(0, j) for j in range(1, d + 1)]
+    edges += [(a, b) for a, b in draw(st.lists(pairs, max_size=40)) if a != b]
+    e = np.unique(np.sort(np.array(edges), axis=1), axis=0)
+    g = from_edges(e[:, 0], e[:, 1], n)
+    z = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(0, 2, n).astype(np.int8)
+    mode = draw(st.sampled_from(["random", "all", "all-but-one"]))
+    if mode != "random":
+        level, nbrs = draw(st.integers(0, 1)), g.neighbors(0)
+        z[0] = z[nbrs] = level
+        if mode == "all-but-one":
+            z[draw(st.sampled_from(nbrs.tolist()))] = 1 - level
+    return g, z
+
+
+@given(hub_graph_and_draw())
+@settings(max_examples=60, deadline=None)
+def test_clean_masks_match_adjacency_reference(gz):
+    g, z = gz
+    treated_nbrs = g.adjacency() @ z.astype(np.float64)
+    d1, d0 = design.Assignment(g, z).clean
+    assert np.array_equal(d1, (z == 1) & (treated_nbrs == g.degrees))
+    assert np.array_equal(d0, (z == 0) & (treated_nbrs == 0))
 
 
 def test_assignment_rejects_length_mismatch(toy_graph):

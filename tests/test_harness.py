@@ -47,30 +47,32 @@ def sbm_config(**overrides):
 
 @pytest.mark.parametrize("r2", [0.0, 1.0])
 def test_run_cell_multiplies_by_each_sparse_matrix_once(monkeypatch, r2):
-    """One cell computes A z, P z and P (P z) once each: the model, the
-    features and the estimators share the draw's record."""
+    """One cell computes P z and P (P z) once each and reads the clean masks
+    off P z: the model, the features and the estimators share the draw's
+    record, and nothing touches the 0/1 adjacency."""
     cfg = sbm_config(model={**sbm_config().model, "r2": r2}, repetitions=1)
     g = build_graph(cfg)
     part, _ = build_partition(cfg, g)
-    products = []
+    calls = []
 
     class Counting:
-        def __init__(self, name, matrix):
-            self.name, self.matrix = name, matrix
+        def __init__(self, matrix):
+            self.matrix = matrix
 
         def __matmul__(self, v):
-            products.append(self.name)
+            calls.append("row_normalized")
             return self.matrix @ v
 
-    for name in ("adjacency", "row_normalized"):
-        wrapped = Counting(name, getattr(g, name)())
-        monkeypatch.setattr(g, name, lambda w=wrapped: w)
+    wrapped, adjacency = Counting(g.row_normalized()), g.adjacency()
+    monkeypatch.setattr(g, "row_normalized", lambda: wrapped)
+    monkeypatch.setattr(g, "adjacency", lambda: calls.append("adjacency") or adjacency)
     state = _SimulationState(cfg, g, part, build_model(cfg, g, part))
+    assert "adjacency" not in calls
     rng = np.random.default_rng(0)
     for p in cfg.proportions:
-        products.clear()
+        calls.clear()
         state.run_cell(rng, p)
-        assert sorted(products) == ["adjacency", "row_normalized", "row_normalized"], p
+        assert calls == ["row_normalized", "row_normalized"], p
 
 
 def test_config_file_roundtrip(tmp_path):
@@ -123,6 +125,9 @@ def test_config_rejects_wrong_types(field, value):
         ("model", {"r_2": 1.0}, "r_2"),
         ("model", {"kind": "partial_linear", "alpah": 1.0}, "alpah"),
         ("predictor", {"ridge_lamda": 5}, "ridge_lamda"),
+        ("graph", {**sbm_config().graph, "fomat": "mtx"}, "fomat"),
+        ("graph", {"sbm": {**sbm_config().graph["sbm"], "sed": 2}}, "sed"),
+        ("clustering", {"blocks": True, "sed": 3}, "sed"),
     ],
 )
 def test_config_rejects_unknown_section_keys(section, spec, typo):
@@ -429,10 +434,15 @@ SMALL_SBM = (
         ("repetitions: ten\n", [], "repetitions must be an integer"),
         (SMALL_SBM + "model: {r_2: 1.0}\n", [], "r_2"),
         (SMALL_SBM + "predictor: {ridge_lamda: 5}\n", [], "ridge_lamda"),
+        (SMALL_SBM + "model: {kind: partial_linear, v: gaussian}\n", [], "gaussian"),
+        (SMALL_SBM.replace("seed: 2}", "seed: 2}, fomat: mtx"), [], "fomat"),
+        (SMALL_SBM.replace("blocks: true", "blocks: true, sed: 3"), [], "sed"),
+        (SMALL_SBM.replace("seed: 2", "sed: 2"), [], "sed"),
     ],
     ids=[
         "missing-file", "unknown-key", "yaml-syntax", "p-out-of-range", "p-not-a-number",
         "proportions-not-a-list", "repetitions-not-an-int", "model-key-typo", "predictor-key-typo",
+        "model-v-unknown", "graph-key-typo", "clustering-key-typo", "sbm-key-typo",
     ],
 )
 def test_cli_run_bad_config_is_a_usage_error(tmp_path, capsys, config_text, flags, message):
