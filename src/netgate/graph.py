@@ -8,8 +8,9 @@ kept in a relabeling map.
 from __future__ import annotations
 
 import io
+import math
 from pathlib import Path
-from typing import IO, Iterable
+from typing import IO, Callable, Iterable
 
 import numpy as np
 import scipy.sparse as sp
@@ -129,65 +130,75 @@ def from_edges(
     """
     if node_count <= 0:
         raise EdgeListFormatError("empty graph")
-    src = np.concatenate([u, v])
-    dst = np.concatenate([v, u])
-    order = np.lexsort((dst, src))
-    src, dst = src[order], dst[order]
+    u = np.asarray(u, dtype=np.int64)
+    v = np.asarray(v, dtype=np.int64)
+    # one sort of the directed keys src*n + dst puts both halves in CSR order
+    keys = np.sort(np.concatenate([u * node_count + v, v * node_count + u]))
+    src, dst = np.divmod(keys, node_count)
     indptr = np.zeros(node_count + 1, dtype=np.int64)
-    np.add.at(indptr, src + 1, 1)
-    indptr = np.cumsum(indptr)
+    np.cumsum(np.bincount(src, minlength=node_count), out=indptr[1:])
     return Graph(indptr, dst, labels, dropped_self_loops, dropped_duplicates)
 
 
-def _dedupe_edges(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """Drop self-loops and duplicate undirected edges, counting each."""
+def _sorted_unique(a: np.ndarray) -> np.ndarray:
+    """np.unique(a) by one sort; numpy's hash-based unique is several times slower here."""
+    a = np.sort(a)
+    keep = np.ones(len(a), dtype=bool)
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
+
+
+def _dedupe_edges(u: np.ndarray, v: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """Drop self-loops and duplicate undirected edges over nodes 0..n-1, counting each."""
     loops = u == v
     n_loops = int(loops.sum())
     u, v = u[~loops], v[~loops]
-    lo, hi = np.minimum(u, v), np.maximum(u, v)
-    pairs = np.unique(np.column_stack([lo, hi]), axis=0) if len(lo) else np.empty((0, 2), dtype=lo.dtype)
-    n_dups = len(lo) - len(pairs)
-    return pairs[:, 0], pairs[:, 1], n_loops, n_dups
+    keys = _sorted_unique(np.minimum(u, v) * n + np.maximum(u, v))
+    lo, hi = np.divmod(keys, n)
+    return lo, hi, n_loops, len(u) - len(keys)
 
 
-def _read_lines(source) -> Iterable[str]:
+_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
+_MAX_DIGITS = 18  # any run of at most 18 decimal digits fits in int64
+_MAX_NODES = math.isqrt(_INT64_MAX)  # edge keys lo*n + hi must fit in int64
+
+# byte classes of an edge-list body the bulk parser accepts; every other byte is 0
+_DIGIT, _SPACE, _NEWLINE = 1, 2, 3
+_BYTE_CLASS = np.zeros(256, dtype=np.uint8)
+_BYTE_CLASS[ord("0") : ord("9") + 1] = _DIGIT
+_BYTE_CLASS[[ord(" "), ord("\t"), ord("\r")]] = _SPACE
+_BYTE_CLASS[ord("\n")] = _NEWLINE
+
+
+def _read_source(source) -> tuple[bytes | None, Callable[[], Iterable[str]]]:
+    """The whole source as bytes (None for a text stream that is not ASCII)
+    and a function giving its lines as the line loop reads them: universal
+    newlines for paths and binary streams, '\\n' only for bytes, the
+    stream's own lines for text streams."""
     if isinstance(source, (str, Path)):
         with open(source, "rb") as fh:
-            yield from io.TextIOWrapper(fh, encoding="utf-8")
-        return
-    if isinstance(source, bytes):
-        yield from io.StringIO(source.decode("utf-8"))
-        return
-    if isinstance(source, io.TextIOBase):
-        yield from source
-        return
-    # binary stream
-    yield from io.TextIOWrapper(source, encoding="utf-8")
+            data = fh.read()
+    elif isinstance(source, bytes):
+        return source, lambda: io.StringIO(source.decode("utf-8"))
+    elif isinstance(source, io.TextIOBase):
+        lines = source.readlines()
+        text = "".join(lines)
+        return (text.encode("ascii") if text.isascii() else None), lambda: lines
+    else:  # binary stream
+        data = source.read()
+    return data, lambda: io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
 
 
-def load_edge_list(source: str | Path | bytes | IO, fmt: str = "auto") -> Graph:
-    """Load an undirected graph from a plain edge list or MatrixMarket file.
-
-    Plain format: whitespace-separated "u v" lines, '#' or '%' comments; any
-    integer labels accepted and relabeled densely (sorted label order).
-    MatrixMarket coordinate format: the size header fixes the node count
-    (isolated nodes retained) and 1-based indices are shifted down.
-
-    fmt: "auto" | "plain-edge-list" | "matrix-market". Auto sniffs the
-    %%MatrixMarket banner, falling back to a size-header heuristic.
-
-    Self-loops and duplicate edges are dropped; counts are kept on the Graph.
-    """
-    if fmt not in ("auto", "plain-edge-list", "matrix-market"):
-        raise ValueError(f"unknown format: {fmt!r}")
-
+def _parse_lines(lines: Iterable[str], fmt: str) -> tuple[list[int], list[int], tuple | None]:
+    """The line loop: endpoints of every edge line and the MatrixMarket size
+    (nodes, entries, header line), or an EdgeListFormatError with the line number."""
     raw_u: list[int] = []
     raw_v: list[int] = []
     mm_size: tuple[int, int, int] | None = None  # (nodes, entries, header line)
     saw_banner = False
     first_data = True
 
-    for line_no, line in enumerate(_read_lines(source), start=1):
+    for line_no, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped:
             continue
@@ -225,6 +236,8 @@ def load_edge_list(source: str | Path | bytes | IO, fmt: str = "auto") -> Graph:
                     raise EdgeListFormatError(
                         f"adjacency must be square, got {rows}x{cols}", line_no
                     )
+                if rows > _MAX_NODES:
+                    raise EdgeListFormatError(f"{rows} nodes exceed the limit of {_MAX_NODES}", line_no)
                 mm_size = (rows, nnz, line_no)
                 continue
         if len(parts) < 2:
@@ -233,18 +246,94 @@ def load_edge_list(source: str | Path | bytes | IO, fmt: str = "auto") -> Graph:
             a, b = int(parts[0]), int(parts[1])
         except ValueError:
             raise EdgeListFormatError(f"non-integer endpoints in {stripped!r}", line_no) from None
+        if not (_INT64_MIN <= a <= _INT64_MAX and _INT64_MIN <= b <= _INT64_MAX):
+            raise EdgeListFormatError(f"endpoint outside the 64-bit integer range in {stripped!r}", line_no)
         raw_u.append(a)
         raw_v.append(b)
+    return raw_u, raw_v, mm_size
 
-    if mm_size is not None and len(raw_u) != mm_size[1]:
+
+def _bulk_body(body: bytes) -> np.ndarray | None:
+    """Endpoints u0, v0, u1, v1, ... of an edge-list body in one numpy parse, or
+    None unless every line is blank or holds exactly two unsigned integers of at
+    most 18 digits between spaces and tabs. Lines end at '\\n'; the caller has
+    checked that every '\\r' comes right before one."""
+    cls = _BYTE_CLASS[np.frombuffer(body, dtype=np.uint8)]
+    if not cls.all():
+        return None
+    digit = np.zeros(len(cls) + 2, dtype=bool)
+    np.equal(cls, _DIGIT, out=digit[1:-1])
+    bounds = np.flatnonzero(digit[1:] != digit[:-1])
+    starts, ends = bounds[0::2], bounds[1::2]
+    if len(starts) % 2 or (len(starts) and (ends - starts).max() > _MAX_DIGITS):
+        return None
+    line = np.searchsorted(np.flatnonzero(cls == _NEWLINE), starts)
+    if (line[0::2] != line[1::2]).any() or (line[2::2] == line[1:-1:2]).any():
+        return None
+    if not len(starts):
+        return np.empty(0, dtype=np.int64)
+    values = np.fromstring(body, dtype=np.int64, sep=" ")
+    return values if len(values) == len(starts) else None
+
+
+def _bulk_parse(data: bytes | None, fmt: str) -> tuple[np.ndarray, np.ndarray, tuple | None] | None:
+    """The line loop's result for the lines up to the first data line (the
+    banner, leading comments and the size header or first edge) plus the rest
+    of the file parsed in bulk; None when the bulk parse cannot vouch for
+    every line."""
+    if data is None or not data.isascii() or data.count(b"\r") != data.count(b"\r\n"):
+        return None
+    head: list[str] = []
+    pos = 0
+    while pos < len(data):
+        end = data.find(b"\n", pos) + 1 or len(data)
+        head.append(data[pos:end].decode("ascii"))
+        pos = end
+        stripped = head[-1].strip()
+        if stripped and stripped[0] not in "%#":
+            break
+    raw_u, raw_v, mm_size = _parse_lines(head, fmt)
+    body = _bulk_body(data[pos:])
+    if body is None:
+        return None
+    u = np.concatenate([np.asarray(raw_u, dtype=np.int64), body[0::2]])
+    v = np.concatenate([np.asarray(raw_v, dtype=np.int64), body[1::2]])
+    return u, v, mm_size
+
+
+def load_edge_list(source: str | Path | bytes | IO, fmt: str = "auto") -> Graph:
+    """Load an undirected graph from a plain edge list or MatrixMarket file.
+
+    Plain format: whitespace-separated "u v" lines, '#' or '%' comments; any
+    integer labels accepted and relabeled densely (sorted label order).
+    MatrixMarket coordinate format: the size header fixes the node count
+    (isolated nodes retained) and 1-based indices are shifted down.
+
+    fmt: "auto" | "plain-edge-list" | "matrix-market". Auto sniffs the
+    %%MatrixMarket banner, falling back to a size-header heuristic.
+
+    Self-loops and duplicate edges are dropped; counts are kept on the Graph.
+
+    A file whose lines after the header are all blank or "u v" pairs of
+    unsigned integers is parsed in one numpy call; any other file goes
+    through the line loop, which also names the line of a malformed entry.
+    """
+    if fmt not in ("auto", "plain-edge-list", "matrix-market"):
+        raise ValueError(f"unknown format: {fmt!r}")
+
+    data, lines = _read_source(source)
+    parsed = _bulk_parse(data, fmt)
+    if parsed is None:
+        raw_u, raw_v, mm_size = _parse_lines(lines(), fmt)
+        parsed = np.asarray(raw_u, dtype=np.int64), np.asarray(raw_v, dtype=np.int64), mm_size
+    u, v, mm_size = parsed
+
+    if mm_size is not None and len(u) != mm_size[1]:
         raise EdgeListFormatError(
-            f"size header declares {mm_size[1]} entries, file has {len(raw_u)}", mm_size[2]
+            f"size header declares {mm_size[1]} entries, file has {len(u)}", mm_size[2]
         )
-    if not raw_u:
+    if not len(u):
         raise EdgeListFormatError("empty graph: no edges found")
-
-    u = np.asarray(raw_u, dtype=np.int64)
-    v = np.asarray(raw_v, dtype=np.int64)
 
     if mm_size is not None:
         n = mm_size[0]
@@ -254,12 +343,12 @@ def load_edge_list(source: str | Path | bytes | IO, fmt: str = "auto") -> Graph:
             raise EdgeListFormatError("MatrixMarket entry outside declared size")
         labels = np.arange(1, n + 1, dtype=np.int64)
     else:
-        labels = np.unique(np.concatenate([u, v]))
+        labels = _sorted_unique(np.concatenate([u, v]))
         n = len(labels)
         u = np.searchsorted(labels, u)
         v = np.searchsorted(labels, v)
 
-    u, v, n_loops, n_dups = _dedupe_edges(u, v)
+    u, v, n_loops, n_dups = _dedupe_edges(u, v, n)
     if len(u) == 0:
         raise EdgeListFormatError("empty graph: all edges were self-loops")
     return from_edges(u, v, n, labels, n_loops, n_dups)
@@ -311,7 +400,7 @@ def decompose(g: Graph, cluster_of: np.ndarray) -> Partition:
     n = g.node_count
     if cluster_of.shape != (n,):
         raise ValueError(f"cluster assignment must cover all {n} nodes")
-    used = np.unique(cluster_of)
+    used = _sorted_unique(cluster_of)
     if used[0] != 0 or used[-1] != len(used) - 1:
         raise ValueError("cluster indices must be dense 0..K-1")
 
@@ -319,7 +408,7 @@ def decompose(g: Graph, cluster_of: np.ndarray) -> Partition:
     row = np.repeat(np.arange(n), g.degrees)
     k = len(used)
     keys = np.concatenate([row * k + cluster_of[g.indices], np.arange(n) * k + cluster_of])
-    touch = np.bincount(np.unique(keys) // k, minlength=n)
+    touch = np.bincount(_sorted_unique(keys) // k, minlength=n)
     return Partition(cluster_of, touch)
 
 

@@ -68,6 +68,13 @@ class ExperimentConfig:
             unknown = set(getattr(self, name)) - keys
             if unknown:
                 raise ValueError(f"unknown {name} keys: {sorted(unknown)}")
+        for section, key in (("predictor", "covariates"), ("model", "interaction")):
+            names = getattr(self, section).get(key, [])
+            if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
+                raise ValueError(f"{section}.{key} must be a list of names, got {names!r}")
+        lam = self.predictor.get("ridge_lambda")
+        if lam is not None and (isinstance(lam, bool) or not isinstance(lam, numbers.Real) or not 0 <= lam < np.inf):
+            raise ValueError(f"predictor.ridge_lambda must be null or a finite number >= 0, got {lam!r}")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         if not self.proportions:

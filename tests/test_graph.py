@@ -1,10 +1,12 @@
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from netgate import graph
 from netgate.graph import (
     EdgeListFormatError,
     decompose,
@@ -196,3 +198,107 @@ def test_edge_list_roundtrip(gc):
     for old in keep:
         expect = sorted(remap[int(j)] for j in g.neighbors(int(old)))
         assert g2.neighbors(remap[int(old)]).tolist() == expect
+
+
+def test_load_label_beyond_int64_reports_line_number():
+    with pytest.raises(EdgeListFormatError) as err:
+        load_edge_list(b"0 1\n1 2\n99999999999999999999 2\n")
+    assert err.value.line_number == 3
+    with pytest.raises(EdgeListFormatError) as err:
+        load_edge_list(b"%%MatrixMarket matrix coordinate pattern symmetric\n3 3 2\n1 2\n1 -9999999999999999999\n")
+    assert err.value.line_number == 4
+    # the largest int64 label is still a label
+    g = load_edge_list(b"0 1\n1 9223372036854775807\n")
+    assert g.labels.tolist() == [0, 1, 9223372036854775807]
+
+
+def test_load_matrix_market_node_count_beyond_edge_keys_is_an_error():
+    # n*n must fit the int64 edge keys (n <= 3037000499); the header is refused
+    # before anything of size n is allocated
+    with pytest.raises(EdgeListFormatError) as err:
+        load_edge_list(b"%%MatrixMarket matrix coordinate pattern symmetric\n% c\n1000000000000 1000000000000 1\n1 2\n")
+    assert err.value.line_number == 3
+    assert "exceed the limit of 3037000499" in str(err.value)
+
+
+def test_load_path_and_streams_agree(tmp_path):
+    text = b"% mtx-like comment\n5 7\n7 9\n\n9 5\n5 5\n"
+    path = tmp_path / "g.edges"
+    path.write_bytes(text)
+    graphs = [
+        load_edge_list(path),
+        load_edge_list(str(path)),
+        load_edge_list(io.BytesIO(text)),
+        load_edge_list(io.StringIO(text.decode())),
+        load_edge_list(text),
+    ]
+    for g in graphs:
+        assert g.labels.tolist() == [5, 7, 9]
+        assert g.indices.tolist() == graphs[0].indices.tolist()
+        assert g.dropped_self_loops == 1
+
+
+def _load_outcome(data, fmt):
+    """What load_edge_list makes of data: the graph's arrays and counts, or
+    the error's type, message and line number."""
+    try:
+        g = load_edge_list(data, fmt)
+    except (EdgeListFormatError, ValueError) as exc:
+        return type(exc), str(exc), getattr(exc, "line_number", None)
+    return (
+        g.indptr.tolist(), g.indices.tolist(), g.labels.tolist(),
+        g.dropped_self_loops, g.dropped_duplicates,
+    )
+
+
+BAD_LINES = [
+    "x 1", "1", "1 2 3", "-4 2", "1.5 2", "99999999999999999999 1", "1 2 # note",
+    "1 2\r3 4", "3\r4", "5 6 7\n8", "9\n10",  # the last three keep the token count even
+]
+
+
+@st.composite
+def edge_files(draw):
+    """A plain or MatrixMarket edge file with comments, blank lines, CRLF,
+    self-loops, reversed duplicates, sparse labels and isolated nodes, and at
+    times one comment or malformed line after the first data line; `clean`
+    when the bulk parse must take the file."""
+    mtx = draw(st.booleans())
+    n = draw(st.integers(1, 12))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=30))
+    pairs += [(b, a) for a, b in draw(st.lists(st.sampled_from(pairs), max_size=4))] if pairs else []
+    if mtx:
+        extra = draw(st.integers(0, 3))  # isolated nodes past the largest index
+        label = [i + 1 for i in range(n)]
+    else:
+        label = draw(st.lists(st.integers(0, 10**18 - 1), min_size=n, max_size=n, unique=True))
+    spaces = st.sampled_from(["", " ", "\t", "  "])
+    lines = [f"{draw(spaces)}{label[a]} {draw(spaces)}{label[b]}{draw(spaces)}" for a, b in pairs]
+    head = [draw(st.sampled_from(["# comment", "% comment", ""])) for _ in range(draw(st.integers(0, 2)))]
+    if mtx:
+        declared = len(lines) + draw(st.sampled_from([0, 0, 0, 1]))
+        head = ["%%MatrixMarket matrix coordinate pattern symmetric", *head, f"{n + extra} {n + extra} {declared}"]
+    for _ in range(draw(st.integers(0, 2))):  # blank lines anywhere
+        lines.insert(draw(st.integers(0, len(lines))), draw(spaces))
+    late = draw(st.booleans()) and bool(lines)
+    if late:
+        at = draw(st.integers(1, len(lines)))
+        comments = ["# late comment", "% late comment", "# 5 6", "%7 8"]
+        lines.insert(at, draw(st.sampled_from([*comments, *BAD_LINES])))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = newline.join(head + lines) + draw(st.sampled_from([newline, ""]))
+    fmt = draw(st.sampled_from(["auto", "auto", "plain-edge-list", "matrix-market"]))
+    return text.encode("ascii"), fmt, not late and (mtx or fmt != "matrix-market")
+
+
+@given(edge_files())
+@settings(max_examples=300, deadline=None)
+def test_bulk_parse_matches_line_loop(case):
+    data, fmt, clean = case
+    # a lone '\r' ends a line in a file or stream but not in bytes: compare per source kind
+    for source in (lambda: data, lambda: io.BytesIO(data), lambda: io.StringIO(data.decode())):
+        bulk = _load_outcome(source(), fmt)
+        with mock.patch.object(graph, "_bulk_parse", lambda data, fmt: None):
+            assert _load_outcome(source(), fmt) == bulk
+    if clean:
+        assert graph._bulk_parse(data, fmt) is not None

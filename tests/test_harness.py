@@ -438,11 +438,20 @@ SMALL_SBM = (
         (SMALL_SBM.replace("seed: 2}", "seed: 2}, fomat: mtx"), [], "fomat"),
         (SMALL_SBM.replace("blocks: true", "blocks: true, sed: 3"), [], "sed"),
         (SMALL_SBM.replace("seed: 2", "sed: 2"), [], "sed"),
+        (SMALL_SBM + "predictor: {ridge_lambda: abc}\n", [], "ridge_lambda must be null or"),
+        (SMALL_SBM + "predictor: {ridge_lambda: -1.0}\n", [], "ridge_lambda must be null or"),
+        (SMALL_SBM + "predictor: {ridge_lambda: .nan}\n", [], "ridge_lambda must be null or"),
+        (SMALL_SBM + "predictor: {ridge_lambda: true}\n", [], "ridge_lambda must be null or"),
+        (SMALL_SBM + "predictor: {covariates: degree}\n", [], "predictor.covariates must be a list of names"),
+        (SMALL_SBM + "model: {interaction: degree}\n", [], "model.interaction must be a list of names"),
+        (SMALL_SBM + "model: {interaction: [degree, 1]}\n", [], "model.interaction must be a list of names"),
     ],
     ids=[
         "missing-file", "unknown-key", "yaml-syntax", "p-out-of-range", "p-not-a-number",
         "proportions-not-a-list", "repetitions-not-an-int", "model-key-typo", "predictor-key-typo",
         "model-v-unknown", "graph-key-typo", "clustering-key-typo", "sbm-key-typo",
+        "ridge-lambda-not-a-number", "ridge-lambda-negative", "ridge-lambda-nan", "ridge-lambda-bool",
+        "covariates-a-string", "interaction-a-string", "interaction-not-names",
     ],
 )
 def test_cli_run_bad_config_is_a_usage_error(tmp_path, capsys, config_text, flags, message):
