@@ -45,39 +45,66 @@ def draw(p_part: Partition, p: float, rng: np.random.Generator) -> TreatmentDraw
 class Assignment:
     """One draw's 0/1 treatment vector z (float64) and its sparse products,
     each computed on first use and kept: P z and P^2 z, with P = D^-1 A the
-    row-normalized adjacency, and the clean masks read off P z."""
+    row-normalized adjacency, the clean masks read off P z, and the cluster
+    bits t of z on the partition.
 
-    def __init__(self, g: Graph, z: np.ndarray):
+    The record of a drawn assignment takes its partition and cluster bits t
+    and reads P z off integer counts: k = N t counts each node's treated
+    neighbors (N is the partition's neighbor_counts) and (P z)_i is entry
+    k_i of node i's row of the graph's share table, bit for bit the product.
+    The record of a bare vector computes P z as the sparse product and
+    derives t from z when asked (z must then be constant on clusters).
+    """
+
+    def __init__(
+        self, g: Graph, z: np.ndarray, p_part: Partition | None = None, t: np.ndarray | None = None
+    ):
         z = np.asarray(z, dtype=np.float64)
         if z.shape != (g.node_count,):
             raise ValueError("treatment vector length mismatch")
+        if t is not None and p_part is None:
+            raise ValueError("cluster bits need their partition")
         self.graph = g
+        self.partition = p_part
         self.z = z
+        self._drawn_bits = t
+
+    @cached_property
+    def t(self) -> np.ndarray:
+        """Cluster bits: bit j is set iff cluster j is treated."""
+        if self._drawn_bits is not None:
+            return self._drawn_bits
+        bits = np.zeros(self.partition.cluster_count, dtype=bool)
+        bits[self.partition.cluster_of[self.z == 1]] = True
+        return bits
 
     @cached_property
     def clean(self) -> tuple[np.ndarray, np.ndarray]:
         """(d1, d0): d1[i] iff node i and every neighbor are treated, d0[i]
         iff they are all control (isolated nodes reduce to their own bit).
 
-        Read exactly off P z: (P z)_i adds one fl(1/d_i) per treated neighbor,
-        so it is 0 iff none is, and with all treated it is computed exactly as
-        (P 1)_i is; otherwise the exact sums differ by at least 1/d_i, far above
-        the rounding of d_i terms for any d_i < 2^26."""
+        Read exactly off P z: (P z)_i is the k_i-th partial sum of fl(1/d_i)
+        for k_i treated neighbors, and these sums strictly increase from 0 at
+        k_i = 0 to P 1 at k_i = d_i."""
+        table, offset = self.graph.share_table()
         z, pz = self.z, self.pz
-        return (z == 1) & (pz == self.graph.p_ones()), (z == 0) & (pz == 0)
+        return (z == 1) & (pz == table[offset + self.graph.degrees]), (z == 0) & (pz == 0)
 
     @cached_property
     def pz(self) -> np.ndarray:
-        return self.graph.row_normalized() @ self.z
+        if self._drawn_bits is None:
+            return self.graph.row_normalized() @ self.z
+        table, offset = self.graph.share_table()
+        return table[offset + self.partition.neighbor_counts @ self._drawn_bits]
 
     @cached_property
     def p2z(self) -> np.ndarray:
         return self.graph.row_normalized() @ self.pz
 
 
-def as_assignment(g: Graph, z: np.ndarray | Assignment) -> Assignment:
-    """z itself when it is already a record, else the record of z on g."""
-    return z if isinstance(z, Assignment) else Assignment(g, z)
+def as_assignment(g: Graph, z: np.ndarray | Assignment, p_part: Partition | None = None) -> Assignment:
+    """z itself when it is already a record, else the record of the bare vector z on g."""
+    return z if isinstance(z, Assignment) else Assignment(g, z, p_part)
 
 
 def exposure_vector(g: Graph, z: np.ndarray | Assignment, level: int) -> np.ndarray:
@@ -99,13 +126,6 @@ def clean_weights(a: Assignment, p_part: Partition, p: float) -> tuple[np.ndarra
         np.divide(1.0, q1, out=np.zeros_like(q1), where=d1),
         np.divide(1.0, q0, out=np.zeros_like(q0), where=d0),
     )
-
-
-def cluster_bits(p_part: Partition, z: np.ndarray) -> np.ndarray:
-    """Cluster bits of unit bits z (z is constant on each cluster)."""
-    bits = np.zeros(p_part.cluster_count, dtype=bool)
-    bits[p_part.cluster_of[np.asarray(z) == 1]] = True
-    return bits
 
 
 def enumerate_assignments(p_part: Partition, p: float) -> Iterator[AssignmentAtom]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .design import Assignment, as_assignment, clean_weights, cluster_bits
+from .design import Assignment, as_assignment, clean_weights
 from .graph import Graph, Partition
 
 ESTIMATOR_NAMES = ("DIM", "HT", "HAJEK", "CAE", "MII", "GNN", "AMII")
@@ -71,7 +71,7 @@ def _cae_clusters(
     usable = counts > 0
     means = np.zeros(k)
     means[usable] = sums[usable] / counts[usable]
-    return cluster_bits(p_part, a.z), usable, means
+    return a.t, usable, means
 
 
 def _cae(t: np.ndarray, usable: np.ndarray, means: np.ndarray) -> float:
@@ -86,7 +86,7 @@ def cae(g: Graph, p_part: Partition, z: np.ndarray | Assignment, y: np.ndarray) 
     """Within-cluster averages of clean nodes, then an unweighted average
     across contributing clusters per arm; clusters with no clean node at
     their level are skipped."""
-    return _cae(*_cae_clusters(p_part, as_assignment(g, z), _as_float(y)))
+    return _cae(*_cae_clusters(p_part, as_assignment(g, z, p_part), _as_float(y)))
 
 
 def _interior_arms(p_part: Partition, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -176,7 +176,7 @@ def estimate_all(
     estimator's counts go into its diagnostics before it runs, so a
     degenerate draw keeps them.
     """
-    a = as_assignment(g, z)
+    a = as_assignment(g, z, p_part)
     y = _as_float(y)
     result = EstimateSet()
     if {"HT", "HAJEK"} & {name.upper() for name in names}:

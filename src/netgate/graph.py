@@ -52,7 +52,7 @@ class Graph:
             self.labels.setflags(write=False)
         self._adjacency: sp.csr_matrix | None = None
         self._row_normalized: sp.csr_matrix | None = None
-        self._p_ones: np.ndarray | None = None
+        self._share_table: tuple[np.ndarray, np.ndarray] | None = None
         self._diag_p2: np.ndarray | None = None
 
     @property
@@ -85,23 +85,37 @@ class Graph:
         return self._adjacency
 
     def row_normalized(self) -> sp.csr_matrix:
-        """Random-walk matrix P = D^-1 A, zero rows on isolated nodes (cached, with p_ones)."""
+        """Random-walk matrix P = D^-1 A, zero rows on isolated nodes (cached)."""
         if self._row_normalized is None:
             n = self.node_count
             inv_deg = np.zeros(n)
             nz = self.degrees > 0
             inv_deg[nz] = 1.0 / self.degrees[nz]
             data = np.repeat(inv_deg, self.degrees)
-            p = sp.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
-            self._p_ones = p @ np.ones(n)
-            self._p_ones.setflags(write=False)
-            self._row_normalized = p  # last: a thread that sees P also sees P 1
+            self._row_normalized = sp.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
         return self._row_normalized
 
-    def p_ones(self) -> np.ndarray:
-        """P 1 by the product P z uses: (P z)_i when all of i's neighbors are treated (read-only)."""
-        self.row_normalized()
-        return self._p_ones
+    def share_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """(table, offset) with (P z)_i == table[offset[i] + k_i] bit for bit for
+        any 0/1 vector z that treats k_i of node i's neighbors (cached, read-only).
+
+        P z adds fl(1/d_i) once per treated neighbor, in index order, so the
+        d_i + 1 entries from offset[i] are the sequential partial sums of
+        fl(1/d_i), from 0 up to P 1 = table[offset + degrees]; nodes of one
+        degree share them. The table holds at most nnz + n floats."""
+        if self._share_table is None:
+            degrees = _sorted_unique(self.degrees)
+            starts = np.zeros(len(degrees), dtype=np.int64)
+            np.cumsum(degrees[:-1] + 1, out=starts[1:])
+            table = np.zeros(int(starts[-1] + degrees[-1]) + 1)
+            for d, start in zip(degrees.tolist(), starts.tolist()):
+                if d:
+                    np.cumsum(np.full(d, 1.0 / d), out=table[start + 1 : start + d + 1])
+            offset = starts[np.searchsorted(degrees, self.degrees)]
+            for arr in (table, offset):
+                arr.setflags(write=False)
+            self._share_table = table, offset
+        return self._share_table
 
     def diag_p_squared(self) -> np.ndarray:
         """diag((D^-1 A)^2): sum over neighbors j of 1/(deg_i deg_j) (cached)."""
@@ -172,20 +186,16 @@ _BYTE_CLASS[ord("\n")] = _NEWLINE
 
 def _read_source(source) -> tuple[bytes | None, Callable[[], Iterable[str]]]:
     """The whole source as bytes (None for a text stream that is not ASCII)
-    and a function giving its lines as the line loop reads them: universal
-    newlines for paths and binary streams, '\\n' only for bytes, the
-    stream's own lines for text streams."""
+    and a function giving its lines, split at universal newlines ('\\n',
+    '\\r\\n' or a lone '\\r') whatever the kind of source."""
+    if isinstance(source, io.TextIOBase):
+        text = source.read()
+        return (text.encode("ascii") if text.isascii() else None), lambda: io.StringIO(text, newline=None)
     if isinstance(source, (str, Path)):
         with open(source, "rb") as fh:
             data = fh.read()
-    elif isinstance(source, bytes):
-        return source, lambda: io.StringIO(source.decode("utf-8"))
-    elif isinstance(source, io.TextIOBase):
-        lines = source.readlines()
-        text = "".join(lines)
-        return (text.encode("ascii") if text.isascii() else None), lambda: lines
-    else:  # binary stream
-        data = source.read()
+    else:
+        data = source if isinstance(source, bytes) else source.read()
     return data, lambda: io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
 
 
@@ -240,8 +250,13 @@ def _parse_lines(lines: Iterable[str], fmt: str) -> tuple[list[int], list[int], 
                     raise EdgeListFormatError(f"{rows} nodes exceed the limit of {_MAX_NODES}", line_no)
                 mm_size = (rows, nnz, line_no)
                 continue
-        if len(parts) < 2:
-            raise EdgeListFormatError(f"expected 'u v', got {stripped!r}", line_no)
+        if not 2 <= len(parts) <= 3:
+            raise EdgeListFormatError(f"expected 'u v' or 'u v weight', got {stripped!r}", line_no)
+        if len(parts) == 3:
+            try:
+                float(parts[2])
+            except ValueError:
+                raise EdgeListFormatError(f"non-numeric weight in {stripped!r}", line_no) from None
         try:
             a, b = int(parts[0]), int(parts[1])
         except ValueError:
@@ -305,7 +320,9 @@ def load_edge_list(source: str | Path | bytes | IO, fmt: str = "auto") -> Graph:
     """Load an undirected graph from a plain edge list or MatrixMarket file.
 
     Plain format: whitespace-separated "u v" lines, '#' or '%' comments; any
-    integer labels accepted and relabeled densely (sorted label order).
+    integer labels accepted and relabeled densely (sorted label order). A
+    third column must be a number (a weight, ignored); any other token after
+    the endpoints is an error. Lines end at universal newlines.
     MatrixMarket coordinate format: the size header fixes the node count
     (isolated nodes retained) and 1-based indices are shifted down.
 
@@ -359,15 +376,20 @@ class Partition:
 
     touch_counts[i] is the number of distinct clusters met by the closed
     neighborhood {i} union N(i,1); interior_mask[i] (touch count 1) is True
-    iff every neighbor of i shares i's cluster.
+    iff every neighbor of i shares i's cluster. neighbor_counts is the sparse
+    node-by-cluster matrix N whose entry (i, j) counts i's neighbors in
+    cluster j (CSC, read-only), so N t counts each node's treated neighbors
+    under cluster bits t.
     """
 
-    def __init__(self, cluster_of: np.ndarray, touch_counts: np.ndarray):
+    def __init__(self, cluster_of: np.ndarray, touch_counts: np.ndarray, neighbor_counts: sp.csc_matrix):
         self.cluster_of = np.asarray(cluster_of, dtype=np.int64)
         self.touch_counts = np.asarray(touch_counts, dtype=np.int64)
         self.interior_mask = self.touch_counts == 1
         self.cluster_count = int(self.cluster_of.max()) + 1 if len(self.cluster_of) else 0
-        for arr in (self.cluster_of, self.interior_mask, self.touch_counts):
+        self.neighbor_counts = neighbor_counts
+        for arr in (self.cluster_of, self.interior_mask, self.touch_counts,
+                    neighbor_counts.data, neighbor_counts.indices, neighbor_counts.indptr):
             arr.setflags(write=False)
         self._clean_probability: dict[float, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -404,12 +426,25 @@ def decompose(g: Graph, cluster_of: np.ndarray) -> Partition:
     if used[0] != 0 or used[-1] != len(used) - 1:
         raise ValueError("cluster indices must be dense 0..K-1")
 
-    # distinct clusters over closed neighborhoods via unique (node, cluster) keys
-    row = np.repeat(np.arange(n), g.degrees)
+    # one sort of (cluster, node) keys over every neighbor plus each node itself:
+    # a run of equal keys holds i's neighbors in cluster j, and i once more when
+    # j is i's own cluster, and the runs of node i count its touched clusters
     k = len(used)
-    keys = np.concatenate([row * k + cluster_of[g.indices], np.arange(n) * k + cluster_of])
-    touch = np.bincount(_sorted_unique(keys) // k, minlength=n)
-    return Partition(cluster_of, touch)
+    nodes = np.arange(n)
+    keys = np.sort(np.concatenate([
+        cluster_of[g.indices] * n + np.repeat(nodes, g.degrees), cluster_of * n + nodes
+    ]))
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    cluster, node = np.divmod(keys[starts], n)
+    touch = np.bincount(node, minlength=n)
+    counts = np.diff(starts, append=len(keys)) - (cluster == cluster_of[node])
+    linked = counts > 0
+    indptr = np.zeros(k + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cluster[linked], minlength=k), out=indptr[1:])
+    neighbor_counts = sp.csc_matrix((counts[linked], node[linked], indptr), shape=(n, k))
+    return Partition(cluster_of, touch, neighbor_counts)
 
 
 def write_partition(p: Partition, sink: str | Path | IO) -> None:

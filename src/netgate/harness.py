@@ -297,7 +297,8 @@ class _SimulationState:
                 self.tracked_column = column
 
     def run_cell(self, rng: np.random.Generator, p: float):
-        a = design.Assignment(self.graph, design.draw(self.partition, p, rng).unit_bits)
+        d = design.draw(self.partition, p, rng)
+        a = design.Assignment(self.graph, d.unit_bits, self.partition, d.cluster_bits)
         y = self.model.realize(a, rng)
         pred1 = pred0 = None
         alpha_hat = np.nan

@@ -158,7 +158,7 @@ def check_case(case: OracleCase) -> OracleResult:
     freq0 = np.zeros(n)
     mass = 0.0
     for atom in design.enumerate_assignments(part, p):
-        a = design.Assignment(g, design.expand(part, atom.cluster_bits))
+        a = design.Assignment(g, design.expand(part, atom.cluster_bits), part, atom.cluster_bits)
         y = model.potential(a)
         ht_expect += atom.probability * estimators._ht(*design.clean_weights(a, part, p), y)
         freq1 += atom.probability * a.clean[0]

@@ -247,6 +247,47 @@ def test_clean_masks_match_adjacency_reference(gz):
     assert np.array_equal(d0, (z == 0) & (treated_nbrs == 0))
 
 
+@st.composite
+def hub_partition_and_bits(draw):
+    """A hub graph as above cut into K <= 12 random clusters, under random
+    cluster bits, all clusters at one level, or all but one."""
+    g, _ = draw(hub_graph_and_draw())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    _, dense = np.unique(rng.integers(0, draw(st.integers(1, 12)), g.node_count), return_inverse=True)
+    part = decompose(g, dense)
+    mode = draw(st.sampled_from(["random", "all", "all-but-one"]))
+    if mode == "random":
+        t = rng.random(part.cluster_count) < 0.5
+    else:
+        t = np.full(part.cluster_count, bool(draw(st.integers(0, 1))))
+        if mode == "all-but-one":
+            j = draw(st.integers(0, part.cluster_count - 1))
+            t[j] = not t[j]
+    return g, part, t
+
+
+@given(hub_partition_and_bits())
+@settings(max_examples=80, deadline=None)
+def test_drawn_record_reads_pz_off_cluster_counts_bit_for_bit(case):
+    """The lookup must repeat P z in every bit: if scipy ever sums a row in
+    another order, this fails instead of reports moving."""
+    g, part, t = case
+    adjacency = g.adjacency()
+    one_hot = np.eye(part.cluster_count, dtype=np.int64)[part.cluster_of]
+    assert np.array_equal(part.neighbor_counts.toarray(), adjacency @ one_hot)
+    z = design.expand(part, t)
+    a = design.Assignment(g, z, part, t)
+    p_mat = g.row_normalized()
+    zf = z.astype(np.float64)
+    assert a.pz.tobytes() == (p_mat @ zf).tobytes()
+    assert a.p2z.tobytes() == (p_mat @ (p_mat @ zf)).tobytes()
+    treated_nbrs = adjacency @ zf
+    d1, d0 = a.clean
+    assert np.array_equal(d1, (z == 1) & (treated_nbrs == g.degrees))
+    assert np.array_equal(d0, (z == 0) & (treated_nbrs == 0))
+    assert np.array_equal(a.t, t) and np.array_equal(design.Assignment(g, z, part).t, t)
+
+
 def test_assignment_rejects_length_mismatch(toy_graph):
     with pytest.raises(ValueError, match="length mismatch"):
         design.Assignment(toy_graph, np.ones(toy_graph.node_count + 1))

@@ -1,4 +1,6 @@
 import io
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -78,6 +80,21 @@ def test_load_explicit_plain_format_ignores_trailing_weight_column():
     g = load_edge_list(b"0 1 7\n1 2 3\n", fmt="plain-edge-list")
     assert g.node_count == 3
     assert g.edge_count == 2
+
+
+@pytest.mark.parametrize("line", ["3 4 x", "3 4 5 6", "3 4 # note"])
+def test_load_rejects_extra_column_that_is_not_a_weight(line):
+    with pytest.raises(EdgeListFormatError) as err:
+        load_edge_list(f"0 1\n1 2 7\n{line}\n".encode(), fmt="plain-edge-list")
+    assert err.value.line_number == 3
+
+
+def test_load_lone_carriage_return_ends_a_line_in_every_source(tmp_path):
+    text = b"1 2\r3 4\n"
+    path = tmp_path / "g.edges"
+    path.write_bytes(text)
+    for source in (text, path, io.BytesIO(text), io.StringIO(text.decode(), newline="")):
+        assert load_edge_list(source).edge_count == 2
 
 
 def test_load_matrix_market_entry_count_must_match_header():
@@ -253,6 +270,7 @@ def _load_outcome(data, fmt):
 
 BAD_LINES = [
     "x 1", "1", "1 2 3", "-4 2", "1.5 2", "99999999999999999999 1", "1 2 # note",
+    "1 2 0.5", "1 2 x", "1 2 3 4", "1 2\t-7e-3",  # weights and other extra columns
     "1 2\r3 4", "3\r4", "5 6 7\n8", "9\n10",  # the last three keep the token count even
 ]
 
@@ -285,20 +303,29 @@ def edge_files(draw):
         at = draw(st.integers(1, len(lines)))
         comments = ["# late comment", "% late comment", "# 5 6", "%7 8"]
         lines.insert(at, draw(st.sampled_from([*comments, *BAD_LINES])))
-    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     text = newline.join(head + lines) + draw(st.sampled_from([newline, ""]))
     fmt = draw(st.sampled_from(["auto", "auto", "plain-edge-list", "matrix-market"]))
-    return text.encode("ascii"), fmt, not late and (mtx or fmt != "matrix-market")
+    return text.encode("ascii"), fmt, not late and newline != "\r" and (mtx or fmt != "matrix-market")
 
 
 @given(edge_files())
 @settings(max_examples=300, deadline=None)
 def test_bulk_parse_matches_line_loop(case):
     data, fmt, clean = case
-    # a lone '\r' ends a line in a file or stream but not in bytes: compare per source kind
-    for source in (lambda: data, lambda: io.BytesIO(data), lambda: io.StringIO(data.decode())):
-        bulk = _load_outcome(source(), fmt)
-        with mock.patch.object(graph, "_bulk_parse", lambda data, fmt: None):
-            assert _load_outcome(source(), fmt) == bulk
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.edges"
+        path.write_bytes(data)
+        sources = (
+            lambda: data, lambda: path, lambda: io.BytesIO(data),
+            lambda: io.StringIO(data.decode(), newline=""),
+        )
+        outcomes = []
+        for source in sources:
+            outcomes.append(_load_outcome(source(), fmt))
+            with mock.patch.object(graph, "_bulk_parse", lambda data, fmt: None):
+                assert _load_outcome(source(), fmt) == outcomes[-1]
+    # every kind of source splits lines at the same universal newlines
+    assert outcomes == [outcomes[0]] * len(sources)
     if clean:
         assert graph._bulk_parse(data, fmt) is not None

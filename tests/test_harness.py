@@ -1,5 +1,8 @@
 import io
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -47,9 +50,10 @@ def sbm_config(**overrides):
 
 @pytest.mark.parametrize("r2", [0.0, 1.0])
 def test_run_cell_multiplies_by_each_sparse_matrix_once(monkeypatch, r2):
-    """One cell computes P z and P (P z) once each and reads the clean masks
-    off P z: the model, the features and the estimators share the draw's
-    record, and nothing touches the 0/1 adjacency."""
+    """One cell makes one product with P, P (P z): the draw's record reads P z
+    off the cluster counts and the clean masks off P z, the model, the
+    features and the estimators share that record, and nothing touches the
+    0/1 adjacency."""
     cfg = sbm_config(model={**sbm_config().model, "r2": r2}, repetitions=1)
     g = build_graph(cfg)
     part, _ = build_partition(cfg, g)
@@ -72,7 +76,7 @@ def test_run_cell_multiplies_by_each_sparse_matrix_once(monkeypatch, r2):
     for p in cfg.proportions:
         calls.clear()
         state.run_cell(rng, p)
-        assert calls == ["row_normalized", "row_normalized"], p
+        assert calls == ["row_normalized"], p
 
 
 def test_config_file_roundtrip(tmp_path):
@@ -388,6 +392,23 @@ def test_cli_run_writes_reports(tmp_path, capsys):
     assert (out_dir / "clustering_stats.txt").exists()
     printed = capsys.readouterr().out
     assert "estimator,p,bias,std,mse,reps_used,degenerate" in printed
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("user", [{}, {"OPENBLAS_NUM_THREADS": "3"}])
+def test_cli_pins_blas_threads_unless_the_environment_sets_them(user):
+    """The console entry imports netgate.cli, whose package pins each BLAS to
+    one thread before numpy loads; a value in the environment wins."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {"PATH": os.environ.get("PATH", ""), "PYTHONPATH": src, **user}
+    probe = "import os, sys; from netgate import cli; print(*(os.environ.get(v) for v in sys.argv[1:]))"
+    out = subprocess.run(
+        [sys.executable, "-c", probe, *BLAS_VARS],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    ).stdout.split()
+    assert out == [user.get(var, "1") for var in BLAS_VARS]
 
 
 def test_cli_run_flag_overrides(tmp_path):
