@@ -20,51 +20,10 @@ if "numpy" not in sys.modules:
     for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(_var, "1")
 
-from .graph import (  # noqa: E402,F401
-    Graph,
-    Partition,
-    decompose,
-    load_edge_list,
-    read_partition,
-    write_partition,
-)
-from .community import ClusteringStats, louvain, modularity, stats  # noqa: F401
-from .design import (  # noqa: F401
-    AssignmentAtom,
-    TreatmentDraw,
-    draw,
-    enumerate_assignments,
-)
-from .outcomes import (  # noqa: F401
-    LinearTwoHopModel,
-    PartialLinearModel,
-    interior_mean_gap,
-    linear_two_hop,
-    true_gate,
-)
-from .predictor import (  # noqa: F401
-    FeatureMatrix,
-    LinearPredictor,
-    build_features,
-    fit,
-)
-from .estimators import (  # noqa: F401
-    DegenerateArmError,
-    EstimateSet,
-    amii,
-    amii_ppi_form,
-    cae,
-    dim,
-    estimate_all,
-    gnn_point,
-    hajek,
-    ht,
-    mii,
-)
-from .harness import (  # noqa: F401
-    ExperimentConfig,
-    SimulationReport,
-    emit_report,
-    run,
-    verify_theorem2,
-)
+# The names the README's library example imports; everything else is
+# imported from its submodule.
+from .graph import load_edge_list  # noqa: E402,F401
+from .community import louvain  # noqa: E402,F401
+from .design import draw  # noqa: E402,F401
+from .outcomes import linear_two_hop  # noqa: E402,F401
+from .estimators import estimate_all  # noqa: E402,F401

@@ -15,11 +15,7 @@ import yaml
 
 from . import __version__, community, design, oracles, outcomes
 from .graph import load_edge_list, read_partition, write_partition
-from .harness import ExperimentConfig, emit_report, run, verify_theorem2
-
-
-def _parse_floats(text: str) -> list[float]:
-    return [float(tok) for tok in text.replace(",", " ").split()]
+from .harness import ExperimentConfig, build_graph, build_partition, emit_report, run, verify_theorem2
 
 
 def _apply_overrides(config: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
@@ -28,7 +24,7 @@ def _apply_overrides(config: ExperimentConfig, args: argparse.Namespace) -> Expe
     if args.gamma is not None:
         config.clustering = {"gamma": args.gamma, "seed": config.clustering.get("seed", config.master_seed)}
     if args.p is not None:
-        config.proportions = _parse_floats(args.p)
+        config.proportions = [float(tok) for tok in args.p.replace(",", " ").split()]
     if args.reps is not None:
         config.repetitions = args.reps
     if args.seed is not None:
@@ -42,8 +38,6 @@ def _apply_overrides(config: ExperimentConfig, args: argparse.Namespace) -> Expe
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from .harness import build_graph, build_partition
-
     try:
         if args.config:
             config = ExperimentConfig.from_file(args.config)
@@ -66,15 +60,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
         emit_report(report, out_dir / "report.csv")
         (out_dir / "report.json").write_text(report.to_json(), encoding="utf-8")
         write_partition(p_part, out_dir / "partition.txt")
-        if report.clustering is not None:
-            c = report.clustering
-            (out_dir / "clustering_stats.txt").write_text(
-                f"clusters {c.cluster_count}\n"
-                f"interior_fraction {c.interior_fraction:.12g}\n"
-                f"within_edge_fraction {c.within_edge_fraction:.12g}\n"
-                f"modularity {c.modularity:.12g}\n",
-                encoding="utf-8",
-            )
+        c = report.clustering
+        (out_dir / "clustering_stats.txt").write_text(
+            f"clusters {c.cluster_count}\n"
+            f"interior_fraction {c.interior_fraction:.12g}\n"
+            f"within_edge_fraction {c.within_edge_fraction:.12g}\n"
+            f"modularity {c.modularity:.12g}\n",
+            encoding="utf-8",
+        )
     except OSError as exc:
         print(f"error: cannot write outputs: {exc}", file=sys.stderr)
         return 2

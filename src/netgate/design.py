@@ -20,13 +20,6 @@ class TreatmentDraw:
 
     cluster_bits: np.ndarray  # bool, length K
     unit_bits: np.ndarray  # int8 0/1, length n
-    p: float
-
-
-@dataclass(frozen=True)
-class AssignmentAtom:
-    cluster_bits: np.ndarray
-    probability: float
 
 
 def expand(p_part: Partition, cluster_bits: np.ndarray) -> np.ndarray:
@@ -39,7 +32,7 @@ def draw(p_part: Partition, p: float, rng: np.random.Generator) -> TreatmentDraw
     if not 0.0 < p < 1.0:
         raise ValueError(f"treatment proportion must be in (0,1), got {p}")
     bits = rng.random(p_part.cluster_count) < p
-    return TreatmentDraw(cluster_bits=bits, unit_bits=expand(p_part, bits), p=p)
+    return TreatmentDraw(cluster_bits=bits, unit_bits=expand(p_part, bits))
 
 
 class Assignment:
@@ -128,8 +121,8 @@ def clean_weights(a: Assignment, p_part: Partition, p: float) -> tuple[np.ndarra
     )
 
 
-def enumerate_assignments(p_part: Partition, p: float) -> Iterator[AssignmentAtom]:
-    """All 2^K cluster assignments with their design probabilities.
+def enumerate_assignments(p_part: Partition, p: float) -> Iterator[tuple[np.ndarray, float]]:
+    """All 2^K cluster assignments as (cluster bits, design probability) pairs.
 
     Exact oracle for expectations over the randomization; guarded at K <= 20.
     """
@@ -144,4 +137,4 @@ def enumerate_assignments(p_part: Partition, p: float) -> Iterator[AssignmentAto
         bits = np.array([(code >> j) & 1 for j in range(k)], dtype=bool)
         treated = int(bits.sum())
         prob = p**treated * (1.0 - p) ** (k - treated)
-        yield AssignmentAtom(cluster_bits=bits, probability=prob)
+        yield bits, prob

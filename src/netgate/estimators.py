@@ -23,18 +23,22 @@ class DegenerateArmError(ValueError):
     """An arm required by the estimator has no usable units this draw."""
 
 
-def _as_float(z) -> np.ndarray:
-    return np.asarray(z, dtype=np.float64)
+_NO_CLUSTER_ARM = "an arm has no cluster with clean nodes"
+_NO_INTERIOR_ARM = "interior set lacks a treated or control node"
+
+
+def _gap(y: np.ndarray, arm1: np.ndarray, arm0: np.ndarray, why: str) -> float:
+    """Mean of y over the boolean mask arm1 minus its mean over arm0."""
+    if not arm1.any() or not arm0.any():
+        raise DegenerateArmError(why)
+    return float(y[arm1].mean() - y[arm0].mean())
 
 
 def dim(z: np.ndarray, y: np.ndarray) -> float:
     """Difference in mean outcomes between treated and control units."""
-    z = _as_float(z)
-    y = _as_float(y)
-    treated = z == 1
-    if not treated.any() or treated.all():
-        raise DegenerateArmError("difference-in-means needs both arms populated")
-    return float(y[treated].mean() - y[~treated].mean())
+    treated = np.asarray(z) == 1
+    y = np.asarray(y, dtype=np.float64)
+    return _gap(y, treated, ~treated, "difference-in-means needs both arms populated")
 
 
 def _ht(w1: np.ndarray, w0: np.ndarray, y: np.ndarray) -> float:
@@ -44,7 +48,7 @@ def _ht(w1: np.ndarray, w0: np.ndarray, y: np.ndarray) -> float:
 def ht(g: Graph, p_part: Partition, z: np.ndarray | Assignment, y: np.ndarray, p: float) -> float:
     """Inverse-probability estimator over cleanly exposed nodes, with analytic
     exposure probabilities p^c and (1-p)^c."""
-    return _ht(*clean_weights(as_assignment(g, z), p_part, p), _as_float(y))
+    return _ht(*clean_weights(as_assignment(g, z), p_part, p), np.asarray(y, dtype=np.float64))
 
 
 def _hajek(w1: np.ndarray, w0: np.ndarray, y: np.ndarray) -> float:
@@ -56,7 +60,7 @@ def _hajek(w1: np.ndarray, w0: np.ndarray, y: np.ndarray) -> float:
 
 def hajek(g: Graph, p_part: Partition, z: np.ndarray | Assignment, y: np.ndarray, p: float) -> float:
     """Self-normalized variant of ht; requires a clean node in each arm."""
-    return _hajek(*clean_weights(as_assignment(g, z), p_part, p), _as_float(y))
+    return _hajek(*clean_weights(as_assignment(g, z), p_part, p), np.asarray(y, dtype=np.float64))
 
 
 def _cae_clusters(
@@ -74,19 +78,13 @@ def _cae_clusters(
     return a.t, usable, means
 
 
-def _cae(t: np.ndarray, usable: np.ndarray, means: np.ndarray) -> float:
-    arm1 = means[t & usable]
-    arm0 = means[~t & usable]
-    if len(arm1) == 0 or len(arm0) == 0:
-        raise DegenerateArmError("an arm has no cluster with clean nodes")
-    return float(arm1.mean() - arm0.mean())
-
-
 def cae(g: Graph, p_part: Partition, z: np.ndarray | Assignment, y: np.ndarray) -> float:
     """Within-cluster averages of clean nodes, then an unweighted average
     across contributing clusters per arm; clusters with no clean node at
     their level are skipped."""
-    return _cae(*_cae_clusters(p_part, as_assignment(g, z, p_part), _as_float(y)))
+    a = as_assignment(g, z, p_part)
+    t, usable, means = _cae_clusters(p_part, a, np.asarray(y, dtype=np.float64))
+    return _gap(means, t & usable, ~t & usable, _NO_CLUSTER_ARM)
 
 
 def _interior_arms(p_part: Partition, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -95,21 +93,16 @@ def _interior_arms(p_part: Partition, z: np.ndarray) -> tuple[np.ndarray, np.nda
     return interior & (z == 1), interior & (z == 0)
 
 
-def _mii(it: np.ndarray, ic: np.ndarray, y: np.ndarray) -> float:
-    if not it.any() or not ic.any():
-        raise DegenerateArmError("interior set lacks a treated or control node")
-    return float(y[it].mean() - y[ic].mean())
-
-
 def mii(p_part: Partition, z: np.ndarray, y: np.ndarray) -> float:
     """Difference in mean outcomes between treated and control interior nodes."""
-    return _mii(*_interior_arms(p_part, _as_float(z)), _as_float(y))
+    it, ic = _interior_arms(p_part, np.asarray(z))
+    return _gap(np.asarray(y, dtype=np.float64), it, ic, _NO_INTERIOR_ARM)
 
 
 def gnn_point(pred1: np.ndarray, pred0: np.ndarray) -> float:
     """Mean difference of the two counterfactual prediction vectors."""
-    pred1 = _as_float(pred1)
-    pred0 = _as_float(pred0)
+    pred1 = np.asarray(pred1, dtype=np.float64)
+    pred0 = np.asarray(pred0, dtype=np.float64)
     if pred1.shape != pred0.shape:
         raise ValueError("prediction vectors must have equal length")
     return float(pred1.mean() - pred0.mean())
@@ -118,7 +111,7 @@ def gnn_point(pred1: np.ndarray, pred0: np.ndarray) -> float:
 def _amii(
     it: np.ndarray, ic: np.ndarray, y: np.ndarray, pred1: np.ndarray, pred0: np.ndarray
 ) -> float:
-    base = _mii(it, ic, y)
+    base = _gap(y, it, ic, _NO_INTERIOR_ARM)
     adj1 = pred1.mean() - pred1[it].mean()
     adj0 = pred0.mean() - pred0[ic].mean()
     return float(base + adj1 - adj0)
@@ -133,8 +126,8 @@ def amii(
 ) -> float:
     """Interior difference-in-means plus the predictor correction for the
     covariate shift between interior nodes and the full population."""
-    it, ic = _interior_arms(p_part, _as_float(z))
-    return _amii(it, ic, _as_float(y), _as_float(pred1), _as_float(pred0))
+    it, ic = _interior_arms(p_part, np.asarray(z))
+    return _amii(it, ic, *(np.asarray(v, dtype=np.float64) for v in (y, pred1, pred0)))
 
 
 def amii_ppi_form(
@@ -143,9 +136,9 @@ def amii_ppi_form(
     """Treated-arm rearrangement: population prediction mean plus the mean
     residual over treated interior nodes. Differencing this against the
     analogous control form reproduces amii exactly."""
-    y = _as_float(y)
-    pred1 = _as_float(pred1)
-    it, _ = _interior_arms(p_part, _as_float(z))
+    y = np.asarray(y, dtype=np.float64)
+    pred1 = np.asarray(pred1, dtype=np.float64)
+    it, _ = _interior_arms(p_part, np.asarray(z))
     if not it.any():
         raise DegenerateArmError("no treated interior nodes")
     return float(pred1.mean() + (y[it] - pred1[it]).mean())
@@ -177,7 +170,7 @@ def estimate_all(
     degenerate draw keeps them.
     """
     a = as_assignment(g, z, p_part)
-    y = _as_float(y)
+    y = np.asarray(y, dtype=np.float64)
     result = EstimateSet()
     if {"HT", "HAJEK"} & {name.upper() for name in names}:
         w1, w0 = clean_weights(a, p_part, p)
@@ -189,16 +182,15 @@ def estimate_all(
         key = name.upper()
         if key not in ESTIMATOR_NAMES:
             raise ValueError(f"unknown estimator {name!r}")
+        if key in ("GNN", "AMII") and (pred1 is None or pred0 is None):
+            raise ValueError(f"{key} estimator needs prediction vectors")
         diag: dict = {"flags": []}
         try:
             if key == "DIM":
                 value = dim(a.z, y)
             elif key == "HT":
                 diag.update(clean)
-                if clean["clean_treated"] == 0:
-                    diag["flags"].append("no_clean_treated")
-                if clean["clean_control"] == 0:
-                    diag["flags"].append("no_clean_control")
+                diag["flags"] += [f"no_{arm}" for arm in clean if clean[arm] == 0]
                 value = _ht(w1, w0, y)
             elif key == "HAJEK":
                 diag.update(clean)
@@ -211,19 +203,15 @@ def estimate_all(
                     clusters_skipped_treated=int((t & ~usable).sum()),
                     clusters_skipped_control=int((~t & ~usable).sum()),
                 )
-                value = _cae(t, usable, means)
+                value = _gap(means, t & usable, ~t & usable, _NO_CLUSTER_ARM)
             elif key == "MII":
                 diag.update(arms)
-                value = _mii(it, ic, y)
+                value = _gap(y, it, ic, _NO_INTERIOR_ARM)
             elif key == "GNN":
-                if pred1 is None or pred0 is None:
-                    raise ValueError("GNN estimator needs prediction vectors")
                 value = gnn_point(pred1, pred0)
             else:  # AMII
-                if pred1 is None or pred0 is None:
-                    raise ValueError("AMII estimator needs prediction vectors")
                 diag.update(arms)
-                value = _amii(it, ic, y, _as_float(pred1), _as_float(pred0))
+                value = _amii(it, ic, y, *(np.asarray(v, dtype=np.float64) for v in (pred1, pred0)))
             if not math.isfinite(value):
                 raise DegenerateArmError(f"{key} produced a non-finite value")
             result.estimates[key] = value

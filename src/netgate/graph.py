@@ -29,7 +29,8 @@ class EdgeListFormatError(ValueError):
 class Graph:
     """Immutable undirected simple graph in CSR form.
 
-    neighbors lists are sorted; degrees[i] == len(neighbors(i)).
+    Node i's neighbors are indices[indptr[i]:indptr[i + 1]], sorted; degrees[i]
+    is their count.
     """
 
     def __init__(
@@ -62,10 +63,6 @@ class Graph:
     @property
     def edge_count(self) -> int:
         return len(self.indices) // 2
-
-    def neighbors(self, i: int) -> np.ndarray:
-        """Sorted neighbor ids of node i (read-only view)."""
-        return self.indices[self.indptr[i] : self.indptr[i + 1]]
 
     def edge_array(self) -> np.ndarray:
         """All edges as an (m, 2) array with u < v."""
@@ -392,10 +389,6 @@ class Partition:
                     neighbor_counts.data, neighbor_counts.indices, neighbor_counts.indptr):
             arr.setflags(write=False)
         self._clean_probability: dict[float, tuple[np.ndarray, np.ndarray]] = {}
-
-    @property
-    def node_count(self) -> int:
-        return len(self.cluster_of)
 
     def clean_probability(self, p: float) -> tuple[np.ndarray, np.ndarray]:
         """Design probabilities of clean exposure at treatment proportion p:

@@ -23,7 +23,7 @@ from . import __version__, community, design, estimators, outcomes, predictor, s
 from .graph import Graph, Partition, decompose, load_edge_list, read_partition
 from .outcomes import OutcomeModel, PartialLinearModel
 
-TRUTH_KINDS = ("gate", "global_treatment_mean")
+TRUTHS = {"gate": outcomes.true_gate, "global_treatment_mean": outcomes.global_treatment_mean}
 SECTION_KEYS = {
     "graph": {"path", "format", "sbm"},
     "clustering": {"gamma", "seed", "partition", "blocks"},
@@ -79,16 +79,23 @@ class ExperimentConfig:
             raise ValueError("repetitions must be >= 1")
         if not self.proportions:
             raise ValueError("at least one treatment proportion required")
+        if not self.estimators:
+            raise ValueError("at least one estimator required")
         for p in self.proportions:
             if not 0.0 < p < 1.0:
                 raise ValueError(f"treatment proportion {p} outside (0,1)")
-        if self.truth not in TRUTH_KINDS:
-            raise ValueError(f"truth must be one of {TRUTH_KINDS}")
+        if self.truth not in TRUTHS:
+            raise ValueError(f"truth must be one of {tuple(TRUTHS)}")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
-        for name in self.estimators:
-            if name.upper() not in estimators.ESTIMATOR_NAMES:
+        keys = [name.upper() for name in self.estimators]
+        for i, name in enumerate(self.estimators):
+            if keys[i] not in estimators.ESTIMATOR_NAMES:
                 raise ValueError(f"unknown estimator {name!r}")
+            if keys[i] in keys[:i]:
+                raise ValueError(f"duplicate estimator {name!r}")
+        if not isinstance(self.verbose, bool):
+            raise ValueError(f"verbose must be a boolean, got {self.verbose!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -110,10 +117,6 @@ class ExperimentConfig:
         if not isinstance(data, dict):
             raise ValueError(f"config file {path} did not parse to a mapping")
         return cls.from_dict(data)
-
-    def to_file(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            yaml.safe_dump(self.to_dict(), fh, sort_keys=True)
 
     def digest(self) -> str:
         """Hash of the experiment-defining fields; execution details
@@ -142,25 +145,31 @@ def build_graph(config: ExperimentConfig) -> Graph:
     raise ValueError("graph config needs 'path' or 'sbm'")
 
 
-def build_partition(config: ExperimentConfig, g: Graph) -> tuple[Partition, dict]:
-    """Partition per config plus provenance details (clustering is computed
-    once per experiment; its seed is part of provenance)."""
+def _clustering_info(config: ExperimentConfig) -> dict:
+    """Provenance of the clustering the config describes (its seed included)."""
     spec = config.clustering
     if "gamma" in spec:
         seed = int(spec.get("seed", config.master_seed))
-        part = community.louvain(g, float(spec["gamma"]), seed)
-        return part, {"method": "louvain", "gamma": float(spec["gamma"]), "seed": seed}
+        return {"method": "louvain", "gamma": float(spec["gamma"]), "seed": seed}
     if "partition" in spec:
-        return read_partition(g, spec["partition"]), {
-            "method": "file",
-            "path": str(spec["partition"]),
-        }
+        return {"method": "file", "path": str(spec["partition"])}
     if spec.get("blocks"):
         if "sbm" not in config.graph:
             raise ValueError("clustering 'blocks' requires an sbm graph")
-        _, labels = _from_spec("graph.sbm", sbm.generate, config.graph["sbm"])
-        return decompose(g, labels), {"method": "sbm-blocks"}
+        return {"method": "sbm-blocks"}
     raise ValueError("clustering config needs 'gamma', 'partition', or 'blocks'")
+
+
+def build_partition(config: ExperimentConfig, g: Graph) -> tuple[Partition, dict]:
+    """Partition per config plus its provenance (clustering is computed
+    once per experiment)."""
+    info = _clustering_info(config)
+    if info["method"] == "louvain":
+        return community.louvain(g, info["gamma"], info["seed"]), info
+    if info["method"] == "file":
+        return read_partition(g, config.clustering["partition"]), info
+    _, labels = _from_spec("graph.sbm", sbm.generate, config.graph["sbm"])
+    return decompose(g, labels), info
 
 
 def build_model(config: ExperimentConfig, g: Graph, p_part: Partition) -> OutcomeModel:
@@ -170,12 +179,6 @@ def build_model(config: ExperimentConfig, g: Graph, p_part: Partition) -> Outcom
     if kind not in builders:
         raise ValueError(f"unknown model kind {kind!r}")
     return _from_spec("model", builders[kind], spec, g, p_part=p_part)
-
-
-def _truth_value(config: ExperimentConfig, model: OutcomeModel) -> float:
-    if config.truth == "gate":
-        return outcomes.true_gate(model)
-    return outcomes.global_treatment_mean(model)
 
 
 @dataclass(frozen=True)
@@ -195,7 +198,7 @@ class SimulationReport:
     cells: list[CellStats]
     truth_kind: str
     truth_value: float
-    clustering: community.ClusteringStats | None
+    clustering: community.ClusteringStats
     clustering_info: dict
     config_digest: str
     master_seed: int
@@ -211,14 +214,13 @@ class SimulationReport:
         out.write(f"# config_sha256: {self.config_digest}\n")
         out.write(f"# master_seed: {self.master_seed}\n")
         out.write(f"# truth: {self.truth_kind} = {self.truth_value:.12g}\n")
-        if self.clustering is not None:
-            c = self.clustering
-            out.write(
-                "# clustering: "
-                f"clusters={c.cluster_count} interior_fraction={c.interior_fraction:.12g} "
-                f"within_edge_fraction={c.within_edge_fraction:.12g} "
-                f"modularity={c.modularity:.12g}\n"
-            )
+        c = self.clustering
+        out.write(
+            "# clustering: "
+            f"clusters={c.cluster_count} interior_fraction={c.interior_fraction:.12g} "
+            f"within_edge_fraction={c.within_edge_fraction:.12g} "
+            f"modularity={c.modularity:.12g}\n"
+        )
         out.write("estimator,p,bias,std,mse,reps_used,degenerate\n")
         for cell in self.cells:
             if cell.absent_reason is not None:
@@ -240,10 +242,9 @@ class SimulationReport:
             "truth_kind": self.truth_kind,
             "truth_value": self.truth_value,
             "clustering_info": self.clustering_info,
+            "clustering_stats": asdict(self.clustering),
             "cells": [asdict(c) for c in self.cells],
         }
-        if self.clustering is not None:
-            payload["clustering_stats"] = asdict(self.clustering)
         if self.alpha_hat_mean is not None:
             payload["alpha_hat_mean"] = self.alpha_hat_mean
         if self.raw_estimates is not None:
@@ -382,17 +383,15 @@ def run(
     """Execute the full experiment described by config.
 
     A preloaded graph/partition may be supplied to skip reloading; they must
-    match what the config describes.
+    match what the config describes, whose clustering the report names.
     """
     config.validate()
     if g is None:
         g = build_graph(config)
     if p_part is None:
-        p_part, clustering_info = build_partition(config, g)
-    else:
-        clustering_info = {"method": "preloaded", "clustering": dict(config.clustering)}
+        p_part, _ = build_partition(config, g)
     model = build_model(config, g, p_part)
-    truth = _truth_value(config, model)
+    truth = TRUTHS[config.truth](model)
 
     values, alpha_hats, diagnostics = _simulate(config, g, p_part, model)
     ps = list(config.proportions)
@@ -417,7 +416,7 @@ def run(
         truth_kind=config.truth,
         truth_value=truth,
         clustering=community.stats(g, p_part, float(config.clustering.get("gamma", 1.0))),
-        clustering_info=clustering_info,
+        clustering_info=_clustering_info(config),
         config_digest=config.digest(),
         master_seed=config.master_seed,
         version=__version__,
@@ -436,7 +435,6 @@ class Theorem2Cell:
     empirical_amii_bias: float
     predicted_amii_bias: float
     amii_se: float
-    alpha_hat_mean: float
     mii_ok: bool
     amii_ok: bool
 
@@ -446,7 +444,6 @@ class Theorem2Report:
     cells: list[Theorem2Cell]
     interior_mean_gap: float
     alpha: float
-    truth_value: float
 
     @property
     def passed(self) -> bool:
@@ -479,8 +476,7 @@ def verify_theorem2(config: ExperimentConfig) -> Theorem2Report:
         raise ValueError("theorem verification needs a partial_linear model")
     if config.truth != "gate":
         raise ValueError("theorem verification targets the gate estimand")
-    needed = {"MII", "AMII"}
-    if not needed <= {n.upper() for n in config.estimators}:
+    if not {"MII", "AMII"} <= {n.upper() for n in config.estimators}:
         raise ValueError("theorem verification needs MII and AMII estimators")
     u_name = config.model.get("u", "degree")
     if u_name not in config.predictor.get("covariates", ["degree"]):
@@ -488,22 +484,19 @@ def verify_theorem2(config: ExperimentConfig) -> Theorem2Report:
 
     g = build_graph(config)
     p_part, _ = build_partition(config, g)
+    report = run(config, g, p_part)
     model = build_model(config, g, p_part)
     assert isinstance(model, PartialLinearModel)
-    truth = outcomes.true_gate(model)
     gap = outcomes.interior_mean_gap(model, p_part)
     alpha = model.alpha
 
-    values, alpha_hats, _ = _simulate(config, g, p_part, model)
-    ps = list(config.proportions)
-    agg = {(c.estimator, c.p): c for c in _aggregate(values, ps, truth, config.repetitions)}
+    agg = {(c.estimator, c.p): c for c in report.cells}
     cells = []
-    for pi, p in enumerate(ps):
+    for p in config.proportions:
         mii, amii = agg["MII", p], agg["AMII", p]
         if mii.reps_used < 2 or amii.reps_used < 2:
             raise ValueError(f"too many degenerate repetitions at p={p}")
-        alpha_hat_mean = float(np.nanmean(alpha_hats[pi]))
-        emp_mii, emp_amii = mii.bias, amii.bias
+        alpha_hat_mean = report.alpha_hat_mean[f"{p:.12g}"]
         mii_se = float(mii.std / np.sqrt(mii.reps_used))
         amii_se = float(amii.std / np.sqrt(amii.reps_used))
         pred_mii = alpha * gap
@@ -511,15 +504,14 @@ def verify_theorem2(config: ExperimentConfig) -> Theorem2Report:
         cells.append(
             Theorem2Cell(
                 p=p,
-                empirical_mii_bias=emp_mii,
+                empirical_mii_bias=mii.bias,
                 predicted_mii_bias=pred_mii,
                 mii_se=mii_se,
-                empirical_amii_bias=emp_amii,
+                empirical_amii_bias=amii.bias,
                 predicted_amii_bias=pred_amii,
                 amii_se=amii_se,
-                alpha_hat_mean=alpha_hat_mean,
-                mii_ok=abs(emp_mii - pred_mii) <= 3 * mii_se,
-                amii_ok=abs(emp_amii - pred_amii) <= 3 * amii_se,
+                mii_ok=abs(mii.bias - pred_mii) <= 3 * mii_se,
+                amii_ok=abs(amii.bias - pred_amii) <= 3 * amii_se,
             )
         )
-    return Theorem2Report(cells=cells, interior_mean_gap=gap, alpha=alpha, truth_value=truth)
+    return Theorem2Report(cells=cells, interior_mean_gap=gap, alpha=alpha)

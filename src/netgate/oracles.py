@@ -157,13 +157,12 @@ def check_case(case: OracleCase) -> OracleResult:
     freq1 = np.zeros(n)
     freq0 = np.zeros(n)
     mass = 0.0
-    for atom in design.enumerate_assignments(part, p):
-        a = design.Assignment(g, design.expand(part, atom.cluster_bits), part, atom.cluster_bits)
-        y = model.potential(a)
-        ht_expect += atom.probability * estimators._ht(*design.clean_weights(a, part, p), y)
-        freq1 += atom.probability * a.clean[0]
-        freq0 += atom.probability * a.clean[1]
-        mass += atom.probability
+    for bits, prob in design.enumerate_assignments(part, p):
+        a = design.Assignment(g, design.expand(part, bits), part, bits)
+        ht_expect += prob * estimators.ht(g, part, a, model.potential(a), p)
+        freq1 += prob * a.clean[0]
+        freq0 += prob * a.clean[1]
+        mass += prob
     q1, q0 = part.clean_probability(p)
     return OracleResult(
         name=case.name,

@@ -101,8 +101,9 @@ def fit(
     ridge_lambda: float | None = None,
     mask: np.ndarray | None = None,
 ) -> LinearPredictor:
-    """Ridge least squares over the masked rows, solved by a deterministic
-    Cholesky factorization of the normal equations.
+    """Ridge least squares over the rows where the boolean mask is set (all
+    rows when it is None), solved by a deterministic Cholesky factorization
+    of the normal equations.
 
     ridge_lambda=None resolves to the scale-aware default 1e-6 tr(F'F)/d;
     a rank-deficient solve at lambda=0 falls back to 1e-8 and flags it.
@@ -111,8 +112,9 @@ def fit(
     y = np.asarray(y, dtype=np.float64)
     if mask is not None:
         mask = np.asarray(mask)
-        rows = np.flatnonzero(mask) if mask.dtype == bool else np.sort(mask.astype(np.int64))
-        f, y = f[rows], y[rows]
+        if mask.dtype != bool or mask.shape != (len(f),):
+            raise ValueError("training mask must be a boolean vector with one entry per row")
+        f, y = f[mask], y[mask]
     if len(y) == 0:
         raise ValueError("training mask is empty")
     d = f.shape[1]

@@ -80,6 +80,11 @@ def report_cell(report: SimulationReport, estimator: str, p: float) -> CellStats
     raise KeyError(f"no cell for ({estimator}, {p})")
 
 
+def neighbors(g: Graph, i: int) -> np.ndarray:
+    """Sorted neighbor ids of node i (read-only view)."""
+    return g.indices[g.indptr[i] : g.indptr[i + 1]]
+
+
 def path_graph(n: int) -> Graph:
     u = np.arange(n - 1)
     return from_edges(u, u + 1, n)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from netgate import design, outcomes, predictor
 from netgate.graph import Graph, decompose, from_edges
 
-from conftest import path_graph
+from conftest import neighbors, path_graph
 
 
 def ring_graph(n):
@@ -20,7 +20,7 @@ def exposure(g, z, i, level):
     z = np.asarray(z)
     if z[i] != level:
         return 0
-    return int(bool(np.all(z[g.neighbors(i)] == level)))
+    return int(bool(np.all(z[neighbors(g, i)] == level)))
 
 
 def exposure_probability(p_part, p, i, level):
@@ -107,10 +107,10 @@ def test_exposure_probability_matches_enumeration(toy_graph, toy_partition):
     for p in (0.2, 0.5, 0.77):
         freq1 = np.zeros(9)
         freq0 = np.zeros(9)
-        for atom in design.enumerate_assignments(toy_partition, p):
-            z = design.expand(toy_partition, atom.cluster_bits)
-            freq1 += atom.probability * design.exposure_vector(toy_graph, z, 1)
-            freq0 += atom.probability * design.exposure_vector(toy_graph, z, 0)
+        for bits, prob in design.enumerate_assignments(toy_partition, p):
+            z = design.expand(toy_partition, bits)
+            freq1 += prob * design.exposure_vector(toy_graph, z, 1)
+            freq0 += prob * design.exposure_vector(toy_graph, z, 0)
         for i in range(9):
             assert freq1[i] == pytest.approx(
                 exposure_probability(toy_partition, p, i, 1), abs=1e-12
@@ -160,10 +160,10 @@ def test_enumerated_clean_frequencies_equal_clean_probability(gp, p):
     assert (g.degrees == 0).any() and part.cluster_count <= 10
     freq1 = np.zeros(g.node_count)
     freq0 = np.zeros(g.node_count)
-    for atom in design.enumerate_assignments(part, p):
-        d1, d0 = design.Assignment(g, design.expand(part, atom.cluster_bits)).clean
-        freq1 += atom.probability * d1
-        freq0 += atom.probability * d0
+    for bits, prob in design.enumerate_assignments(part, p):
+        d1, d0 = design.Assignment(g, design.expand(part, bits)).clean
+        freq1 += prob * d1
+        freq0 += prob * d0
     q1, q0 = part.clean_probability(p)
     np.testing.assert_allclose(freq1, q1, rtol=0, atol=1e-12)
     np.testing.assert_allclose(freq0, q0, rtol=0, atol=1e-12)
@@ -230,7 +230,7 @@ def hub_graph_and_draw(draw):
     z = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(0, 2, n).astype(np.int8)
     mode = draw(st.sampled_from(["random", "all", "all-but-one"]))
     if mode != "random":
-        level, nbrs = draw(st.integers(0, 1)), g.neighbors(0)
+        level, nbrs = draw(st.integers(0, 1)), neighbors(g, 0)
         z[0] = z[nbrs] = level
         if mode == "all-but-one":
             z[draw(st.sampled_from(nbrs.tolist()))] = 1 - level
@@ -310,24 +310,24 @@ def test_enumerate_single_cluster():
     part = decompose(ring_graph(3), np.zeros(3, dtype=int))
     atoms = list(design.enumerate_assignments(part, 0.3))
     assert len(atoms) == 2
-    assert atoms[0].cluster_bits.tolist() == [False]
-    assert atoms[0].probability == pytest.approx(0.7)
-    assert atoms[1].probability == pytest.approx(0.3)
+    assert atoms[0][0].tolist() == [False]
+    assert atoms[0][1] == pytest.approx(0.7)
+    assert atoms[1][1] == pytest.approx(0.3)
 
 
 def test_enumerate_uniform_at_half(toy_partition):
     atoms = list(design.enumerate_assignments(toy_partition, 0.5))
     assert len(atoms) == 8
-    assert all(a.probability == pytest.approx(0.125) for a in atoms)
+    assert all(prob == pytest.approx(0.125) for _, prob in atoms)
 
 
 def test_enumerate_all_treated_probability(toy_partition):
-    atoms = {tuple(a.cluster_bits.tolist()): a.probability for a in design.enumerate_assignments(toy_partition, 0.1)}
+    atoms = {tuple(bits.tolist()): prob for bits, prob in design.enumerate_assignments(toy_partition, 0.1)}
     assert atoms[(True, True, True)] == pytest.approx(0.001)
 
 
 def test_enumerate_probabilities_sum_to_one(toy_partition):
-    total = sum(a.probability for a in design.enumerate_assignments(toy_partition, 0.23))
+    total = sum(prob for _, prob in design.enumerate_assignments(toy_partition, 0.23))
     assert total == pytest.approx(1.0, abs=1e-12)
 
 

@@ -55,10 +55,10 @@ def test_dim_degenerate_arm():
 def enumeration_expectation(g, part, model, p, fn):
     """Design expectation of a per-draw estimator via full enumeration."""
     total = 0.0
-    for atom in design.enumerate_assignments(part, p):
-        z = design.expand(part, atom.cluster_bits).astype(float)
+    for bits, prob in design.enumerate_assignments(part, p):
+        z = design.expand(part, bits).astype(float)
         y = model.potential(z)
-        total += atom.probability * fn(z, y)
+        total += prob * fn(z, y)
     return total
 
 
@@ -177,15 +177,15 @@ def test_hajek_design_bias_is_nonzero_under_interactions(toy_graph, toy_partitio
     tau = outcomes.true_gate(model)
     p = 0.4
     total, mass = 0.0, 0.0
-    for atom in design.enumerate_assignments(toy_partition, p):
-        z = design.expand(toy_partition, atom.cluster_bits).astype(float)
+    for bits, prob in design.enumerate_assignments(toy_partition, p):
+        z = design.expand(toy_partition, bits).astype(float)
         y = model.potential(z)
         try:
             value = hajek(toy_graph, toy_partition, z, y, p)
         except DegenerateArmError:
             continue
-        total += atom.probability * value
-        mass += atom.probability
+        total += prob * value
+        mass += prob
     conditional = total / mass
     assert abs(conditional - tau) > 1e-8
 

@@ -18,7 +18,7 @@ from netgate.graph import (
     write_partition,
 )
 
-from conftest import path_graph, write_edge_list
+from conftest import neighbors, path_graph, write_edge_list
 
 
 def test_load_path_graph():
@@ -193,7 +193,7 @@ def test_partition_invariants(gc):
     g, labels = gc
     part = decompose(g, labels)
     for i in range(g.node_count):
-        nbrs = g.neighbors(i)
+        nbrs = neighbors(g, i)
         # interior exactly when every neighbor shares the node's cluster, both ways
         assert part.interior_mask[i] == bool((labels[nbrs] == labels[i]).all()), i
         # touch count: distinct clusters of the closed neighborhood
@@ -213,8 +213,8 @@ def test_edge_list_roundtrip(gc):
     assert g2.node_count == len(keep)
     remap = {int(old): new for new, old in enumerate(keep)}
     for old in keep:
-        expect = sorted(remap[int(j)] for j in g.neighbors(int(old)))
-        assert g2.neighbors(remap[int(old)]).tolist() == expect
+        expect = sorted(remap[int(j)] for j in neighbors(g, int(old)))
+        assert neighbors(g2, remap[int(old)]).tolist() == expect
 
 
 def test_load_label_beyond_int64_reports_line_number():

@@ -1,6 +1,8 @@
 import io
+import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +11,7 @@ import numpy as np
 import pytest
 import yaml
 
+import netgate
 from netgate import cli, sbm
 from netgate.graph import decompose
 from netgate.harness import (
@@ -82,7 +85,7 @@ def test_run_cell_multiplies_by_each_sparse_matrix_once(monkeypatch, r2):
 def test_config_file_roundtrip(tmp_path):
     cfg = sbm_config()
     path = tmp_path / "exp.yaml"
-    cfg.to_file(path)
+    path.write_text(yaml.safe_dump(cfg.to_dict()), encoding="utf-8")
     back = ExperimentConfig.from_file(path)
     assert back.to_dict() == cfg.to_dict()
     assert back.digest() == cfg.digest()
@@ -200,8 +203,12 @@ def test_report_identical_across_thread_counts():
 
 
 def test_emit_empty_estimator_list_header_only(tmp_path):
-    cfg = sbm_config(estimators=[], repetitions=2)
-    report = run(cfg)
+    """A config must name an estimator; a report without rows still emits
+    its provenance header and the column line."""
+    with pytest.raises(ValueError, match="at least one estimator required"):
+        sbm_config(estimators=[])
+    report = run(sbm_config(estimators=["MII"], repetitions=2))
+    report.cells = []
     buf = io.StringIO()
     emit_report(report, buf)
     lines = buf.getvalue().strip().splitlines()
@@ -392,6 +399,8 @@ def test_cli_run_writes_reports(tmp_path, capsys):
     assert (out_dir / "clustering_stats.txt").exists()
     printed = capsys.readouterr().out
     assert "estimator,p,bias,std,mse,reps_used,degenerate" in printed
+    info = json.loads((out_dir / "report.json").read_text())["clustering_info"]
+    assert info == {"method": "louvain", "gamma": 1.0, "seed": 4}
 
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -466,6 +475,9 @@ SMALL_SBM = (
         (SMALL_SBM + "predictor: {covariates: degree}\n", [], "predictor.covariates must be a list of names"),
         (SMALL_SBM + "model: {interaction: degree}\n", [], "model.interaction must be a list of names"),
         (SMALL_SBM + "model: {interaction: [degree, 1]}\n", [], "model.interaction must be a list of names"),
+        (SMALL_SBM + "estimators: []\n", [], "at least one estimator required"),
+        (SMALL_SBM + "estimators: [MII, mii]\n", [], "duplicate estimator 'mii'"),
+        (SMALL_SBM + "verbose: 'no'\n", [], "verbose must be a boolean"),
     ],
     ids=[
         "missing-file", "unknown-key", "yaml-syntax", "p-out-of-range", "p-not-a-number",
@@ -473,6 +485,7 @@ SMALL_SBM = (
         "model-v-unknown", "graph-key-typo", "clustering-key-typo", "sbm-key-typo",
         "ridge-lambda-not-a-number", "ridge-lambda-negative", "ridge-lambda-nan", "ridge-lambda-bool",
         "covariates-a-string", "interaction-a-string", "interaction-not-names",
+        "estimators-empty", "estimators-duplicate", "verbose-a-string",
     ],
 )
 def test_cli_run_bad_config_is_a_usage_error(tmp_path, capsys, config_text, flags, message):
@@ -544,3 +557,12 @@ def test_cli_enumerate_reports_unbiasedness(tmp_path, capsys):
     out = capsys.readouterr().out
     diff = float([l for l in out.splitlines() if l.startswith("difference")][0].split()[1])
     assert diff < 1e-12
+
+
+def test_readme_library_example_names_resolve_on_the_package_root():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"from netgate import \(([^)]*)\)", readme)
+    assert block is not None, "README has no 'from netgate import (...)' block"
+    names = [name.strip() for name in block.group(1).split(",") if name.strip()]
+    assert names
+    assert [name for name in names if not hasattr(netgate, name)] == []

@@ -170,16 +170,15 @@ def test_fit_empty_mask_rejected(toy_graph, toy_partition):
         fit(feats, np.ones(9), mask=np.zeros(9, dtype=bool))
 
 
-def test_fit_mask_row_order_invariant(interior_rich_sbm):
-    g, part = interior_rich_sbm
-    rng = np.random.default_rng(4)
-    z = design.draw(part, 0.5, rng).unit_bits.astype(float)
-    feats = build_features(g, z, {"degree": outcomes.covariate_vector("degree", g)})
-    y = rng.standard_normal(g.node_count)
-    idx = rng.choice(g.node_count, size=500, replace=False)
-    a = fit(feats, y, ridge_lambda=1e-3, mask=idx)
-    b = fit(feats, y, ridge_lambda=1e-3, mask=idx[::-1].copy())
-    assert np.array_equal(a.coefficients, b.coefficients)
+@pytest.mark.parametrize(
+    "mask",
+    [np.array([0, 2, 5]), np.ones(9, dtype=np.int8), np.ones(8, dtype=bool), np.ones((9, 1), dtype=bool)],
+    ids=["index-array", "int-vector", "short", "column"],
+)
+def test_fit_rejects_a_mask_that_is_not_one_bool_per_row(toy_graph, toy_partition, mask):
+    feats = build_features(toy_graph, np.ones(9), toy_covariates(toy_graph, toy_partition))
+    with pytest.raises(ValueError, match="boolean vector with one entry per row"):
+        fit(feats, np.ones(9), mask=mask)
 
 
 def exact_span_setup(seed=5, p=0.5):
