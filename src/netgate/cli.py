@@ -13,7 +13,7 @@ from pathlib import Path
 
 import yaml
 
-from . import __version__, community, design, oracles, outcomes
+from . import __version__, community, oracles, outcomes
 from .graph import load_edge_list, read_partition, write_partition
 from .harness import ExperimentConfig, build_graph, build_partition, emit_report, run, verify_theorem2
 
@@ -22,7 +22,9 @@ def _apply_overrides(config: ExperimentConfig, args: argparse.Namespace) -> Expe
     if args.graph is not None:
         config.graph = {"path": args.graph}
     if args.gamma is not None:
-        config.clustering = {"gamma": args.gamma, "seed": config.clustering.get("seed", config.master_seed)}
+        # without an explicit clustering seed, Louvain takes the master seed (after --seed)
+        kept = {"seed": config.clustering["seed"]} if "seed" in config.clustering else {}
+        config.clustering = {"gamma": args.gamma, **kept}
     if args.p is not None:
         config.proportions = [float(tok) for tok in args.p.replace(",", " ").split()]
     if args.reps is not None:
@@ -38,18 +40,11 @@ def _apply_overrides(config: ExperimentConfig, args: argparse.Namespace) -> Expe
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    try:
-        if args.config:
-            config = ExperimentConfig.from_file(args.config)
-        else:
-            config = ExperimentConfig()
-        config = _apply_overrides(config, args)
-        g = build_graph(config)
-        p_part, _ = build_partition(config, g)
-        report = run(config, g=g, p_part=p_part)
-    except (OSError, ValueError, yaml.YAMLError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    config = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
+    config = _apply_overrides(config, args)
+    g = build_graph(config)
+    p_part, _ = build_partition(config, g)
+    report = run(config, g=g, p_part=p_part)
     if report.all_absent():
         print("error: every (estimator, p) cell degenerate", file=sys.stderr)
         return 3
@@ -60,14 +55,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         emit_report(report, out_dir / "report.csv")
         (out_dir / "report.json").write_text(report.to_json(), encoding="utf-8")
         write_partition(p_part, out_dir / "partition.txt")
-        c = report.clustering
-        (out_dir / "clustering_stats.txt").write_text(
-            f"clusters {c.cluster_count}\n"
-            f"interior_fraction {c.interior_fraction:.12g}\n"
-            f"within_edge_fraction {c.within_edge_fraction:.12g}\n"
-            f"modularity {c.modularity:.12g}\n",
-            encoding="utf-8",
-        )
+        (out_dir / "clustering_stats.txt").write_text(report.clustering.text(), encoding="utf-8")
     except OSError as exc:
         print(f"error: cannot write outputs: {exc}", file=sys.stderr)
         return 2
@@ -76,19 +64,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    try:
-        g = load_edge_list(args.graph)
-        part = community.louvain(g, args.gamma, args.seed)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    s = community.stats(g, part, args.gamma)
+    g = load_edge_list(args.graph)
+    part = community.louvain(g, args.gamma, args.seed)
     print(f"nodes {g.node_count}")
     print(f"edges {g.edge_count}")
-    print(f"clusters {s.cluster_count}")
-    print(f"interior_fraction {s.interior_fraction:.6f}")
-    print(f"within_edge_fraction {s.within_edge_fraction:.6f}")
-    print(f"modularity {s.modularity:.6f}")
+    print(community.stats(g, part, args.gamma).text(), end="")
     if args.out:
         write_partition(part, args.out)
     return 0
@@ -141,24 +121,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    try:
-        if not 0.0 < args.p < 1.0:
-            raise ValueError(f"treatment proportion must be in (0,1), got {args.p}")
-        g = load_edge_list(args.graph)
-        if args.partition:
-            part = read_partition(g, args.partition)
-        else:
-            part = community.louvain(g, args.gamma, args.seed)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if part.cluster_count > design.ENUMERATION_MAX_CLUSTERS:
-        print(
-            f"error: {part.cluster_count} clusters exceed the enumeration guard "
-            f"({design.ENUMERATION_MAX_CLUSTERS})",
-            file=sys.stderr,
-        )
-        return 2
+    g = load_edge_list(args.graph)
+    if args.partition:
+        part = read_partition(g, args.partition)
+    else:
+        part = community.louvain(g, args.gamma, args.seed)
     model = outcomes.linear_two_hop(g, beta=args.beta, r1=args.r1, r2=0.0, sigma=0.0)
     result = oracles.check_case(oracles.OracleCase(args.graph, g, part, model, args.p))
     print(f"clusters {part.cluster_count}")
@@ -212,7 +179,11 @@ def main(argv: list[str] | None = None) -> int:
     p_enum.set_defaults(func=_cmd_enumerate)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError, yaml.YAMLError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ index, and a local-move phase ends once a full pass gains < 1e-7.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from itertools import repeat
 
 import numpy as np
@@ -25,6 +25,15 @@ class ClusteringStats:
     interior_fraction: float
     within_edge_fraction: float
     modularity: float
+
+    def fields(self) -> list[tuple[str, str]]:
+        """(name, value) per statistic as the reports print them, to 12 significant digits."""
+        names = ("clusters", "interior_fraction", "within_edge_fraction", "modularity")
+        return [(name, f"{value:.12g}") for name, value in zip(names, astuple(self))]
+
+    def text(self) -> str:
+        """clustering_stats.txt: one `name value` line per statistic."""
+        return "".join(f"{name} {value}\n" for name, value in self.fields())
 
 
 def modularity(g: Graph, p: Partition, resolution: float) -> float:
@@ -184,8 +193,8 @@ def louvain_with_history(
     """Louvain partition plus the modularity value after every local-move pass."""
     if g.node_count == 0 or g.edge_count == 0:
         raise ValueError("clustering needs a non-empty graph with edges")
-    if resolution <= 0:
-        raise ValueError("resolution must be positive")
+    if not 0 < resolution < np.inf:  # a NaN q would never meet the pass-stop test
+        raise ValueError(f"resolution must be positive and finite, got {resolution}")
     rng = np.random.default_rng(seed)
     level = _LevelGraph.from_graph(g)
     node_to_comm = np.arange(g.node_count)

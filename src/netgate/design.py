@@ -130,9 +130,7 @@ def enumerate_assignments(p_part: Partition, p: float) -> Iterator[tuple[np.ndar
         raise ValueError(f"treatment proportion must be in (0,1), got {p}")
     k = p_part.cluster_count
     if k > ENUMERATION_MAX_CLUSTERS:
-        raise ValueError(
-            f"refusing to enumerate 2^{k} assignments (K > {ENUMERATION_MAX_CLUSTERS})"
-        )
+        raise ValueError(f"{k} clusters exceed the enumeration guard ({ENUMERATION_MAX_CLUSTERS})")
     for code in range(2**k):
         bits = np.array([(code >> j) & 1 for j in range(k)], dtype=bool)
         treated = int(bits.sum())

@@ -24,9 +24,16 @@ from .graph import Graph, Partition, decompose, load_edge_list, read_partition
 from .outcomes import OutcomeModel, PartialLinearModel
 
 TRUTHS = {"gate": outcomes.true_gate, "global_treatment_mean": outcomes.global_treatment_mean}
+# key -> (type, description); a bool counts as neither number nor integer
+CLUSTERING_TYPES = {
+    "gamma": (numbers.Real, "a number"),
+    "seed": (numbers.Integral, "an integer"),
+    "partition": (str, "a path string"),
+    "blocks": (bool, "a boolean"),
+}
 SECTION_KEYS = {
     "graph": {"path", "format", "sbm"},
-    "clustering": {"gamma", "seed", "partition", "blocks"},
+    "clustering": set(CLUSTERING_TYPES),
     "predictor": {"max_hop", "ridge_lambda", "training_mask", "covariates"},
 }
 
@@ -68,6 +75,10 @@ class ExperimentConfig:
             unknown = set(getattr(self, name)) - keys
             if unknown:
                 raise ValueError(f"unknown {name} keys: {sorted(unknown)}")
+        for key, value in self.clustering.items():  # every key is known by now
+            kind, what = CLUSTERING_TYPES[key]
+            if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
+                raise ValueError(f"clustering.{key} must be {what}, got {value!r}")
         for section, key in (("predictor", "covariates"), ("model", "interaction")):
             names = getattr(self, section).get(key, [])
             if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
@@ -168,8 +179,8 @@ def build_partition(config: ExperimentConfig, g: Graph) -> tuple[Partition, dict
         return community.louvain(g, info["gamma"], info["seed"]), info
     if info["method"] == "file":
         return read_partition(g, config.clustering["partition"]), info
-    _, labels = _from_spec("graph.sbm", sbm.generate, config.graph["sbm"])
-    return decompose(g, labels), info
+    spec = config.graph["sbm"]
+    return decompose(g, sbm.block_labels(spec["communities"], spec["size"])), info
 
 
 def build_model(config: ExperimentConfig, g: Graph, p_part: Partition) -> OutcomeModel:
@@ -214,13 +225,7 @@ class SimulationReport:
         out.write(f"# config_sha256: {self.config_digest}\n")
         out.write(f"# master_seed: {self.master_seed}\n")
         out.write(f"# truth: {self.truth_kind} = {self.truth_value:.12g}\n")
-        c = self.clustering
-        out.write(
-            "# clustering: "
-            f"clusters={c.cluster_count} interior_fraction={c.interior_fraction:.12g} "
-            f"within_edge_fraction={c.within_edge_fraction:.12g} "
-            f"modularity={c.modularity:.12g}\n"
-        )
+        out.write("# clustering: " + " ".join(f"{k}={v}" for k, v in self.clustering.fields()) + "\n")
         out.write("estimator,p,bias,std,mse,reps_used,degenerate\n")
         for cell in self.cells:
             if cell.absent_reason is not None:
@@ -343,12 +348,8 @@ def _simulate(
             if diagnostics is not None:
                 diagnostics[pi][r] = est.diagnostics
 
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            list(pool.map(one_rep, range(reps)))
-    else:
-        for r in range(reps):
-            one_rep(r)
+    with ThreadPoolExecutor(max_workers=config.threads) as pool:
+        list(pool.map(one_rep, range(reps)))
     return values, alpha_hats, diagnostics
 
 
@@ -390,6 +391,7 @@ def run(
         g = build_graph(config)
     if p_part is None:
         p_part, _ = build_partition(config, g)
+    info = _clustering_info(config)
     model = build_model(config, g, p_part)
     truth = TRUTHS[config.truth](model)
 
@@ -415,8 +417,8 @@ def run(
         cells=cells,
         truth_kind=config.truth,
         truth_value=truth,
-        clustering=community.stats(g, p_part, float(config.clustering.get("gamma", 1.0))),
-        clustering_info=_clustering_info(config),
+        clustering=community.stats(g, p_part, info.get("gamma", 1.0)),
+        clustering_info=info,
         config_digest=config.digest(),
         master_seed=config.master_seed,
         version=__version__,

@@ -11,6 +11,12 @@ import numpy as np
 from .graph import Graph, from_edges
 
 
+def block_labels(communities: int, size: int) -> np.ndarray:
+    """Block label of each node of a `communities` x `size` SBM; they do not
+    depend on the edge draw."""
+    return np.repeat(np.arange(communities), size)
+
+
 def generate(
     communities: int,
     size: int,
@@ -29,7 +35,6 @@ def generate(
     if not (0.0 <= p_in <= 1.0 and 0.0 <= p_out <= 1.0):
         raise ValueError("edge probabilities must lie in [0,1]")
     n = communities * size
-    labels = np.repeat(np.arange(communities), size)
     rng = np.random.default_rng(seed)
 
     # all node pairs i<j, sampled blockwise to keep the draw order deterministic
@@ -51,4 +56,4 @@ def generate(
 
     u = np.concatenate(us) if us else np.empty(0, dtype=np.int64)
     v = np.concatenate(vs) if vs else np.empty(0, dtype=np.int64)
-    return from_edges(u.astype(np.int64), v.astype(np.int64), n), labels
+    return from_edges(u.astype(np.int64), v.astype(np.int64), n), block_labels(communities, size)

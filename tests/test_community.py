@@ -186,6 +186,12 @@ def test_louvain_rejects_bad_resolution(toy_graph):
         louvain(toy_graph, 0.0, seed=1)
 
 
+@pytest.mark.parametrize("resolution", [np.nan, np.inf])
+def test_louvain_rejects_non_finite_resolution(toy_graph, resolution):
+    with pytest.raises(ValueError, match="resolution must be positive"):
+        louvain(toy_graph, resolution, seed=1)
+
+
 def test_louvain_rejects_edgeless_graph():
     g = from_edges(np.array([], dtype=int), np.array([], dtype=int), 4)
     with pytest.raises(ValueError):

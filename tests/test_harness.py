@@ -441,6 +441,46 @@ def test_cli_run_flag_overrides(tmp_path):
     assert "master_seed: 3" in text
 
 
+def test_cli_gamma_override_clusters_with_the_master_seed(tmp_path):
+    """--gamma keeps an explicit clustering seed and otherwise clusters with
+    the master seed, --seed included, as the same config file would."""
+    path, _ = write_sbm_edge_file(tmp_path)
+    flags = ["--p", "0.5", "--reps", "2", "--estimators", "DIM"]
+
+    def run_cli(name, *args):
+        assert cli.main(["run", *args, *flags, "--out", str(tmp_path / name)]) == 0
+        info = json.loads((tmp_path / name / "report.json").read_text())["clustering_info"]
+        return info, (tmp_path / name / "partition.txt").read_bytes()
+
+    def config_file(name, clustering):
+        cfg = {"graph": {"path": str(path)}, "clustering": clustering, "master_seed": 9}
+        (tmp_path / name).write_text(yaml.safe_dump(cfg), encoding="utf-8")
+        return str(tmp_path / name)
+
+    info, part = run_cli("flags", "--graph", str(path), "--gamma", "1", "--seed", "9")
+    assert info == {"method": "louvain", "gamma": 1.0, "seed": 9}
+    assert run_cli("file", "--config", config_file("g.yaml", {"gamma": 1.0})) == (info, part)
+    kept, _ = run_cli("kept", "--config", config_file("s.yaml", {"gamma": 5.0, "seed": 4}), "--gamma", "1")
+    assert kept == {"method": "louvain", "gamma": 1.0, "seed": 4}
+
+
+def test_blocks_clustering_samples_the_sbm_once(monkeypatch):
+    """The block labels are read off the SBM's sizes, not drawn again."""
+    drawn = []
+    real = sbm.generate
+
+    def counting(*args, **kwargs):
+        drawn.append(real(*args, **kwargs))
+        return drawn[-1]
+
+    monkeypatch.setattr(sbm, "generate", counting)
+    cfg = sbm_config()
+    g = build_graph(cfg)
+    part, _ = build_partition(cfg, g)
+    assert len(drawn) == 1
+    assert np.array_equal(part.cluster_of, decompose(g, drawn[0][1]).cluster_of)
+
+
 def test_cli_run_missing_graph_fails(tmp_path):
     code = cli.main(["run", "--graph", str(tmp_path / "missing.edges"), "--out", str(tmp_path / "o")])
     assert code == 2
@@ -478,6 +518,12 @@ SMALL_SBM = (
         (SMALL_SBM + "estimators: []\n", [], "at least one estimator required"),
         (SMALL_SBM + "estimators: [MII, mii]\n", [], "duplicate estimator 'mii'"),
         (SMALL_SBM + "verbose: 'no'\n", [], "verbose must be a boolean"),
+        (SMALL_SBM.replace("blocks: true", "gamma: true"), [], "clustering.gamma must be a number"),
+        (SMALL_SBM.replace("blocks: true", "gamma: '1.0'"), [], "clustering.gamma must be a number"),
+        (SMALL_SBM.replace("blocks: true", "gamma: 1.0, seed: 9.7"), [], "clustering.seed must be an integer"),
+        (SMALL_SBM.replace("blocks: true", "gamma: 1.0, seed: true"), [], "clustering.seed must be an integer"),
+        (SMALL_SBM.replace("blocks: true", "partition: [p.txt]"), [], "clustering.partition must be a path"),
+        (SMALL_SBM.replace("blocks: true", "blocks: 'no'"), [], "clustering.blocks must be a boolean"),
     ],
     ids=[
         "missing-file", "unknown-key", "yaml-syntax", "p-out-of-range", "p-not-a-number",
@@ -486,6 +532,7 @@ SMALL_SBM = (
         "ridge-lambda-not-a-number", "ridge-lambda-negative", "ridge-lambda-nan", "ridge-lambda-bool",
         "covariates-a-string", "interaction-a-string", "interaction-not-names",
         "estimators-empty", "estimators-duplicate", "verbose-a-string",
+        "gamma-a-bool", "gamma-a-string", "seed-a-float", "seed-a-bool", "partition-a-list", "blocks-a-string",
     ],
 )
 def test_cli_run_bad_config_is_a_usage_error(tmp_path, capsys, config_text, flags, message):
@@ -502,6 +549,15 @@ def test_cli_run_bad_config_is_a_usage_error(tmp_path, capsys, config_text, flag
 def test_cli_stats_bad_gamma_is_a_usage_error(tmp_path, capsys):
     path, _ = write_sbm_edge_file(tmp_path)
     code = cli.main(["stats", "--graph", str(path), "--gamma", "0"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: resolution must be positive")
+
+
+@pytest.mark.parametrize("gamma", ["nan", "inf"])
+def test_cli_stats_non_finite_gamma_is_a_usage_error(tmp_path, capsys, gamma):
+    """A NaN modularity would never meet Louvain's pass-stop test."""
+    path, _ = write_sbm_edge_file(tmp_path)
+    code = cli.main(["stats", "--graph", str(path), "--gamma", gamma])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: resolution must be positive")
 
@@ -523,6 +579,18 @@ def test_cli_stats(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "clusters" in out and "interior_fraction" in out
+
+
+def test_cli_stats_prints_the_clustering_stats_sidecar(tmp_path, capsys):
+    path, _ = write_sbm_edge_file(tmp_path)
+    out_dir = tmp_path / "out"
+    flags = ["--p", "0.5", "--reps", "2", "--estimators", "DIM", "--out", str(out_dir)]
+    assert cli.main(["run", "--graph", str(path), "--gamma", "1.0", "--seed", "4", *flags]) == 0
+    capsys.readouterr()
+    assert cli.main(["stats", "--graph", str(path), "--gamma", "1.0", "--seed", "4"]) == 0
+    lines = capsys.readouterr().out.splitlines(keepends=True)
+    assert lines[0].startswith("nodes ") and lines[1].startswith("edges ")
+    assert "".join(lines[2:]) == (out_dir / "clustering_stats.txt").read_text()
 
 
 def test_cli_enumerate_refuses_large_cluster_counts(tmp_path, capsys):
