@@ -96,7 +96,13 @@ class Assignment:
 
 
 def as_assignment(g: Graph, z: np.ndarray | Assignment, p_part: Partition | None = None) -> Assignment:
-    """z itself when it is already a record, else the record of the bare vector z on g."""
+    """The record of z on g with partition p_part: a bare vector gets a new
+    record, and so does a record without a partition when p_part is given;
+    a record of another partition is an error."""
+    if isinstance(z, Assignment) and p_part is not None and z.partition is not p_part:
+        if z.partition is not None:
+            raise ValueError("the assignment record belongs to another partition")
+        z = z.z
     return z if isinstance(z, Assignment) else Assignment(g, z, p_part)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import io
 import math
 from pathlib import Path
-from typing import IO, Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 import scipy.sparse as sp
@@ -181,21 +181,6 @@ _BYTE_CLASS[[ord(" "), ord("\t"), ord("\r")]] = _SPACE
 _BYTE_CLASS[ord("\n")] = _NEWLINE
 
 
-def _read_source(source) -> tuple[bytes | None, Callable[[], Iterable[str]]]:
-    """The whole source as bytes (None for a text stream that is not ASCII)
-    and a function giving its lines, split at universal newlines ('\\n',
-    '\\r\\n' or a lone '\\r') whatever the kind of source."""
-    if isinstance(source, io.TextIOBase):
-        text = source.read()
-        return (text.encode("ascii") if text.isascii() else None), lambda: io.StringIO(text, newline=None)
-    if isinstance(source, (str, Path)):
-        with open(source, "rb") as fh:
-            data = fh.read()
-    else:
-        data = source if isinstance(source, bytes) else source.read()
-    return data, lambda: io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
-
-
 def _parse_lines(lines: Iterable[str], fmt: str) -> tuple[list[int], list[int], tuple | None]:
     """The line loop: endpoints of every edge line and the MatrixMarket size
     (nodes, entries, header line), or an EdgeListFormatError with the line number."""
@@ -288,12 +273,12 @@ def _bulk_body(body: bytes) -> np.ndarray | None:
     return values if len(values) == len(starts) else None
 
 
-def _bulk_parse(data: bytes | None, fmt: str) -> tuple[np.ndarray, np.ndarray, tuple | None] | None:
+def _bulk_parse(data: bytes, fmt: str) -> tuple[np.ndarray, np.ndarray, tuple | None] | None:
     """The line loop's result for the lines up to the first data line (the
     banner, leading comments and the size header or first edge) plus the rest
     of the file parsed in bulk; None when the bulk parse cannot vouch for
     every line."""
-    if data is None or not data.isascii() or data.count(b"\r") != data.count(b"\r\n"):
+    if not data.isascii() or data.count(b"\r") != data.count(b"\r\n"):
         return None
     head: list[str] = []
     pos = 0
@@ -313,7 +298,7 @@ def _bulk_parse(data: bytes | None, fmt: str) -> tuple[np.ndarray, np.ndarray, t
     return u, v, mm_size
 
 
-def load_edge_list(source: str | Path | bytes | IO, fmt: str = "auto") -> Graph:
+def load_edge_list(path: str | Path, fmt: str = "auto") -> Graph:
     """Load an undirected graph from a plain edge list or MatrixMarket file.
 
     Plain format: whitespace-separated "u v" lines, '#' or '%' comments; any
@@ -335,10 +320,11 @@ def load_edge_list(source: str | Path | bytes | IO, fmt: str = "auto") -> Graph:
     if fmt not in ("auto", "plain-edge-list", "matrix-market"):
         raise ValueError(f"unknown format: {fmt!r}")
 
-    data, lines = _read_source(source)
+    data = Path(path).read_bytes()
     parsed = _bulk_parse(data, fmt)
     if parsed is None:
-        raw_u, raw_v, mm_size = _parse_lines(lines(), fmt)
+        lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")  # universal newlines
+        raw_u, raw_v, mm_size = _parse_lines(lines, fmt)
         parsed = np.asarray(raw_u, dtype=np.int64), np.asarray(raw_v, dtype=np.int64), mm_size
     u, v, mm_size = parsed
 
@@ -440,21 +426,15 @@ def decompose(g: Graph, cluster_of: np.ndarray) -> Partition:
     return Partition(cluster_of, touch, neighbor_counts)
 
 
-def write_partition(p: Partition, sink: str | Path | IO) -> None:
+def write_partition(p: Partition, path: str | Path) -> None:
     """Write "node_id cluster_id" lines."""
     text = "".join(f"{i} {c}\n" for i, c in enumerate(p.cluster_of))
-    if isinstance(sink, (str, Path)):
-        Path(sink).write_text(text, encoding="utf-8")
-    else:
-        sink.write(text)
+    Path(path).write_text(text, encoding="utf-8")
 
 
-def read_partition(g: Graph, source: str | Path | IO) -> Partition:
+def read_partition(g: Graph, path: str | Path) -> Partition:
     """Read a "node_id cluster_id" file and decompose it against g."""
-    if isinstance(source, (str, Path)):
-        lines = Path(source).read_text(encoding="utf-8").splitlines()
-    else:
-        lines = source.read().splitlines()
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
     cluster_of = np.zeros(g.node_count, dtype=np.int64)
     seen = np.zeros(g.node_count, dtype=bool)
     for line_no, line in enumerate(lines, start=1):

@@ -8,13 +8,14 @@ identical for any execution order or thread count.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import io
 import json
 import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import IO, Any
+from typing import Any
 
 import numpy as np
 import yaml
@@ -79,10 +80,21 @@ class ExperimentConfig:
             kind, what = CLUSTERING_TYPES[key]
             if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
                 raise ValueError(f"clustering.{key} must be {what}, got {value!r}")
+        # an absent graph or clustering section may still come from a command-line override
+        if self.clustering:
+            _clustering_info(self)
+        sources = [key for key in ("path", "sbm") if key in self.graph]
+        if len(sources) > 1 or ("format" in self.graph and sources != ["path"]):
+            raise ValueError(f"graph takes 'path' (and optionally 'format') or 'sbm', got {sorted(self.graph)}")
         for section, key in (("predictor", "covariates"), ("model", "interaction")):
             names = getattr(self, section).get(key, [])
             if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
                 raise ValueError(f"{section}.{key} must be a list of names, got {names!r}")
+        max_hop = self.predictor.get("max_hop", 2)
+        if isinstance(max_hop, bool) or not isinstance(max_hop, numbers.Integral) or max_hop not in (1, 2):
+            raise ValueError(f"predictor.max_hop must be the integer 1 or 2, got {max_hop!r}")
+        if self.predictor.get("training_mask", "full") not in ("full", "boundary"):
+            raise ValueError("predictor.training_mask must be 'full' or 'boundary'")
         lam = self.predictor.get("ridge_lambda")
         if lam is not None and (isinstance(lam, bool) or not isinstance(lam, numbers.Real) or not 0 <= lam < np.inf):
             raise ValueError(f"predictor.ridge_lambda must be null or a finite number >= 0, got {lam!r}")
@@ -140,7 +152,14 @@ class ExperimentConfig:
 
 
 def _from_spec(section: str, build, spec: dict, *args, **kwargs):
-    """build(*args, **kwargs, **spec); a misspelt or missing key's TypeError becomes a ValueError."""
+    """build(*args, **kwargs, **spec); a misspelt or missing key's TypeError becomes a ValueError.
+    A key whose default is a float must be a real number, and an int an integer (a bool is neither)."""
+    params = inspect.signature(build).parameters
+    for key, value in spec.items():
+        default = params[key].default if key in params else None
+        for kind, number, what in ((float, numbers.Real, "a number"), (int, numbers.Integral, "an integer")):
+            if type(default) is kind and (isinstance(value, bool) or not isinstance(value, number)):
+                raise ValueError(f"{section}.{key} must be {what}, got {value!r}")
     try:
         return build(*args, **kwargs, **spec)
     except TypeError as exc:
@@ -157,18 +176,24 @@ def build_graph(config: ExperimentConfig) -> Graph:
 
 
 def _clustering_info(config: ExperimentConfig) -> dict:
-    """Provenance of the clustering the config describes (its seed included)."""
+    """Provenance of the clustering the config describes (its seed included).
+    The section names exactly one method, and a seed only beside gamma."""
     spec = config.clustering
+    methods = [key for key in ("gamma", "partition", "blocks") if key in spec]
+    if len(methods) != 1 or ("seed" in spec and methods != ["gamma"]):
+        raise ValueError(
+            f"clustering takes 'gamma' (and optionally 'seed'), 'partition' or 'blocks', got {sorted(spec)}"
+        )
     if "gamma" in spec:
         seed = int(spec.get("seed", config.master_seed))
         return {"method": "louvain", "gamma": float(spec["gamma"]), "seed": seed}
     if "partition" in spec:
         return {"method": "file", "path": str(spec["partition"])}
-    if spec.get("blocks"):
-        if "sbm" not in config.graph:
-            raise ValueError("clustering 'blocks' requires an sbm graph")
-        return {"method": "sbm-blocks"}
-    raise ValueError("clustering config needs 'gamma', 'partition', or 'blocks'")
+    if not spec["blocks"]:
+        raise ValueError("clustering.blocks must be true to use the SBM blocks")
+    if "sbm" not in config.graph:
+        raise ValueError("clustering 'blocks' requires an sbm graph")
+    return {"method": "sbm-blocks"}
 
 
 def build_partition(config: ExperimentConfig, g: Graph) -> tuple[Partition, dict]:
@@ -262,13 +287,9 @@ class SimulationReport:
         return bool(self.cells) and all(c.absent_reason is not None for c in self.cells)
 
 
-def emit_report(report: SimulationReport, sink: str | Path | IO) -> None:
+def emit_report(report: SimulationReport, path: str | Path) -> None:
     """Write the CSV table (provenance header + one row per estimator/p)."""
-    text = report.to_csv()
-    if isinstance(sink, (str, Path)):
-        Path(sink).write_text(text, encoding="utf-8")
-    else:
-        sink.write(text)
+    Path(path).write_text(report.to_csv(), encoding="utf-8")
 
 
 class _SimulationState:
@@ -282,17 +303,12 @@ class _SimulationState:
         self.needs_predictor = bool({"GNN", "AMII"} & set(self.names))
         pspec = config.predictor
         self.ridge_lambda = pspec.get("ridge_lambda", None)
-        training_mask = pspec.get("training_mask", "full")
         covariates = {
             name: outcomes.covariate_vector(name, g, p_part)
             for name in pspec.get("covariates", ["degree"])
         }
-        self.mask = None
-        if training_mask == "boundary":
-            self.mask = ~p_part.interior_mask
-        elif training_mask != "full":
-            raise ValueError("training_mask must be 'full' or 'boundary'")
-        self.basis = predictor.FeatureBasis(g, covariates, int(pspec.get("max_hop", 2)))
+        self.mask = ~p_part.interior_mask if pspec.get("training_mask") == "boundary" else None
+        self.basis = predictor.FeatureBasis(g, covariates, pspec.get("max_hop", 2))
         self.f1 = self.basis.at(np.ones(g.node_count))
         self.f0 = self.basis.at(np.zeros(g.node_count))
         # fitted interaction coefficient tracked for the bias-law checks

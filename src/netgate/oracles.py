@@ -43,15 +43,6 @@ class OracleCase:
     p: float
 
 
-def _path_graph(n: int) -> Graph:
-    u = np.arange(n - 1)
-    return from_edges(u, u + 1, n)
-
-
-def _star_graph(n: int) -> Graph:
-    return from_edges(np.zeros(n - 1, dtype=np.int64), np.arange(1, n), n)
-
-
 def default_oracle_cases() -> list[OracleCase]:
     """Small 1-hop noiseless instances with K <= 10 covering interior-heavy,
     boundary-heavy, isolated-node, and random topologies."""
@@ -81,7 +72,7 @@ def default_oracle_cases() -> list[OracleCase]:
         )
     )
 
-    g = _path_graph(12)
+    g = from_edges(np.arange(11), np.arange(1, 12), 12)
     part = decompose(g, np.repeat(np.arange(4), 3))
     cases.append(
         OracleCase(
@@ -102,7 +93,7 @@ def default_oracle_cases() -> list[OracleCase]:
     )
     cases.append(OracleCase("triangles+isolate", g, part, model, 0.4))
 
-    g = _star_graph(7)
+    g = from_edges(np.zeros(6, dtype=np.int64), np.arange(1, 7), 7)
     part = decompose(g, np.array([0, 0, 0, 1, 1, 2, 2]))
     cases.append(
         OracleCase(

@@ -4,8 +4,8 @@ socfb-Stanford3 network (tests needing it skip when the file is absent)."""
 from __future__ import annotations
 
 import os
+import tempfile
 from pathlib import Path
-from typing import IO
 
 import numpy as np
 import pytest
@@ -95,10 +95,22 @@ def two_triangles() -> Graph:
     return from_edges(e[:, 0], e[:, 1], 6)
 
 
-def write_edge_list(g: Graph, sink: str | Path | IO) -> None:
+def write_edge_list(g: Graph, path: str | Path) -> None:
     """Write g as a plain edge list over internal ids (one 'u v' line per edge)."""
     text = "".join(f"{a} {b}\n" for a, b in g.edge_array())
-    if isinstance(sink, (str, Path)):
-        Path(sink).write_text(text, encoding="utf-8")
-    else:
-        sink.write(text)
+    Path(path).write_text(text, encoding="utf-8")
+
+
+@pytest.fixture(scope="session")
+def temp_file():
+    """A function that writes bytes to a new file and returns its path.
+    Unlike tmp_path, it can be called once per example in a hypothesis test."""
+    with tempfile.TemporaryDirectory(prefix="netgate-tests-") as tmp:
+
+        def write(data: bytes) -> Path:
+            fd, name = tempfile.mkstemp(dir=tmp)
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(data)
+            return Path(name)
+
+        yield write

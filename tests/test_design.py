@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netgate import design, outcomes, predictor
+from netgate import design, estimators, outcomes, predictor
 from netgate.graph import Graph, decompose, from_edges
 
 from conftest import neighbors, path_graph
@@ -286,6 +286,28 @@ def test_drawn_record_reads_pz_off_cluster_counts_bit_for_bit(case):
     assert np.array_equal(d1, (z == 1) & (treated_nbrs == g.degrees))
     assert np.array_equal(d0, (z == 0) & (treated_nbrs == 0))
     assert np.array_equal(a.t, t) and np.array_equal(design.Assignment(g, z, part).t, t)
+
+
+def test_record_without_partition_takes_the_one_it_is_used_with(toy_graph, toy_partition):
+    z = design.expand(toy_partition, np.array([True, False, True]))
+    y = np.arange(9.0)
+    bare = design.Assignment(toy_graph, z)
+    a = design.as_assignment(toy_graph, bare, toy_partition)
+    assert a.partition is toy_partition and a.z is bare.z
+    expected = estimators.cae(toy_graph, toy_partition, z, y)
+    assert estimators.cae(toy_graph, toy_partition, bare, y) == expected
+    est = estimators.estimate_all(toy_graph, toy_partition, bare, y, 0.5, names=("CAE",))
+    assert est.estimates["CAE"] == expected
+
+
+def test_record_of_another_partition_is_an_error(toy_graph, toy_partition):
+    z = design.expand(toy_partition, np.array([True, False, True]))
+    other = decompose(toy_graph, np.zeros(9, dtype=np.int64))
+    a = design.Assignment(toy_graph, z, other)
+    with pytest.raises(ValueError, match="another partition"):
+        estimators.cae(toy_graph, toy_partition, a, np.arange(9.0))
+    with pytest.raises(ValueError, match="another partition"):
+        estimators.estimate_all(toy_graph, toy_partition, a, np.arange(9.0), 0.5)
 
 
 def test_assignment_rejects_length_mismatch(toy_graph):

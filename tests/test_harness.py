@@ -1,4 +1,3 @@
-import io
 import json
 import math
 import os
@@ -209,12 +208,10 @@ def test_emit_empty_estimator_list_header_only(tmp_path):
         sbm_config(estimators=[])
     report = run(sbm_config(estimators=["MII"], repetitions=2))
     report.cells = []
-    buf = io.StringIO()
-    emit_report(report, buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[-1] == "estimator,p,bias,std,mse,reps_used,degenerate"
     path = tmp_path / "report.csv"
     emit_report(report, path)
+    lines = path.read_text().strip().splitlines()
+    assert lines[-1] == "estimator,p,bias,std,mse,reps_used,degenerate"
     assert path.read_text().startswith("# netgate")
 
 
@@ -524,6 +521,19 @@ SMALL_SBM = (
         (SMALL_SBM.replace("blocks: true", "gamma: 1.0, seed: true"), [], "clustering.seed must be an integer"),
         (SMALL_SBM.replace("blocks: true", "partition: [p.txt]"), [], "clustering.partition must be a path"),
         (SMALL_SBM.replace("blocks: true", "blocks: 'no'"), [], "clustering.blocks must be a boolean"),
+        (SMALL_SBM.replace("blocks: true", "blocks: true, gamma: 1.0"), [], "got ['blocks', 'gamma']"),
+        (SMALL_SBM.replace("blocks: true", "partition: p.txt, seed: 3"), [], "got ['partition', 'seed']"),
+        (SMALL_SBM.replace("blocks: true", "blocks: true, seed: 3"), [], "got ['blocks', 'seed']"),
+        (SMALL_SBM.replace("{sbm:", "{path: g.edges, sbm:"), [], "got ['path', 'sbm']"),
+        (SMALL_SBM.replace("seed: 2}", "seed: 2}, format: matrix-market"), [], "got ['format', 'sbm']"),
+        (SMALL_SBM + "model: {beta: '1'}\n", [], "model.beta must be a number, got '1'"),
+        (SMALL_SBM + "model: {beta: true}\n", [], "model.beta must be a number, got True"),
+        (SMALL_SBM + "model: {sigma: abc}\n", [], "model.sigma must be a number, got 'abc'"),
+        (SMALL_SBM + "model: {kind: partial_linear, v: normal, v_seed: 2.5}\n", [],
+         "model.v_seed must be an integer, got 2.5"),
+        (SMALL_SBM + "predictor: {max_hop: true}\n", [], "predictor.max_hop must be the integer 1 or 2, got True"),
+        (SMALL_SBM + "predictor: {max_hop: 2.9}\n", [], "predictor.max_hop must be the integer 1 or 2, got 2.9"),
+        (SMALL_SBM + "predictor: {max_hop: '2'}\n", [], "predictor.max_hop must be the integer 1 or 2, got '2'"),
     ],
     ids=[
         "missing-file", "unknown-key", "yaml-syntax", "p-out-of-range", "p-not-a-number",
@@ -533,6 +543,9 @@ SMALL_SBM = (
         "covariates-a-string", "interaction-a-string", "interaction-not-names",
         "estimators-empty", "estimators-duplicate", "verbose-a-string",
         "gamma-a-bool", "gamma-a-string", "seed-a-float", "seed-a-bool", "partition-a-list", "blocks-a-string",
+        "blocks-and-gamma", "partition-with-seed", "blocks-with-seed", "graph-path-and-sbm", "graph-sbm-with-format",
+        "beta-a-string", "beta-a-bool", "sigma-a-string", "v-seed-a-float",
+        "max-hop-a-bool", "max-hop-a-float", "max-hop-a-string",
     ],
 )
 def test_cli_run_bad_config_is_a_usage_error(tmp_path, capsys, config_text, flags, message):

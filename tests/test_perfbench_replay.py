@@ -1,0 +1,39 @@
+"""perfbench's traced replay calls the package's public entry points and must
+reproduce `harness.run` bit for bit; removing or re-signing one of them
+fails here instead of turning a per-layer benchmark metric absent."""
+
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from netgate import harness
+
+ROOT = Path(__file__).resolve().parent.parent
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
+
+from perfbench import bench, tracing  # noqa: E402
+
+
+def test_replay_finds_every_entry_point_and_repeats_the_run():
+    config = harness.ExperimentConfig.from_dict(dict(
+        graph={"sbm": {"communities": 6, "size": 20, "p_in": 0.3, "p_out": 0.01, "seed": 4}},
+        clustering={"blocks": True},
+        proportions=[0.3, 0.5],
+        model={"kind": "linear_two_hop", "interaction": ["degree", "clusters"]},
+        predictor={"covariates": ["degree", "clusters"], "training_mask": "boundary"},
+        estimators=["DIM", "HT", "HAJEK", "CAE", "MII", "GNN", "AMII"],
+        repetitions=6,
+        master_seed=8,
+        verbose=True,
+    ))
+    g = harness.build_graph(config)
+    part, _ = harness.build_partition(config, g)
+    model = harness.build_model(config, g, part)
+    assert tracing.missing_entry_points() == []
+    replay = tracing.replay_table(tracing.Tracer(), config, g, part, model)
+    assert replay["probe_errors"] == {}
+    for name, values in replay["values"].items():
+        assert np.isfinite(values).any(), name
+    assert bench.compare_estimates(replay["values"], harness.run(config, g, part), config) == []
