@@ -15,7 +15,7 @@ __version__ = "0.1.0"
 
 # One BLAS thread per process unless the environment says otherwise: each cell's
 # BLAS calls are small, a BLAS thread pool stalls them, and the table runs its own
-# worker threads. The variables are read when numpy loads, so set them before.
+# worker processes (fork). The variables are read when numpy loads, so set them before.
 if "numpy" not in sys.modules:
     for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(_var, "1")

@@ -433,8 +433,9 @@ def write_partition(p: Partition, path: str | Path) -> None:
 
 
 def read_partition(g: Graph, path: str | Path) -> Partition:
-    """Read a "node_id cluster_id" file and decompose it against g."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    """Read a "node_id cluster_id" file and decompose it against g. Lines end
+    at universal newlines, as in `load_edge_list`: text mode reads each as a line feed."""
+    lines = Path(path).read_text(encoding="utf-8").split("\n")
     cluster_of = np.zeros(g.node_count, dtype=np.int64)
     seen = np.zeros(g.node_count, dtype=bool)
     for line_no, line in enumerate(lines, start=1):

@@ -2,7 +2,7 @@
 outcome model, estimator set), with bias/std/MSE aggregation and reporting.
 
 Repetitions draw independent substreams from the master seed, so results are
-identical for any execution order or thread count.
+identical for any execution order or number of worker processes (fork).
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import inspect
 import io
 import json
 import numbers
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any
@@ -24,6 +23,8 @@ from . import __version__, community, design, estimators, outcomes, predictor, s
 from .graph import Graph, Partition, decompose, load_edge_list, read_partition
 from .outcomes import OutcomeModel, PartialLinearModel
 
+# a table is split into this many spans of repetitions per worker, to balance the load
+SPANS_PER_WORKER = 4
 TRUTHS = {"gate": outcomes.true_gate, "global_treatment_mean": outcomes.global_treatment_mean}
 # key -> (type, description); a bool counts as neither number nor integer
 CLUSTERING_TYPES = {
@@ -153,12 +154,12 @@ class ExperimentConfig:
 
 def _from_spec(section: str, build, spec: dict, *args, **kwargs):
     """build(*args, **kwargs, **spec); a misspelt or missing key's TypeError becomes a ValueError.
-    A key whose default is a float must be a real number, and an int an integer (a bool is neither)."""
-    params = inspect.signature(build).parameters
+    A key annotated float must be a real number, and one annotated int an integer (a bool is neither)."""
+    params = inspect.signature(build, eval_str=True).parameters
     for key, value in spec.items():
-        default = params[key].default if key in params else None
+        annotation = params[key].annotation if key in params else None
         for kind, number, what in ((float, numbers.Real, "a number"), (int, numbers.Integral, "an integer")):
-            if type(default) is kind and (isinstance(value, bool) or not isinstance(value, number)):
+            if annotation is kind and (isinstance(value, bool) or not isinstance(value, number)):
                 raise ValueError(f"{section}.{key} must be {what}, got {value!r}")
     try:
         return build(*args, **kwargs, **spec)
@@ -296,6 +297,9 @@ class _SimulationState:
     """Shared read-only inputs for the repetition loop."""
 
     def __init__(self, config: ExperimentConfig, g: Graph, p_part: Partition, model: OutcomeModel):
+        self.proportions = list(config.proportions)
+        self.rep_seeds = np.random.SeedSequence(config.master_seed).spawn(config.repetitions)
+        self.verbose = config.verbose
         self.graph = g
         self.partition = p_part
         self.model = model
@@ -337,35 +341,75 @@ class _SimulationState:
         return est, alpha_hat
 
 
+# the table a forked worker runs spans of: set in each worker (never in the parent)
+# by _start_worker, read by _worker_span
+_worker_state: _SimulationState | None = None
+
+
+def _start_worker(state: _SimulationState) -> None:
+    global _worker_state
+    _worker_state = state
+
+
+def _worker_span(span: range):
+    return _run_span(_worker_state, span)
+
+
+def _run_span(state: _SimulationState, span: range):
+    """Estimates (name -> (n_p, len(span))), alpha_hat and, when verbose, the
+    diagnostics of the repetitions in `span`, each cell on its own substream."""
+    ps = state.proportions
+    values = {name: np.full((len(ps), len(span)), np.nan) for name in state.names}
+    alpha_hats = np.full((len(ps), len(span)), np.nan)
+    diagnostics = [[None] * len(span) for _ in ps] if state.verbose else None
+    for j, r in enumerate(span):
+        cell_seeds = state.rep_seeds[r].spawn(len(ps))
+        for pi, p in enumerate(ps):
+            est, alpha_hats[pi, j] = state.run_cell(np.random.default_rng(cell_seeds[pi]), p)
+            for name in state.names:
+                v = est.estimates[name]
+                if v is not None:
+                    values[name][pi, j] = v
+            if diagnostics is not None:
+                diagnostics[pi][j] = est.diagnostics
+    return values, alpha_hats, diagnostics
+
+
 def _simulate(
     config: ExperimentConfig, g: Graph, p_part: Partition, model: OutcomeModel
 ) -> tuple[dict[str, np.ndarray], np.ndarray, list | None]:
     """Raw per-repetition estimates: name -> array (n_p, R), NaN on degenerate;
     plus the fitted interaction coefficient per (p, repetition) and, when the
-    verbose flag is set, the per-repetition diagnostics."""
+    verbose flag is set, the per-repetition diagnostics.
+
+    Contiguous spans of repetitions run on `config.threads` forked worker
+    processes, which inherit the state instead of unpickling it; one worker
+    runs them inline. The substreams do not depend on the split."""
     state = _SimulationState(config, g, p_part, model)
-    ps = list(config.proportions)
     reps = config.repetitions
-    values = {name: np.full((len(ps), reps), np.nan) for name in state.names}
-    alpha_hats = np.full((len(ps), reps), np.nan)
-    diagnostics = [[None] * reps for _ in ps] if config.verbose else None
-    rep_seeds = np.random.SeedSequence(config.master_seed).spawn(reps)
+    bounds = np.linspace(0, reps, min(reps, SPANS_PER_WORKER * config.threads) + 1).astype(int)
+    spans = [range(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+    if config.threads == 1:
+        parts = [_run_span(state, span) for span in spans]
+    else:
+        # imported here, so a one-worker run never loads them and they do not
+        # raise the peak RSS of the network load and Louvain before the table
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
-    def one_rep(r: int) -> None:
-        cell_seeds = rep_seeds[r].spawn(len(ps))
-        for pi, p in enumerate(ps):
-            rng = np.random.default_rng(cell_seeds[pi])
-            est, alpha_hat = state.run_cell(rng, p)
-            for name in state.names:
-                v = est.estimates[name]
-                if v is not None:
-                    values[name][pi, r] = v
-            alpha_hats[pi, r] = alpha_hat
-            if diagnostics is not None:
-                diagnostics[pi][r] = est.diagnostics
-
-    with ThreadPoolExecutor(max_workers=config.threads) as pool:
-        list(pool.map(one_rep, range(reps)))
+        pool = ProcessPoolExecutor(
+            min(config.threads, len(spans)), multiprocessing.get_context("fork"),
+            initializer=_start_worker, initargs=(state,),
+        )
+        try:
+            parts = list(pool.map(_worker_span, spans))
+        finally:
+            pool.shutdown(cancel_futures=True)
+    values = {name: np.hstack([part[0][name] for part in parts]) for name in state.names}
+    alpha_hats = np.hstack([part[1] for part in parts])
+    diagnostics = None
+    if config.verbose:
+        diagnostics = [[d for part in parts for d in part[2][pi]] for pi in range(len(state.proportions))]
     return values, alpha_hats, diagnostics
 
 

@@ -243,6 +243,6 @@ def test_criterion_8_determinism(stanford_gamma5, clean_table_report):
     from conftest import stanford3_path
 
     g, part = stanford_gamma5
-    cfg = paper_config([], 0.0, ["HAJEK", "MII"], stanford3_path(), threads=os.cpu_count() or 4)
+    cfg = paper_config([], 0.0, ["HAJEK", "MII"], stanford3_path(), threads=min(os.cpu_count() or 4, 8))
     threaded = run(cfg, g=g, p_part=part)
     assert threaded.to_csv() == clean_table_report.to_csv()

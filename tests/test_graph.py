@@ -165,6 +165,20 @@ def test_read_partition_duplicate_node_reports_line_number(temp_file):
     assert err.value.line_number == 2
 
 
+@pytest.mark.parametrize(
+    "sep, line_number",
+    [(sep, 1) for sep in "\x0c\x0b\x1c\x1d\x1e\x85\u2028\u2029"] + [("\n", 2), ("\r", 2), ("\r\n", 2)],
+)
+def test_partition_and_edge_readers_number_lines_alike(temp_file, sep, line_number):
+    """Both readers end lines at universal newlines only; str.splitlines'
+    other line boundaries stay inside a line."""
+    with pytest.raises(EdgeListFormatError) as part_err:
+        read_partition(path_graph(3), temp_file(f"0 0{sep}1 x\n2 0\n".encode()))
+    with pytest.raises(EdgeListFormatError) as edge_err:
+        load_edge_list(temp_file(f"0 1{sep}1 x\n2 0\n".encode()))
+    assert part_err.value.line_number == edge_err.value.line_number == line_number
+
+
 @st.composite
 def graph_and_clusters(draw):
     n = draw(st.integers(min_value=2, max_value=25))

@@ -1,5 +1,6 @@
 import json
 import math
+import multiprocessing
 import os
 import re
 import subprocess
@@ -199,6 +200,43 @@ def test_report_identical_across_thread_counts():
     a = run(sbm_config(repetitions=80))
     b = run(sbm_config(repetitions=80, threads=8))
     assert a.to_csv() == b.to_csv()
+
+
+def pool_config(threads, repetitions):
+    """A verbose partial-linear table, so the JSON carries raw estimates,
+    diagnostics and alpha_hat_mean."""
+    model = {"kind": "partial_linear", "alpha": 1.0, "u": "degree", "sigma": 2.0}
+    return sbm_config(model=model, threads=threads, repetitions=repetitions, verbose=True)
+
+
+@pytest.mark.parametrize("threads, repetitions", [(2, 30), (3, 30), (8, 5)])
+def test_reports_identical_at_any_worker_count(threads, repetitions):
+    """Forked workers run contiguous spans on the repetitions' own substreams:
+    report.csv and the verbose report.json match one worker's byte for byte,
+    also with more workers than repetitions, and no worker outlives the run."""
+    one = run(pool_config(1, repetitions))
+    many = run(pool_config(threads, repetitions))
+    assert multiprocessing.active_children() == []
+    assert many.alpha_hat_mean is not None
+    assert many.to_csv() == one.to_csv()
+    assert many.to_json() == one.to_json()
+
+
+def test_worker_error_reaches_the_caller_and_no_worker_outlives_it(monkeypatch):
+    def failing(self, rng, p):
+        raise ValueError(f"cell failed at p={p}")
+
+    monkeypatch.setattr(_SimulationState, "run_cell", failing)  # forked workers inherit the patch
+    with pytest.raises(ValueError, match=r"^cell failed at p=0\.1$") as err:
+        run(sbm_config(repetitions=12, threads=2))
+    assert err.type is ValueError
+    assert multiprocessing.active_children() == []
+
+
+def test_one_worker_runs_the_table_in_process(monkeypatch):
+    pooled = run(sbm_config(repetitions=4, threads=2)).to_csv()
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", None)
+    assert run(sbm_config(repetitions=4)).to_csv() == pooled
 
 
 def test_emit_empty_estimator_list_header_only(tmp_path):
@@ -417,6 +455,23 @@ def test_cli_pins_blas_threads_unless_the_environment_sets_them(user):
     assert out == [user.get(var, "1") for var in BLAS_VARS]
 
 
+def test_cli_run_reports_match_at_one_and_two_workers(tmp_path):
+    """`netgate run --threads 2`, run in its own interpreter, forks its
+    workers and writes the report.csv that `--threads 1` writes."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {"PATH": os.environ.get("PATH", ""), "PYTHONPATH": src}
+    config = tmp_path / "sbm.yaml"
+    config.write_text(SMALL_SBM.replace("repetitions: 2", "repetitions: 24"), encoding="utf-8")
+    entry = "import sys; from netgate import cli; sys.exit(cli.main())"
+    for threads in ("1", "2"):
+        subprocess.run(
+            [sys.executable, "-c", entry, "run", "--config", str(config),
+             "--threads", threads, "--out", str(tmp_path / threads)],
+            env=env, capture_output=True, check=True, timeout=120,
+        )
+    assert (tmp_path / "2" / "report.csv").read_bytes() == (tmp_path / "1" / "report.csv").read_bytes()
+
+
 def test_cli_run_flag_overrides(tmp_path):
     path, _ = write_sbm_edge_file(tmp_path)
     out_dir = tmp_path / "out2"
@@ -534,6 +589,14 @@ SMALL_SBM = (
         (SMALL_SBM + "predictor: {max_hop: true}\n", [], "predictor.max_hop must be the integer 1 or 2, got True"),
         (SMALL_SBM + "predictor: {max_hop: 2.9}\n", [], "predictor.max_hop must be the integer 1 or 2, got 2.9"),
         (SMALL_SBM + "predictor: {max_hop: '2'}\n", [], "predictor.max_hop must be the integer 1 or 2, got '2'"),
+        (SMALL_SBM.replace("communities: 4,", "communities: '4',"), [],
+         "graph.sbm.communities must be an integer, got '4'"),
+        (SMALL_SBM.replace("communities: 4,", "communities: 4.0,"), [],
+         "graph.sbm.communities must be an integer, got 4.0"),
+        (SMALL_SBM.replace("size: 12", "size: true"), [], "graph.sbm.size must be an integer, got True"),
+        (SMALL_SBM.replace("seed: 2}", "seed: 2.5}"), [], "graph.sbm.seed must be an integer, got 2.5"),
+        (SMALL_SBM.replace("p_in: 0.5", "p_in: high"), [], "graph.sbm.p_in must be a number, got 'high'"),
+        (SMALL_SBM.replace("p_out: 0.05", "p_out: true"), [], "graph.sbm.p_out must be a number, got True"),
     ],
     ids=[
         "missing-file", "unknown-key", "yaml-syntax", "p-out-of-range", "p-not-a-number",
@@ -546,6 +609,8 @@ SMALL_SBM = (
         "blocks-and-gamma", "partition-with-seed", "blocks-with-seed", "graph-path-and-sbm", "graph-sbm-with-format",
         "beta-a-string", "beta-a-bool", "sigma-a-string", "v-seed-a-float",
         "max-hop-a-bool", "max-hop-a-float", "max-hop-a-string",
+        "sbm-communities-a-string", "sbm-communities-a-float", "sbm-size-a-bool", "sbm-seed-a-float",
+        "sbm-p-in-a-string", "sbm-p-out-a-bool",
     ],
 )
 def test_cli_run_bad_config_is_a_usage_error(tmp_path, capsys, config_text, flags, message):
