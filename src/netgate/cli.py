@@ -152,7 +152,7 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument("--reps", type=int, help="override: Monte Carlo repetitions")
     p_run.add_argument("--seed", type=int, help="override: master seed")
     p_run.add_argument("--estimators", help="override: comma-separated estimator names")
-    p_run.add_argument("--threads", type=int, help="override: worker processes (fork)")
+    p_run.add_argument("--threads", type=int, help="override: worker processes (fork), capped at the usable CPUs")
     p_run.add_argument("--out", help="output directory (default netgate-out)")
     p_run.set_defaults(func=_cmd_run)
 

@@ -387,8 +387,7 @@ class Partition:
             pair = (p**c, (1.0 - p) ** c)
             for arr in pair:
                 arr.setflags(write=False)
-            # threads racing on a new p all return the one pair kept here
-            pair = self._clean_probability.setdefault(p, pair)
+            self._clean_probability[p] = pair
         return pair
 
 

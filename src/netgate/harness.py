@@ -12,6 +12,7 @@ import inspect
 import io
 import json
 import numbers
+import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any
@@ -91,6 +92,11 @@ class ExperimentConfig:
             names = getattr(self, section).get(key, [])
             if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
                 raise ValueError(f"{section}.{key} must be a list of names, got {names!r}")
+        # checked against the builders' signatures here, before anything loads
+        if "sbm" in self.graph:
+            _check_spec("graph.sbm", sbm.generate, self.graph["sbm"])
+        build, spec = _model_builder(self.model)
+        _check_spec("model", build, spec, None, p_part=None)  # stand-ins for the graph and partition
         max_hop = self.predictor.get("max_hop", 2)
         if isinstance(max_hop, bool) or not isinstance(max_hop, numbers.Integral) or max_hop not in (1, 2):
             raise ValueError(f"predictor.max_hop must be the integer 1 or 2, got {max_hop!r}")
@@ -105,9 +111,13 @@ class ExperimentConfig:
             raise ValueError("at least one treatment proportion required")
         if not self.estimators:
             raise ValueError("at least one estimator required")
-        for p in self.proportions:
+        # a proportion is keyed by its .12g form in report.json
+        p_keys = [f"{p:.12g}" for p in self.proportions]
+        for i, p in enumerate(self.proportions):
             if not 0.0 < p < 1.0:
                 raise ValueError(f"treatment proportion {p} outside (0,1)")
+            if p_keys[i] in p_keys[:i]:
+                raise ValueError(f"duplicate treatment proportion {p} (equal to 12 significant digits)")
         if self.truth not in TRUTHS:
             raise ValueError(f"truth must be one of {tuple(TRUTHS)}")
         if self.threads < 1:
@@ -126,8 +136,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
+        unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         cfg = cls(**data)
@@ -152,15 +161,30 @@ class ExperimentConfig:
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
-def _from_spec(section: str, build, spec: dict, *args, **kwargs):
-    """build(*args, **kwargs, **spec); a misspelt or missing key's TypeError becomes a ValueError.
-    A key annotated float must be a real number, and one annotated int an integer (a bool is neither)."""
-    params = inspect.signature(build, eval_str=True).parameters
+def _check_spec(section: str, build, spec: dict, *args, **kwargs) -> None:
+    """Raise a ValueError unless build(*args, **kwargs, **spec) binds, reading only
+    build's signature: a misspelt or missing key fails, and any key passes a
+    builder that takes **kwargs. A key annotated float must be a real number, and
+    one annotated int an integer (a bool is neither)."""
+    if not isinstance(spec, dict):
+        raise ValueError(f"{section} must be a mapping, got {spec!r}")
+    signature = inspect.signature(build, eval_str=True)
+    try:
+        # a spec key that repeats one of kwargs is left to the call to reject
+        signature.bind_partial(*args, **{**kwargs, **spec})  # names an unknown key before a missing one
+        signature.bind(*args, **{**kwargs, **spec})
+    except TypeError as exc:
+        raise ValueError(f"{section}: {build.__name__}() {exc}") from exc
     for key, value in spec.items():
-        annotation = params[key].annotation if key in params else None
+        annotation = signature.parameters[key].annotation if key in signature.parameters else None
         for kind, number, what in ((float, numbers.Real, "a number"), (int, numbers.Integral, "an integer")):
             if annotation is kind and (isinstance(value, bool) or not isinstance(value, number)):
                 raise ValueError(f"{section}.{key} must be {what}, got {value!r}")
+
+
+def _from_spec(section: str, build, spec: dict, *args, **kwargs):
+    """build(*args, **kwargs, **spec), whose keys `validate` has checked; a
+    TypeError from inside the builder becomes a ValueError."""
     try:
         return build(*args, **kwargs, **spec)
     except TypeError as exc:
@@ -172,7 +196,10 @@ def build_graph(config: ExperimentConfig) -> Graph:
     if "path" in spec:
         return load_edge_list(spec["path"], spec.get("format", "auto"))
     if "sbm" in spec:
-        return _from_spec("graph.sbm", sbm.generate, spec["sbm"])[0]
+        g = _from_spec("graph.sbm", sbm.generate, spec["sbm"])[0]
+        if g.edge_count == 0:  # refused as an edge file without edges is
+            raise ValueError("graph.sbm drew no edges")
+        return g
     raise ValueError("graph config needs 'path' or 'sbm'")
 
 
@@ -209,13 +236,19 @@ def build_partition(config: ExperimentConfig, g: Graph) -> tuple[Partition, dict
     return decompose(g, sbm.block_labels(spec["communities"], spec["size"])), info
 
 
-def build_model(config: ExperimentConfig, g: Graph, p_part: Partition) -> OutcomeModel:
-    spec = dict(config.model)
+def _model_builder(section: dict):
+    """The model section's builder and its keyword arguments (every key but kind)."""
+    spec = dict(section)
     kind = spec.pop("kind", "linear_two_hop")
     builders = {"linear_two_hop": outcomes.linear_two_hop, "partial_linear": outcomes.partial_linear}
-    if kind not in builders:
+    if not isinstance(kind, str) or kind not in builders:
         raise ValueError(f"unknown model kind {kind!r}")
-    return _from_spec("model", builders[kind], spec, g, p_part=p_part)
+    return builders[kind], spec
+
+
+def build_model(config: ExperimentConfig, g: Graph, p_part: Partition) -> OutcomeModel:
+    build, spec = _model_builder(config.model)
+    return _from_spec("model", build, spec, g, p_part=p_part)
 
 
 @dataclass(frozen=True)
@@ -254,15 +287,8 @@ class SimulationReport:
         out.write("# clustering: " + " ".join(f"{k}={v}" for k, v in self.clustering.fields()) + "\n")
         out.write("estimator,p,bias,std,mse,reps_used,degenerate\n")
         for cell in self.cells:
-            if cell.absent_reason is not None:
-                out.write(
-                    f"{cell.estimator},{cell.p:.12g},,,,{cell.reps_used},{cell.degenerate}\n"
-                )
-            else:
-                out.write(
-                    f"{cell.estimator},{cell.p:.12g},{cell.bias:.12g},{cell.std:.12g},"
-                    f"{cell.mse:.12g},{cell.reps_used},{cell.degenerate}\n"
-                )
+            stats = ("" if v is None else f"{v:.12g}" for v in (cell.bias, cell.std, cell.mse))  # blank when absent
+            out.write(f"{cell.estimator},{cell.p:.12g},{','.join(stats)},{cell.reps_used},{cell.degenerate}\n")
         return out.getvalue()
 
     def to_json(self) -> str:
@@ -356,40 +382,35 @@ def _worker_span(span: range):
 
 
 def _run_span(state: _SimulationState, span: range):
-    """Estimates (name -> (n_p, len(span))), alpha_hat and, when verbose, the
-    diagnostics of the repetitions in `span`, each cell on its own substream."""
+    """The repetitions in `span`, each cell on its own substream, as one
+    (len(span), n_p, len(names) + 1) array: each estimator's value (NaN on a
+    degenerate draw) in `state.names` order, then the fitted alpha_hat; plus,
+    when verbose, the cells' diagnostics in repetition-major order."""
     ps = state.proportions
-    values = {name: np.full((len(ps), len(span)), np.nan) for name in state.names}
-    alpha_hats = np.full((len(ps), len(span)), np.nan)
-    diagnostics = [[None] * len(span) for _ in ps] if state.verbose else None
+    table = np.full((len(span), len(ps), len(state.names) + 1), np.nan)
+    diagnostics = [] if state.verbose else None
     for j, r in enumerate(span):
-        cell_seeds = state.rep_seeds[r].spawn(len(ps))
-        for pi, p in enumerate(ps):
-            est, alpha_hats[pi, j] = state.run_cell(np.random.default_rng(cell_seeds[pi]), p)
-            for name in state.names:
-                v = est.estimates[name]
-                if v is not None:
-                    values[name][pi, j] = v
+        for pi, (p, seed) in enumerate(zip(ps, state.rep_seeds[r].spawn(len(ps)))):
+            est, table[j, pi, -1] = state.run_cell(np.random.default_rng(seed), p)
+            table[j, pi, :-1] = [est.estimates[name] for name in state.names]  # None casts to NaN
             if diagnostics is not None:
-                diagnostics[pi][j] = est.diagnostics
-    return values, alpha_hats, diagnostics
+                diagnostics.append(est.diagnostics)
+    return table, diagnostics
 
 
 def _simulate(
     config: ExperimentConfig, g: Graph, p_part: Partition, model: OutcomeModel
-) -> tuple[dict[str, np.ndarray], np.ndarray, list | None]:
-    """Raw per-repetition estimates: name -> array (n_p, R), NaN on degenerate;
-    plus the fitted interaction coefficient per (p, repetition) and, when the
-    verbose flag is set, the per-repetition diagnostics.
-
-    Contiguous spans of repetitions run on `config.threads` forked worker
-    processes, which inherit the state instead of unpickling it; one worker
-    runs them inline. The substreams do not depend on the split."""
+) -> tuple[np.ndarray, list | None]:
+    """`_run_span`'s array and diagnostics for all R repetitions. Contiguous spans
+    of them run on min(threads, R, usable CPUs) forked worker processes, which
+    inherit the state instead of unpickling it; one worker runs them inline.
+    The substreams do not depend on the split."""
     state = _SimulationState(config, g, p_part, model)
     reps = config.repetitions
-    bounds = np.linspace(0, reps, min(reps, SPANS_PER_WORKER * config.threads) + 1).astype(int)
+    workers = min(config.threads, reps, len(os.sched_getaffinity(0)))
+    bounds = np.linspace(0, reps, min(reps, SPANS_PER_WORKER * workers) + 1).astype(int)
     spans = [range(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
-    if config.threads == 1:
+    if workers == 1:
         parts = [_run_span(state, span) for span in spans]
     else:
         # imported here, so a one-worker run never loads them and they do not
@@ -398,42 +419,26 @@ def _simulate(
         from concurrent.futures import ProcessPoolExecutor
 
         pool = ProcessPoolExecutor(
-            min(config.threads, len(spans)), multiprocessing.get_context("fork"),
-            initializer=_start_worker, initargs=(state,),
+            workers, multiprocessing.get_context("fork"), initializer=_start_worker, initargs=(state,)
         )
         try:
             parts = list(pool.map(_worker_span, spans))
         finally:
             pool.shutdown(cancel_futures=True)
-    values = {name: np.hstack([part[0][name] for part in parts]) for name in state.names}
-    alpha_hats = np.hstack([part[1] for part in parts])
-    diagnostics = None
-    if config.verbose:
-        diagnostics = [[d for part in parts for d in part[2][pi]] for pi in range(len(state.proportions))]
-    return values, alpha_hats, diagnostics
+    diagnostics = [d for _, part in parts for d in part] if config.verbose else None
+    return np.concatenate([table for table, _ in parts]), diagnostics
 
 
-def _aggregate(
-    values: dict[str, np.ndarray], ps: list[float], truth: float, reps: int
-) -> list[CellStats]:
-    cells = []
-    for name, arr in values.items():
-        for pi, p in enumerate(ps):
-            vals = arr[pi]
-            finite = np.isfinite(vals)
-            used = int(finite.sum())
-            degenerate = reps - used
-            if used == 0:
-                cells.append(
-                    CellStats(name, p, None, None, None, 0, degenerate, "all repetitions degenerate")
-                )
-                continue
-            kept = vals[finite]
-            bias = float(kept.mean() - truth)
-            std = float(kept.std(ddof=1)) if used >= 2 else 0.0
-            mse = float(np.mean((kept - truth) ** 2))
-            cells.append(CellStats(name, p, bias, std, mse, used, degenerate))
-    return cells
+def _cell_stats(name: str, p: float, values: np.ndarray, truth: float) -> CellStats:
+    """One report row from an estimator's values at p over all repetitions;
+    the non-finite (degenerate) ones are counted and left out."""
+    kept = values[np.isfinite(values)]
+    used, degenerate = len(kept), len(values) - len(kept)
+    if used == 0:
+        return CellStats(name, p, None, None, None, 0, degenerate, "all repetitions degenerate")
+    std = float(kept.std(ddof=1)) if used >= 2 else 0.0
+    mse = float(np.mean((kept - truth) ** 2))
+    return CellStats(name, p, float(kept.mean() - truth), std, mse, used, degenerate)
 
 
 def run(
@@ -455,23 +460,17 @@ def run(
     model = build_model(config, g, p_part)
     truth = TRUTHS[config.truth](model)
 
-    values, alpha_hats, diagnostics = _simulate(config, g, p_part, model)
-    ps = list(config.proportions)
-    cells = _aggregate(values, ps, truth, config.repetitions)
-
-    raw = None
-    raw_diag = None
+    table, diagnostics = _simulate(config, g, p_part, model)
+    ps = config.proportions
+    names = [n.upper() for n in config.estimators]
+    keys = [f"{p:.12g}" for p in ps]
+    cells = [_cell_stats(name, p, table[:, pi, k], truth) for k, name in enumerate(names) for pi, p in enumerate(ps)]
+    raw = raw_diag = alpha_mean = None
     if config.verbose:
-        raw = {
-            name: {f"{p:.12g}": arr[pi].tolist() for pi, p in enumerate(ps)}
-            for name, arr in values.items()
-        }
-        raw_diag = {f"{p:.12g}": diagnostics[pi] for pi, p in enumerate(ps)}
-    alpha_mean = None
-    if np.isfinite(alpha_hats).any():
-        alpha_mean = {
-            f"{p:.12g}": float(np.nanmean(alpha_hats[pi])) for pi, p in enumerate(ps)
-        }
+        raw = {name: {key: table[:, pi, k].tolist() for pi, key in enumerate(keys)} for k, name in enumerate(names)}
+        raw_diag = {key: diagnostics[pi :: len(ps)] for pi, key in enumerate(keys)}
+    if np.isfinite(table[:, :, -1]).any():
+        alpha_mean = {key: float(np.nanmean(table[:, pi, -1])) for pi, key in enumerate(keys)}
 
     return SimulationReport(
         cells=cells,

@@ -10,9 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import netgate
-from netgate import cli, sbm
+from netgate import cli, community, harness, sbm
+from netgate.estimators import ESTIMATOR_NAMES
 from netgate.graph import decompose
 from netgate.harness import (
     ExperimentConfig,
@@ -142,6 +145,46 @@ def test_config_rejects_unknown_section_keys(section, spec, typo):
         run(ExperimentConfig.from_dict({**sbm_config().to_dict(), section: spec}))
 
 
+@pytest.mark.parametrize(
+    "section, spec, message",
+    [
+        ("model", {"betaa": 1.0}, "model: linear_two_hop() got an unexpected keyword argument 'betaa'"),
+        ("model", {"kind": "nope"}, "unknown model kind 'nope'"),
+        ("model", {"kind": ["partial_linear"]}, "unknown model kind ['partial_linear']"),
+        ("model", {"beta": "1"}, "model.beta must be a number, got '1'"),
+        ("model", {"kind": "partial_linear", "v_seed": 2.5}, "model.v_seed must be an integer, got 2.5"),
+        ("graph", {"sbm": {**sbm_config().graph["sbm"], "sed": 2}},
+         "graph.sbm: generate() got an unexpected keyword argument 'sed'"),
+        ("graph", {"sbm": {**sbm_config().graph["sbm"], "communities": "4"}},
+         "graph.sbm.communities must be an integer, got '4'"),
+        ("graph", {"sbm": 5}, "graph.sbm must be a mapping, got 5"),
+    ],
+)
+def test_model_and_sbm_sections_fail_before_anything_loads(monkeypatch, tmp_path, capsys, section, spec, message):
+    """The builders' signatures are checked in validate: neither from_dict nor
+    `netgate run` gets as far as Louvain."""
+    clustered = []
+    real = community.louvain
+    monkeypatch.setattr(community, "louvain", lambda *args: clustered.append(args) or real(*args))
+    data = {**sbm_config().to_dict(), "clustering": {"gamma": 1.0}, section: spec}
+    with pytest.raises(ValueError) as err:
+        ExperimentConfig.from_dict(data)
+    assert message in str(err.value)
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(data), encoding="utf-8")
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
+    assert clustered == []
+
+
+@pytest.mark.parametrize("proportions", [[0.3, 0.3], [0.3, 0.3 + 1e-15], [0.1, 0.5, 0.1]])
+def test_config_rejects_proportions_equal_at_twelve_digits(proportions):
+    """report.json keys a proportion by its .12g form, so two that print alike would collide."""
+    with pytest.raises(ValueError, match="duplicate treatment proportion"):
+        sbm_config(proportions=proportions)
+    sbm_config(proportions=[0.3, 0.3 + 1e-11])
+
+
 @pytest.mark.parametrize("path", sorted(Path(__file__).parent.parent.glob("configs/*.yaml")))
 def test_shipped_configs_build_their_model_and_predictor(path):
     cfg = ExperimentConfig.from_file(path)
@@ -237,6 +280,83 @@ def test_one_worker_runs_the_table_in_process(monkeypatch):
     pooled = run(sbm_config(repetitions=4, threads=2)).to_csv()
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", None)
     assert run(sbm_config(repetitions=4)).to_csv() == pooled
+
+
+@pytest.mark.parametrize(
+    "threads, repetitions, cpus, workers",
+    [(8, 30, 3, 3), (2, 30, 64, 2), (6, 4, 64, 4), (4, 30, 1, None), (4, 1, 64, None)],
+)
+def test_workers_are_capped_at_repetitions_and_usable_cpus(monkeypatch, threads, repetitions, cpus, workers):
+    """min(threads, repetitions, usable CPUs) workers, SPANS_PER_WORKER spans each
+    (at most one per repetition), and inline at one worker. A stand-in pool
+    runs the spans in this process, so no process starts."""
+    pools = []
+
+    class InlinePool:
+        def __init__(self, max_workers, mp_context, initializer, initargs):
+            pools.append(self)
+            self.max_workers, self.state = max_workers, initargs[0]
+
+        def map(self, fn, spans):
+            self.spans = list(spans)
+            return [harness._run_span(self.state, span) for span in self.spans]
+
+        def shutdown(self, cancel_futures):
+            pass
+
+    expected = run(sbm_config(repetitions=repetitions, estimators=["DIM", "MII"])).to_csv()
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    report = run(sbm_config(threads=threads, repetitions=repetitions, estimators=["DIM", "MII"]))
+    assert report.to_csv() == expected
+    if workers is None:
+        assert pools == []
+    else:
+        [pool] = pools
+        assert pool.max_workers == workers
+        assert len(pool.spans) == min(repetitions, harness.SPANS_PER_WORKER * workers)
+
+
+SMALL_SBM_CONFIGS = st.fixed_dictionaries({
+    "graph": st.fixed_dictionaries({"sbm": st.fixed_dictionaries({
+        "communities": st.integers(1, 4),
+        "size": st.integers(1, 8),
+        "p_in": st.floats(0.2, 1.0),  # mostly graphs with edges; the bad-config case sbm-edgeless pins the rest
+        "p_out": st.floats(0.0, 0.3),
+        "seed": st.integers(0, 2**16),
+    })}),
+    "clustering": st.sampled_from([{"blocks": True}, {"gamma": 1.0}, {"gamma": 5.0, "seed": 3}]),
+    "proportions": st.lists(st.floats(0.01, 0.99), min_size=1, max_size=3, unique_by=lambda p: f"{p:.12g}"),
+    "model": st.sampled_from([{}, {"r2": 1.0}, {"kind": "partial_linear", "alpha": 1.0, "v": "normal"}]),
+    "predictor": st.sampled_from([{}, {"max_hop": 1, "training_mask": "boundary"}, {"covariates": []}]),
+    "estimators": st.lists(st.sampled_from(ESTIMATOR_NAMES), min_size=1, unique=True),
+    "repetitions": st.integers(1, 6),
+    "master_seed": st.integers(0, 2**16),
+    "truth": st.sampled_from(["gate", "global_treatment_mean"]),
+    "verbose": st.just(True),
+})
+
+
+@settings(max_examples=10, deadline=None)
+@given(spec=SMALL_SBM_CONFIGS)
+def test_any_small_table_has_one_row_per_cell_and_the_same_bytes_at_two_workers(spec):
+    """A config that from_dict accepts either gives one row per (estimator, p),
+    each accounting for every repetition, in the same bytes at one and two
+    workers; or it is refused (an edgeless draw, an empty boundary training
+    set) with the same ValueError at both."""
+    try:
+        one = run(ExperimentConfig.from_dict({**spec, "threads": 1}))
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            run(ExperimentConfig.from_dict({**spec, "threads": 2}))
+        return
+    two = run(ExperimentConfig.from_dict({**spec, "threads": 2}))
+    cells = [(cell.estimator, cell.p) for cell in one.cells]
+    assert len(cells) == len(set(cells)) == len(spec["estimators"]) * len(spec["proportions"])
+    assert all(cell.reps_used + cell.degenerate == spec["repetitions"] for cell in one.cells)
+    assert two.to_csv() == one.to_csv()
+    assert two.to_json() == one.to_json()
+    assert multiprocessing.active_children() == []
 
 
 def test_emit_empty_estimator_list_header_only(tmp_path):
@@ -552,6 +672,7 @@ SMALL_SBM = (
         ("graph: {path: [unclosed\n", [], "error: "),
         ("repetitions: 5\n", ["--p", "1.5"], "outside (0,1)"),
         ("repetitions: 5\n", ["--p", "half"], "half"),
+        ("repetitions: 5\n", ["--p", "0.3,0.3"], "duplicate treatment proportion 0.3"),
         ("proportions: 0.5\n", [], "proportions must be a list"),
         ("repetitions: ten\n", [], "repetitions must be an integer"),
         (SMALL_SBM + "model: {r_2: 1.0}\n", [], "r_2"),
@@ -597,9 +718,10 @@ SMALL_SBM = (
         (SMALL_SBM.replace("seed: 2}", "seed: 2.5}"), [], "graph.sbm.seed must be an integer, got 2.5"),
         (SMALL_SBM.replace("p_in: 0.5", "p_in: high"), [], "graph.sbm.p_in must be a number, got 'high'"),
         (SMALL_SBM.replace("p_out: 0.05", "p_out: true"), [], "graph.sbm.p_out must be a number, got True"),
+        (SMALL_SBM.replace("p_in: 0.5, p_out: 0.05", "p_in: 0.0, p_out: 0.0"), [], "graph.sbm drew no edges"),
     ],
     ids=[
-        "missing-file", "unknown-key", "yaml-syntax", "p-out-of-range", "p-not-a-number",
+        "missing-file", "unknown-key", "yaml-syntax", "p-out-of-range", "p-not-a-number", "p-duplicate",
         "proportions-not-a-list", "repetitions-not-an-int", "model-key-typo", "predictor-key-typo",
         "model-v-unknown", "graph-key-typo", "clustering-key-typo", "sbm-key-typo",
         "ridge-lambda-not-a-number", "ridge-lambda-negative", "ridge-lambda-nan", "ridge-lambda-bool",
@@ -610,7 +732,7 @@ SMALL_SBM = (
         "beta-a-string", "beta-a-bool", "sigma-a-string", "v-seed-a-float",
         "max-hop-a-bool", "max-hop-a-float", "max-hop-a-string",
         "sbm-communities-a-string", "sbm-communities-a-float", "sbm-size-a-bool", "sbm-seed-a-float",
-        "sbm-p-in-a-string", "sbm-p-out-a-bool",
+        "sbm-p-in-a-string", "sbm-p-out-a-bool", "sbm-edgeless",
     ],
 )
 def test_cli_run_bad_config_is_a_usage_error(tmp_path, capsys, config_text, flags, message):
