@@ -79,20 +79,20 @@ class Assignment:
         Read exactly off P z: (P z)_i is the k_i-th partial sum of fl(1/d_i)
         for k_i treated neighbors, and these sums strictly increase from 0 at
         k_i = 0 to P 1 at k_i = d_i."""
-        table, offset = self.graph.share_table()
+        table, offset = self.graph.share_table
         z, pz = self.z, self.pz
         return (z == 1) & (pz == table[offset + self.graph.degrees]), (z == 0) & (pz == 0)
 
     @cached_property
     def pz(self) -> np.ndarray:
         if self._drawn_bits is None:
-            return self.graph.row_normalized() @ self.z
-        table, offset = self.graph.share_table()
+            return self.graph.row_normalized @ self.z
+        table, offset = self.graph.share_table
         return table[offset + self.partition.neighbor_counts @ self._drawn_bits]
 
     @cached_property
     def p2z(self) -> np.ndarray:
-        return self.graph.row_normalized() @ self.pz
+        return self.graph.row_normalized @ self.pz
 
 
 def as_assignment(g: Graph, z: np.ndarray | Assignment, p_part: Partition | None = None) -> Assignment:

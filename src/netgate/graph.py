@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import io
 import math
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable
 
@@ -51,10 +52,6 @@ class Graph:
             arr.setflags(write=False)
         if self.labels is not None:
             self.labels.setflags(write=False)
-        self._adjacency: sp.csr_matrix | None = None
-        self._row_normalized: sp.csr_matrix | None = None
-        self._share_table: tuple[np.ndarray, np.ndarray] | None = None
-        self._diag_p2: np.ndarray | None = None
 
     @property
     def node_count(self) -> int:
@@ -72,83 +69,66 @@ class Graph:
         return np.column_stack([u[keep], v[keep]])
 
     def adjacency(self) -> sp.csr_matrix:
-        """0/1 adjacency matrix (cached)."""
-        if self._adjacency is None:
-            n = self.node_count
-            data = np.ones(len(self.indices), dtype=np.float64)
-            self._adjacency = sp.csr_matrix(
-                (data, self.indices, self.indptr), shape=(n, n)
-            )
-        return self._adjacency
+        """0/1 adjacency matrix."""
+        n = self.node_count
+        return sp.csr_matrix((np.ones(len(self.indices)), self.indices, self.indptr), shape=(n, n))
 
+    @cached_property
     def row_normalized(self) -> sp.csr_matrix:
-        """Random-walk matrix P = D^-1 A, zero rows on isolated nodes (cached)."""
-        if self._row_normalized is None:
-            n = self.node_count
-            inv_deg = np.zeros(n)
-            nz = self.degrees > 0
-            inv_deg[nz] = 1.0 / self.degrees[nz]
-            data = np.repeat(inv_deg, self.degrees)
-            self._row_normalized = sp.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
-        return self._row_normalized
+        """Random-walk matrix P = D^-1 A, zero rows on isolated nodes."""
+        n = self.node_count
+        data = 1.0 / np.repeat(self.degrees, self.degrees)  # every CSR entry's row has degree >= 1
+        return sp.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
 
+    @cached_property
     def share_table(self) -> tuple[np.ndarray, np.ndarray]:
         """(table, offset) with (P z)_i == table[offset[i] + k_i] bit for bit for
-        any 0/1 vector z that treats k_i of node i's neighbors (cached, read-only).
+        any 0/1 vector z that treats k_i of node i's neighbors (read-only).
 
         P z adds fl(1/d_i) once per treated neighbor, in index order, so the
         d_i + 1 entries from offset[i] are the sequential partial sums of
         fl(1/d_i), from 0 up to P 1 = table[offset + degrees]; nodes of one
         degree share them. The table holds at most nnz + n floats."""
-        if self._share_table is None:
-            degrees = _sorted_unique(self.degrees)
-            starts = np.zeros(len(degrees), dtype=np.int64)
-            np.cumsum(degrees[:-1] + 1, out=starts[1:])
-            table = np.zeros(int(starts[-1] + degrees[-1]) + 1)
-            for d, start in zip(degrees.tolist(), starts.tolist()):
-                if d:
-                    np.cumsum(np.full(d, 1.0 / d), out=table[start + 1 : start + d + 1])
-            offset = starts[np.searchsorted(degrees, self.degrees)]
-            for arr in (table, offset):
-                arr.setflags(write=False)
-            self._share_table = table, offset
-        return self._share_table
+        degrees = _sorted_unique(self.degrees)
+        starts = np.zeros(len(degrees), dtype=np.int64)
+        np.cumsum(degrees[:-1] + 1, out=starts[1:])
+        table = np.zeros(int(starts[-1] + degrees[-1]) + 1)
+        for d, start in zip(degrees.tolist(), starts.tolist()):
+            if d:
+                np.cumsum(np.full(d, 1.0 / d), out=table[start + 1 : start + d + 1])
+        offset = starts[np.searchsorted(degrees, self.degrees)]
+        for arr in (table, offset):
+            arr.setflags(write=False)
+        return table, offset
 
+    @cached_property
     def diag_p_squared(self) -> np.ndarray:
-        """diag((D^-1 A)^2): sum over neighbors j of 1/(deg_i deg_j) (cached)."""
-        if self._diag_p2 is None:
-            deg = self.degrees.astype(np.float64)
-            row = np.repeat(np.arange(self.node_count), self.degrees)
-            vals = np.zeros(len(self.indices))
-            nz = deg[row] > 0  # indices rows are nonempty by construction
-            vals[nz] = 1.0 / (deg[row[nz]] * deg[self.indices[nz]])
-            self._diag_p2 = np.bincount(row, weights=vals, minlength=self.node_count)
-            self._diag_p2.setflags(write=False)
-        return self._diag_p2
+        """diag((D^-1 A)^2): sum over neighbors j of 1/(deg_i deg_j) (read-only).
+        Every CSR entry's row and column have degree >= 1."""
+        deg = self.degrees.astype(np.float64)
+        row = np.repeat(np.arange(self.node_count), self.degrees)
+        diag = np.bincount(row, weights=1.0 / (deg[row] * deg[self.indices]), minlength=self.node_count)
+        diag.setflags(write=False)
+        return diag
 
 
-def from_edges(
-    u: np.ndarray,
-    v: np.ndarray,
-    node_count: int,
-    labels: np.ndarray | None = None,
-    dropped_self_loops: int = 0,
-    dropped_duplicates: int = 0,
-) -> Graph:
-    """Build a Graph from parallel endpoint arrays already relabeled to 0..n-1.
-
-    Self-loops and duplicates must have been removed by the caller.
-    """
+def from_edges(u: np.ndarray, v: np.ndarray, node_count: int, labels: np.ndarray | None = None) -> Graph:
+    """Build a simple Graph from parallel endpoint arrays already relabeled to
+    0..n-1. Self-loops and edges repeated in either direction are dropped, and
+    the Graph counts both."""
     if node_count <= 0:
         raise EdgeListFormatError("empty graph")
     u = np.asarray(u, dtype=np.int64)
     v = np.asarray(v, dtype=np.int64)
-    # one sort of the directed keys src*n + dst puts both halves in CSR order
-    keys = np.sort(np.concatenate([u * node_count + v, v * node_count + u]))
+    loops = u == v
+    u, v = u[~loops], v[~loops]
+    # one sort of the directed keys src*n + dst puts both halves in CSR order; an
+    # edge repeated in either direction repeats both of its keys
+    keys = _sorted_unique(np.concatenate([u * node_count + v, v * node_count + u]))
     src, dst = np.divmod(keys, node_count)
     indptr = np.zeros(node_count + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=node_count), out=indptr[1:])
-    return Graph(indptr, dst, labels, dropped_self_loops, dropped_duplicates)
+    return Graph(indptr, dst, labels, int(loops.sum()), len(u) - len(keys) // 2)
 
 
 def _sorted_unique(a: np.ndarray) -> np.ndarray:
@@ -159,19 +139,9 @@ def _sorted_unique(a: np.ndarray) -> np.ndarray:
     return a[keep]
 
 
-def _dedupe_edges(u: np.ndarray, v: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """Drop self-loops and duplicate undirected edges over nodes 0..n-1, counting each."""
-    loops = u == v
-    n_loops = int(loops.sum())
-    u, v = u[~loops], v[~loops]
-    keys = _sorted_unique(np.minimum(u, v) * n + np.maximum(u, v))
-    lo, hi = np.divmod(keys, n)
-    return lo, hi, n_loops, len(u) - len(keys)
-
-
 _INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 _MAX_DIGITS = 18  # any run of at most 18 decimal digits fits in int64
-_MAX_NODES = math.isqrt(_INT64_MAX)  # edge keys lo*n + hi must fit in int64
+_MAX_NODES = math.isqrt(_INT64_MAX)  # edge keys src*n + dst must fit in int64
 
 # byte classes of an edge-list body the bulk parser accepts; every other byte is 0
 _DIGIT, _SPACE, _NEWLINE = 1, 2, 3
@@ -348,10 +318,10 @@ def load_edge_list(path: str | Path, fmt: str = "auto") -> Graph:
         u = np.searchsorted(labels, u)
         v = np.searchsorted(labels, v)
 
-    u, v, n_loops, n_dups = _dedupe_edges(u, v, n)
-    if len(u) == 0:
+    g = from_edges(u, v, n, labels)
+    if g.edge_count == 0:
         raise EdgeListFormatError("empty graph: all edges were self-loops")
-    return from_edges(u, v, n, labels, n_loops, n_dups)
+    return g
 
 
 class Partition:

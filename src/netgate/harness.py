@@ -95,8 +95,7 @@ class ExperimentConfig:
         # checked against the builders' signatures here, before anything loads
         if "sbm" in self.graph:
             _check_spec("graph.sbm", sbm.generate, self.graph["sbm"])
-        build, spec = _model_builder(self.model)
-        _check_spec("model", build, spec, None, p_part=None)  # stand-ins for the graph and partition
+        _model_arguments(self)
         max_hop = self.predictor.get("max_hop", 2)
         if isinstance(max_hop, bool) or not isinstance(max_hop, numbers.Integral) or max_hop not in (1, 2):
             raise ValueError(f"predictor.max_hop must be the integer 1 or 2, got {max_hop!r}")
@@ -161,18 +160,18 @@ class ExperimentConfig:
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
-def _check_spec(section: str, build, spec: dict, *args, **kwargs) -> None:
-    """Raise a ValueError unless build(*args, **kwargs, **spec) binds, reading only
-    build's signature: a misspelt or missing key fails, and any key passes a
-    builder that takes **kwargs. A key annotated float must be a real number, and
-    one annotated int an integer (a bool is neither)."""
+def _check_spec(section: str, build, spec: dict, *args, **kwargs) -> dict:
+    """build(*args, **kwargs, **spec)'s arguments with its defaults applied, read
+    only from build's signature, or a ValueError: a misspelt or missing key fails,
+    and any key passes a builder that takes **kwargs. A key annotated float must be
+    a real number, and one annotated int an integer (a bool is neither)."""
     if not isinstance(spec, dict):
         raise ValueError(f"{section} must be a mapping, got {spec!r}")
     signature = inspect.signature(build, eval_str=True)
     try:
         # a spec key that repeats one of kwargs is left to the call to reject
         signature.bind_partial(*args, **{**kwargs, **spec})  # names an unknown key before a missing one
-        signature.bind(*args, **{**kwargs, **spec})
+        bound = signature.bind(*args, **{**kwargs, **spec})
     except TypeError as exc:
         raise ValueError(f"{section}: {build.__name__}() {exc}") from exc
     for key, value in spec.items():
@@ -180,6 +179,8 @@ def _check_spec(section: str, build, spec: dict, *args, **kwargs) -> None:
         for kind, number, what in ((float, numbers.Real, "a number"), (int, numbers.Integral, "an integer")):
             if annotation is kind and (isinstance(value, bool) or not isinstance(value, number)):
                 raise ValueError(f"{section}.{key} must be {what}, got {value!r}")
+    bound.apply_defaults()
+    return bound.arguments
 
 
 def _from_spec(section: str, build, spec: dict, *args, **kwargs):
@@ -244,6 +245,12 @@ def _model_builder(section: dict):
     if not isinstance(kind, str) or kind not in builders:
         raise ValueError(f"unknown model kind {kind!r}")
     return builders[kind], spec
+
+
+def _model_arguments(config: ExperimentConfig) -> dict:
+    """The model builder's arguments with its defaults, None for the graph and partition."""
+    build, spec = _model_builder(config.model)
+    return _check_spec("model", build, spec, None, p_part=None)
 
 
 def build_model(config: ExperimentConfig, g: Graph, p_part: Partition) -> OutcomeModel:
@@ -338,13 +345,15 @@ class _SimulationState:
             for name in pspec.get("covariates", ["degree"])
         }
         self.mask = ~p_part.interior_mask if pspec.get("training_mask") == "boundary" else None
+        if self.needs_predictor and self.mask is not None and not self.mask.any():
+            raise ValueError("predictor.training_mask 'boundary': the partition has no boundary node")
         self.basis = predictor.FeatureBasis(g, covariates, pspec.get("max_hop", 2))
         self.f1 = self.basis.at(np.ones(g.node_count))
         self.f0 = self.basis.at(np.zeros(g.node_count))
         # fitted interaction coefficient tracked for the bias-law checks
         self.tracked_column = None
         if isinstance(model, PartialLinearModel):
-            column = f"{config.model.get('u', 'degree')}*z"
+            column = f"{_model_arguments(config)['u']}*z"
             if column in self.basis.names:
                 self.tracked_column = column
 
@@ -539,17 +548,16 @@ def verify_theorem2(config: ExperimentConfig) -> Theorem2Report:
         raise ValueError("theorem verification targets the gate estimand")
     if not {"MII", "AMII"} <= {n.upper() for n in config.estimators}:
         raise ValueError("theorem verification needs MII and AMII estimators")
-    u_name = config.model.get("u", "degree")
+    arguments = _model_arguments(config)
+    u_name = arguments["u"]
     if u_name not in config.predictor.get("covariates", ["degree"]):
         raise ValueError(f"predictor covariates must include {u_name!r} for the u*z column")
 
     g = build_graph(config)
     p_part, _ = build_partition(config, g)
     report = run(config, g, p_part)
-    model = build_model(config, g, p_part)
-    assert isinstance(model, PartialLinearModel)
-    gap = outcomes.interior_mean_gap(model, p_part)
-    alpha = model.alpha
+    gap = outcomes.interior_mean_gap(outcomes.covariate_vector(u_name, g, p_part), p_part)
+    alpha = float(arguments["alpha"])
 
     agg = {(c.estimator, c.p): c for c in report.cells}
     cells = []

@@ -81,7 +81,7 @@ class LinearTwoHopModel(OutcomeModel):
             interaction = np.zeros(g.node_count)
         self.interaction = np.asarray(interaction, dtype=np.float64)
         self.interaction.setflags(write=False)
-        self._diag_p2 = g.diag_p_squared() if r2 != 0.0 else None
+        self._diag_p2 = g.diag_p_squared if r2 != 0.0 else None
 
     def potential(self, z: np.ndarray | Assignment) -> np.ndarray:
         a = as_assignment(self.graph, z)
@@ -177,9 +177,9 @@ def global_treatment_mean(model: OutcomeModel) -> float:
     return float(np.mean(model.potential(np.ones(model.graph.node_count))))
 
 
-def interior_mean_gap(model: PartialLinearModel, p_part: Partition) -> float:
-    """mu_Int - mu for the model's interacted covariate u."""
+def interior_mean_gap(u: np.ndarray, p_part: Partition) -> float:
+    """mu_Int - mu for a per-node covariate u, such as a model's interacted one."""
     interior = p_part.interior_mask
     if not interior.any():
         raise ValueError("partition has an empty interior set")
-    return float(model.u[interior].mean() - model.u.mean())
+    return float(u[interior].mean() - u.mean())

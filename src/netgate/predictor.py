@@ -43,7 +43,7 @@ class FeatureBasis:
         for name, vec in covariates.items():
             if np.asarray(vec).shape != (n,):
                 raise ValueError(f"covariate {name!r} length mismatch")
-        p = g.row_normalized()
+        p = g.row_normalized
         self._graph = g
         self._two_hop = max_hop == 2
         self._ones = np.ones(n)

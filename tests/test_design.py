@@ -176,7 +176,7 @@ def test_assignment_products_match_direct_products(gp, data):
     bits = data.draw(st.lists(st.booleans(), min_size=g.node_count, max_size=g.node_count))
     z = np.array(bits, dtype=np.int8)
     a = design.Assignment(g, z)
-    p_mat = g.row_normalized()
+    p_mat = g.row_normalized
     zf = z.astype(np.float64)
     assert a.pz.tobytes() == (p_mat @ zf).tobytes()
     assert a.p2z.tobytes() == (p_mat @ (p_mat @ zf)).tobytes()
@@ -277,7 +277,7 @@ def test_drawn_record_reads_pz_off_cluster_counts_bit_for_bit(case):
     assert np.array_equal(part.neighbor_counts.toarray(), adjacency @ one_hot)
     z = design.expand(part, t)
     a = design.Assignment(g, z, part, t)
-    p_mat = g.row_normalized()
+    p_mat = g.row_normalized
     zf = z.astype(np.float64)
     assert a.pz.tobytes() == (p_mat @ zf).tobytes()
     assert a.p2z.tobytes() == (p_mat @ (p_mat @ zf)).tobytes()

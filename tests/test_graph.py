@@ -184,13 +184,10 @@ def graph_and_clusters(draw):
     n = draw(st.integers(min_value=2, max_value=25))
     pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
     edges = draw(st.lists(pairs, min_size=1, max_size=60))
-    u = np.array([min(a, b) for a, b in edges])
-    v = np.array([max(a, b) for a, b in edges])
-    u, v = u[u != v], v[u != v]
-    if len(u) == 0:
-        u, v = np.array([0]), np.array([1])
-    pairs_arr = np.unique(np.column_stack([u, v]), axis=0)
-    g = from_edges(pairs_arr[:, 0], pairs_arr[:, 1], n)
+    u, v = np.array(edges).T
+    g = from_edges(u, v, n)  # drops the self-loops and repeats
+    if g.edge_count == 0:
+        g = from_edges(np.array([0]), np.array([1]), n)
     k = draw(st.integers(min_value=1, max_value=n))
     raw = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
     _, dense = np.unique(np.array(raw), return_inverse=True)
@@ -225,6 +222,55 @@ def test_edge_list_roundtrip(temp_file, gc):
     for old in keep:
         expect = sorted(remap[int(j)] for j in neighbors(g, int(old)))
         assert neighbors(g2, remap[int(old)]).tolist() == expect
+
+
+def _dedupe_then_build(u, v, n):
+    """Reference of the two-step construction: drop self-loops and dedupe the
+    undirected keys min*n + max, then sort both directed halves of the unique
+    pairs into CSR order. Returns indptr, indices and the two drop counts."""
+    loops = u == v
+    u, v = u[~loops], v[~loops]
+    keys = np.unique(np.minimum(u, v) * n + np.maximum(u, v))
+    lo, hi = np.divmod(keys, n)
+    src, dst = np.divmod(np.sort(np.concatenate([lo * n + hi, hi * n + lo])), n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return indptr, dst, int(loops.sum()), len(u) - len(keys)
+
+
+@st.composite
+def endpoint_lists(draw):
+    """Endpoints over n nodes (some isolated, possibly no edge at all) with
+    self-loops and edges repeated in either direction, in any order."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    node = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(node, node), max_size=30))
+    if pairs:
+        repeats = draw(st.lists(st.tuples(st.sampled_from(pairs), st.booleans()), max_size=15))
+        pairs += [(b, a) if flip else (a, b) for (a, b), flip in repeats]
+    pairs += [(i, i) for i in draw(st.lists(node, max_size=4))]
+    pairs = draw(st.permutations(pairs))
+    u = np.array([a for a, _ in pairs], dtype=np.int64)
+    v = np.array([b for _, b in pairs], dtype=np.int64)
+    return u, v, n
+
+
+@given(endpoint_lists())
+@settings(max_examples=150, deadline=None)
+def test_from_edges_matches_dedupe_then_build(edges):
+    u, v, n = edges
+    g = from_edges(u, v, n)
+    indptr, indices, loops, duplicates = _dedupe_then_build(u, v, n)
+    assert g.indptr.tobytes() == indptr.tobytes()
+    assert g.indices.tobytes() == indices.tobytes()
+    assert (g.dropped_self_loops, g.dropped_duplicates) == (loops, duplicates)
+    # dense P = D^-1 A with zero rows on isolated nodes
+    a = np.zeros((n, n))
+    a[np.repeat(np.arange(n), np.diff(indptr)), indices] = 1.0
+    deg = a.sum(axis=1)
+    p = a / np.where(deg > 0, deg, 1.0)[:, None]
+    assert np.array_equal(g.row_normalized.toarray(), p)
+    assert np.allclose(g.diag_p_squared, np.diag(p @ p), rtol=0.0, atol=1e-12)
 
 
 def test_load_label_beyond_int64_reports_line_number(temp_file):

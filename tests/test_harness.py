@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import multiprocessing
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import netgate
-from netgate import cli, community, harness, sbm
+from netgate import cli, community, harness, outcomes, predictor, sbm
 from netgate.estimators import ESTIMATOR_NAMES
 from netgate.graph import decompose
 from netgate.harness import (
@@ -73,8 +74,8 @@ def test_run_cell_multiplies_by_each_sparse_matrix_once(monkeypatch, r2):
             calls.append("row_normalized")
             return self.matrix @ v
 
-    wrapped, adjacency = Counting(g.row_normalized()), g.adjacency()
-    monkeypatch.setattr(g, "row_normalized", lambda: wrapped)
+    wrapped, adjacency = Counting(g.row_normalized), g.adjacency()
+    monkeypatch.setattr(g, "row_normalized", wrapped)
     monkeypatch.setattr(g, "adjacency", lambda: calls.append("adjacency") or adjacency)
     state = _SimulationState(cfg, g, part, build_model(cfg, g, part))
     assert "adjacency" not in calls
@@ -506,6 +507,28 @@ def test_verify_theorem2_bias_law_is_response_agnostic(h):
     assert abs(cell.empirical_mii_bias - report.interior_mean_gap) <= 3 * cell.mii_se
 
 
+def test_verify_theorem2_builds_the_model_once(monkeypatch):
+    """The bias law reads alpha and u from the builder's bound arguments, with
+    its defaults applied, instead of building the model a second time."""
+    built = []
+    build = outcomes.partial_linear
+
+    @functools.wraps(build)
+    def counting(*args, **kwargs):
+        built.append(kwargs)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(outcomes, "partial_linear", counting)
+    cfg = theorem2_config(alpha=0.5, sigma=2.0, reps=40)
+    report = verify_theorem2(cfg)
+    assert len(built) == 1
+    g = build_graph(cfg)
+    part, _ = build_partition(cfg, g)
+    model = build(g, **{k: v for k, v in cfg.model.items() if k != "kind"}, p_part=part)
+    assert report.alpha == model.alpha == 0.5
+    assert report.interior_mean_gap == outcomes.interior_mean_gap(model.u, part)
+
+
 def test_verify_theorem2_requires_matching_covariate():
     cfg = theorem2_config(alpha=1.0, sigma=2.0)
     cfg.predictor["covariates"] = ["clusters"]
@@ -744,6 +767,33 @@ def test_cli_run_bad_config_is_a_usage_error(tmp_path, capsys, config_text, flag
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert not (tmp_path / "o").exists()
+
+
+def test_boundary_training_mask_without_boundary_nodes_fails_before_the_table(monkeypatch, tmp_path, capsys):
+    """One SBM block as the one cluster leaves every node interior, so a
+    boundary-trained predictor has no row to fit: the run names the setting
+    before any cell, and a table without GNN or AMII still runs."""
+    spec = dict(
+        graph={"sbm": {"communities": 1, "size": 30, "p_in": 0.3, "p_out": 0.0, "seed": 5}},
+        clustering={"blocks": True},
+        predictor={"training_mask": "boundary"},
+        estimators=["DIM", "GNN"],
+        repetitions=3,
+    )
+    fits = []
+    monkeypatch.setattr(predictor, "fit", lambda *args, **kwargs: fits.append(args))
+    message = "predictor.training_mask 'boundary': the partition has no boundary node"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run(ExperimentConfig.from_dict(spec))
+    cfg_path = tmp_path / "one_block.yaml"
+    cfg_path.write_text(yaml.safe_dump(spec), encoding="utf-8")
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert fits == []
+    cfg = ExperimentConfig.from_dict({**spec, "estimators": ["DIM", "MII"]})
+    report = run(cfg)
+    assert [(c.estimator, c.p) for c in report.cells] == [(n, p) for n in ("DIM", "MII") for p in cfg.proportions]
 
 
 def test_cli_stats_bad_gamma_is_a_usage_error(tmp_path, capsys):

@@ -143,14 +143,14 @@ def test_nia_partial_linear_model(toy_graph):
 
 def test_interior_mean_gap_constant_u(toy_graph, toy_partition):
     model = PartialLinearModel(toy_graph, 1.0, 1.0, u=np.ones(9), sigma=0.0)
-    assert interior_mean_gap(model, toy_partition) == 0.0
+    assert interior_mean_gap(model.u, toy_partition) == 0.0
 
 
 def test_interior_mean_gap_touch_counts(toy_graph, toy_partition):
     model = PartialLinearModel(
         toy_graph, 1.0, 1.0, u=toy_partition.touch_counts.astype(float), sigma=0.0
     )
-    assert interior_mean_gap(model, toy_partition) == pytest.approx(1.0 - 5.0 / 3.0)
+    assert interior_mean_gap(model.u, toy_partition) == pytest.approx(1.0 - 5.0 / 3.0)
 
 
 def test_interior_mean_gap_empty_interior():
@@ -161,7 +161,7 @@ def test_interior_mean_gap_empty_interior():
     assert not part.interior_mask.any()
     model = PartialLinearModel(g, 1.0, 1.0, u=np.ones(5), sigma=0.0)
     with pytest.raises(ValueError):
-        interior_mean_gap(model, part)
+        interior_mean_gap(model.u, part)
 
 
 def test_partial_linear_h_families(toy_graph):
@@ -183,7 +183,7 @@ def test_interior_degree_gap_is_negative_on_real_network(stanford3, stanford3_pa
     model = PartialLinearModel(
         stanford3, 1.0, 1.0, u=covariate_vector("degree", stanford3), sigma=0.0
     )
-    assert interior_mean_gap(model, part) < 0
+    assert interior_mean_gap(model.u, part) < 0
 
 
 def test_model_rejects_bad_params(toy_graph):

@@ -1,6 +1,8 @@
 """perfbench's traced replay calls the package's public entry points and must
 reproduce `harness.run` bit for bit; removing or re-signing one of them
-fails here instead of turning a per-layer benchmark metric absent."""
+fails here instead of turning a per-layer benchmark metric absent. The
+report must also pass perfbench's correctness gate, which would otherwise
+count the run as failed."""
 
 import sys
 from pathlib import Path
@@ -13,7 +15,7 @@ ROOT = Path(__file__).resolve().parent.parent
 if str(ROOT) not in sys.path:
     sys.path.insert(0, str(ROOT))
 
-from perfbench import bench, tracing  # noqa: E402
+from perfbench import bench, gate, tracing  # noqa: E402
 
 
 def test_replay_finds_every_entry_point_and_repeats_the_run():
@@ -36,4 +38,6 @@ def test_replay_finds_every_entry_point_and_repeats_the_run():
     assert replay["probe_errors"] == {}
     for name, values in replay["values"].items():
         assert np.isfinite(values).any(), name
-    assert bench.compare_estimates(replay["values"], harness.run(config, g, part), config) == []
+    report = harness.run(config, g, part)
+    assert bench.compare_estimates(replay["values"], report, config) == []
+    assert gate.check_invariants(report, config, g, part) == []

@@ -56,7 +56,7 @@ def test_feature_names_pin_column_order(toy_graph, toy_partition):
 
 def reference_features(g, z, covariates, max_hop):
     """Every column rebuilt from scratch, in the documented order."""
-    p = g.row_normalized()
+    p = g.row_normalized
     z = np.asarray(z, dtype=np.float64)
     us = [np.asarray(v, dtype=np.float64) for v in covariates.values()]
     cols = [np.ones(g.node_count), z, *us, *(u * z for u in us), p @ z, *(p @ u for u in us)]
