@@ -11,7 +11,7 @@ import io
 import math
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Literal, get_args
 
 import numpy as np
 import scipy.sparse as sp
@@ -142,6 +142,7 @@ def _sorted_unique(a: np.ndarray) -> np.ndarray:
 _INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 _MAX_DIGITS = 18  # any run of at most 18 decimal digits fits in int64
 _MAX_NODES = math.isqrt(_INT64_MAX)  # edge keys src*n + dst must fit in int64
+EdgeFormat = Literal["auto", "plain-edge-list", "matrix-market"]  # the fmt values load_edge_list reads
 
 # byte classes of an edge-list body the bulk parser accepts; every other byte is 0
 _DIGIT, _SPACE, _NEWLINE = 1, 2, 3
@@ -268,7 +269,7 @@ def _bulk_parse(data: bytes, fmt: str) -> tuple[np.ndarray, np.ndarray, tuple | 
     return u, v, mm_size
 
 
-def load_edge_list(path: str | Path, fmt: str = "auto") -> Graph:
+def load_edge_list(path: str | Path, fmt: EdgeFormat = "auto") -> Graph:
     """Load an undirected graph from a plain edge list or MatrixMarket file.
 
     Plain format: whitespace-separated "u v" lines, '#' or '%' comments; any
@@ -287,7 +288,7 @@ def load_edge_list(path: str | Path, fmt: str = "auto") -> Graph:
     unsigned integers is parsed in one numpy call; any other file goes
     through the line loop, which also names the line of a malformed entry.
     """
-    if fmt not in ("auto", "plain-edge-list", "matrix-market"):
+    if fmt not in get_args(EdgeFormat):
         raise ValueError(f"unknown format: {fmt!r}")
 
     data = Path(path).read_bytes()
@@ -332,10 +333,11 @@ class Partition:
     iff every neighbor of i shares i's cluster. neighbor_counts is the sparse
     node-by-cluster matrix N whose entry (i, j) counts i's neighbors in
     cluster j (CSC, read-only), so N t counts each node's treated neighbors
-    under cluster bits t.
+    under cluster bits t. graph is the Graph it was decomposed on.
     """
 
-    def __init__(self, cluster_of: np.ndarray, touch_counts: np.ndarray, neighbor_counts: sp.csc_matrix):
+    def __init__(self, cluster_of: np.ndarray, touch_counts: np.ndarray, neighbor_counts: sp.csc_matrix, graph: Graph):
+        self.graph = graph
         self.cluster_of = np.asarray(cluster_of, dtype=np.int64)
         self.touch_counts = np.asarray(touch_counts, dtype=np.int64)
         self.interior_mask = self.touch_counts == 1
@@ -392,7 +394,7 @@ def decompose(g: Graph, cluster_of: np.ndarray) -> Partition:
     indptr = np.zeros(k + 1, dtype=np.int64)
     np.cumsum(np.bincount(cluster[linked], minlength=k), out=indptr[1:])
     neighbor_counts = sp.csc_matrix((counts[linked], node[linked], indptr), shape=(n, k))
-    return Partition(cluster_of, touch, neighbor_counts)
+    return Partition(cluster_of, touch, neighbor_counts, g)
 
 
 def write_partition(p: Partition, path: str | Path) -> None:

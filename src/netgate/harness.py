@@ -7,6 +7,7 @@ identical for any execution order or number of worker processes (fork).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import inspect
 import io
@@ -15,30 +16,26 @@ import numbers
 import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, Literal, get_args, get_origin, get_type_hints
 
 import numpy as np
 import yaml
 
 from . import __version__, community, design, estimators, outcomes, predictor, sbm
-from .graph import Graph, Partition, decompose, load_edge_list, read_partition
-from .outcomes import OutcomeModel, PartialLinearModel
+from .graph import EdgeFormat, Graph, Partition, decompose, load_edge_list, read_partition
+from .outcomes import Covariate, OutcomeModel, PartialLinearModel
 
 # a table is split into this many spans of repetitions per worker, to balance the load
 SPANS_PER_WORKER = 4
 TRUTHS = {"gate": outcomes.true_gate, "global_treatment_mean": outcomes.global_treatment_mean}
-# key -> (type, description); a bool counts as neither number nor integer
-CLUSTERING_TYPES = {
-    "gamma": (numbers.Real, "a number"),
-    "seed": (numbers.Integral, "an integer"),
-    "partition": (str, "a path string"),
-    "blocks": (bool, "a boolean"),
+# what each key of the graph, clustering and predictor sections may be (see _fits)
+SECTION_KINDS = {
+    "graph": {"path": str, "format": EdgeFormat, "sbm": dict},
+    "clustering": {"gamma": float, "seed": int, "partition": str, "blocks": bool},
+    "predictor": {"max_hop": Literal[1, 2], "ridge_lambda": float | None,
+                  "training_mask": Literal["full", "boundary"], "covariates": list[Covariate]},
 }
-SECTION_KEYS = {
-    "graph": {"path", "format", "sbm"},
-    "clustering": set(CLUSTERING_TYPES),
-    "predictor": {"max_hop", "ridge_lambda", "training_mask", "covariates"},
-}
+PREDICTOR_DEFAULTS = {"max_hop": 2, "ridge_lambda": None, "training_mask": "full", "covariates": ["degree"]}
 
 
 @dataclass
@@ -52,57 +49,38 @@ class ExperimentConfig:
 
     graph: dict = field(default_factory=dict)
     clustering: dict = field(default_factory=dict)
-    proportions: list = field(default_factory=lambda: [0.1, 0.3, 0.5])
+    proportions: list[float] = field(default_factory=lambda: [0.1, 0.3, 0.5])
     model: dict = field(default_factory=dict)
     predictor: dict = field(default_factory=dict)
-    estimators: list = field(default_factory=lambda: list(estimators.ESTIMATOR_NAMES))
+    estimators: list[str] = field(default_factory=lambda: list(estimators.ESTIMATOR_NAMES))
     repetitions: int = 1000
     master_seed: int = 0
-    truth: str = "global_treatment_mean"
+    truth: Literal[tuple(TRUTHS)] = "global_treatment_mean"
     threads: int = 1
     verbose: bool = False
 
     def validate(self) -> None:
-        for name in ("graph", "clustering", "model", "predictor"):
-            if not isinstance(getattr(self, name), dict):
-                raise ValueError(f"{name} must be a mapping")
-        for name in ("repetitions", "master_seed", "threads"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        for name, kind, what in (("proportions", numbers.Real, "numbers"), ("estimators", str, "names")):
-            items = getattr(self, name)
-            if not isinstance(items, list) or not all(isinstance(x, kind) for x in items):
-                raise ValueError(f"{name} must be a list of {what}, got {items!r}")
-        for name, keys in SECTION_KEYS.items():
-            unknown = set(getattr(self, name)) - keys
-            if unknown:
-                raise ValueError(f"unknown {name} keys: {sorted(unknown)}")
-        for key, value in self.clustering.items():  # every key is known by now
-            kind, what = CLUSTERING_TYPES[key]
-            if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
-                raise ValueError(f"clustering.{key} must be {what}, got {value!r}")
+        _check_spec("", _FIELD_KINDS, vars(self))
+        for name, kinds in SECTION_KINDS.items():
+            _check_spec(name, kinds, getattr(self, name))
         # an absent graph or clustering section may still come from a command-line override
         if self.clustering:
             _clustering_info(self)
         sources = [key for key in ("path", "sbm") if key in self.graph]
         if len(sources) > 1 or ("format" in self.graph and sources != ["path"]):
             raise ValueError(f"graph takes 'path' (and optionally 'format') or 'sbm', got {sorted(self.graph)}")
-        for section, key in (("predictor", "covariates"), ("model", "interaction")):
-            names = getattr(self, section).get(key, [])
-            if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
-                raise ValueError(f"{section}.{key} must be a list of names, got {names!r}")
         # checked against the builders' signatures here, before anything loads
         if "sbm" in self.graph:
-            _check_spec("graph.sbm", sbm.generate, self.graph["sbm"])
+            _arguments("graph.sbm", sbm.generate, self.graph["sbm"])
         _model_arguments(self)
-        max_hop = self.predictor.get("max_hop", 2)
-        if isinstance(max_hop, bool) or not isinstance(max_hop, numbers.Integral) or max_hop not in (1, 2):
-            raise ValueError(f"predictor.max_hop must be the integer 1 or 2, got {max_hop!r}")
-        if self.predictor.get("training_mask", "full") not in ("full", "boundary"):
-            raise ValueError("predictor.training_mask must be 'full' or 'boundary'")
-        lam = self.predictor.get("ridge_lambda")
-        if lam is not None and (isinstance(lam, bool) or not isinstance(lam, numbers.Real) or not 0 <= lam < np.inf):
+        seeds = {"master_seed": self.master_seed, "clustering.seed": self.clustering.get("seed", 0),
+                 "graph.sbm.seed": self.graph.get("sbm", {}).get("seed", 0),
+                 "model.v_seed": self.model.get("v_seed", 0)}
+        for key, seed in seeds.items():
+            if seed < 0:
+                raise ValueError(f"{key} must be a non-negative integer, got {seed!r}")
+        lam = {**PREDICTOR_DEFAULTS, **self.predictor}["ridge_lambda"]
+        if lam is not None and not 0 <= lam < np.inf:
             raise ValueError(f"predictor.ridge_lambda must be null or a finite number >= 0, got {lam!r}")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
@@ -117,8 +95,6 @@ class ExperimentConfig:
                 raise ValueError(f"treatment proportion {p} outside (0,1)")
             if p_keys[i] in p_keys[:i]:
                 raise ValueError(f"duplicate treatment proportion {p} (equal to 12 significant digits)")
-        if self.truth not in TRUTHS:
-            raise ValueError(f"truth must be one of {tuple(TRUTHS)}")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
         keys = [name.upper() for name in self.estimators]
@@ -127,8 +103,6 @@ class ExperimentConfig:
                 raise ValueError(f"unknown estimator {name!r}")
             if keys[i] in keys[:i]:
                 raise ValueError(f"duplicate estimator {name!r}")
-        if not isinstance(self.verbose, bool):
-            raise ValueError(f"verbose must be a boolean, got {self.verbose!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -160,36 +134,60 @@ class ExperimentConfig:
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
-def _check_spec(section: str, build, spec: dict, *args, **kwargs) -> dict:
-    """build(*args, **kwargs, **spec)'s arguments with its defaults applied, read
-    only from build's signature, or a ValueError: a misspelt or missing key fails,
-    and any key passes a builder that takes **kwargs. A key annotated float must be
-    a real number, and one annotated int an integer (a bool is neither)."""
-    if not isinstance(spec, dict):
-        raise ValueError(f"{section} must be a mapping, got {spec!r}")
-    signature = inspect.signature(build, eval_str=True)
+_FIELD_KINDS = get_type_hints(ExperimentConfig)
+# the plain checked forms: the types each admits and its name in a message
+_PLAIN_KINDS = {float: (numbers.Real, "a number"), int: (numbers.Integral, "an integer"), bool: (bool, "a boolean"),
+                str: (str, "a string"), dict: (dict, "a mapping")}
+_signature = functools.cache(functools.partial(inspect.signature, eval_str=True))  # annotations resolved once
+
+
+def _fits(value, kind) -> bool:
+    """Whether value has the checked form kind: a key of _PLAIN_KINDS, list[X],
+    Literal[...] or X | None. A bool is neither a number nor an integer."""
+    origin, args = get_origin(kind), get_args(kind)
+    if origin is Literal:
+        return any(_fits(value, type(a)) and value == a for a in args)
+    if origin is list:
+        return isinstance(value, list) and all(_fits(x, args[0]) for x in value)
+    if args:  # X | None
+        return value is None or _fits(value, args[0])
+    return isinstance(value, _PLAIN_KINDS[kind][0]) and (kind is bool or not isinstance(value, bool))
+
+
+def _describe(kind) -> str:
+    origin, args = get_origin(kind), get_args(kind)
+    if origin is Literal:
+        return f"one of {args}"
+    if origin is list:
+        names = get_args(args[0])  # a Literal's values
+        return "a list of numbers" if args[0] is float else "a list of names" + (f" in {names}" if names else "")
+    return f"null or {_describe(args[0])}" if args else _PLAIN_KINDS[kind][1]
+
+
+def _check_spec(section: str, kinds: dict, spec: dict) -> None:
+    """A ValueError naming section.key unless every key of spec is in kinds and
+    every value has its key's checked form there: the one type check of a config."""
+    unknown = set(spec) - set(kinds)
+    if unknown:
+        raise ValueError(f"unknown {section} keys: {sorted(unknown)}")
+    for key, value in spec.items():
+        if not _fits(value, kinds[key]):
+            raise ValueError(f"{section}.{key}".lstrip(".") + f" must be {_describe(kinds[key])}, got {value!r}")
+
+
+def _arguments(section: str, build, spec: dict, *args, **kwargs) -> dict:
+    """build(*args, **kwargs, **spec)'s arguments with its defaults applied, or a
+    ValueError: a misspelt or missing key fails, as does one that kwargs gives,
+    and each value is checked against its annotation in build's signature."""
+    signature = _signature(build)
     try:
-        # a spec key that repeats one of kwargs is left to the call to reject
-        signature.bind_partial(*args, **{**kwargs, **spec})  # names an unknown key before a missing one
-        bound = signature.bind(*args, **{**kwargs, **spec})
+        signature.bind_partial(*args, **spec)  # names an unknown key before a missing one
+        bound = signature.bind(*args, **{**spec, **kwargs})
     except TypeError as exc:
         raise ValueError(f"{section}: {build.__name__}() {exc}") from exc
-    for key, value in spec.items():
-        annotation = signature.parameters[key].annotation if key in signature.parameters else None
-        for kind, number, what in ((float, numbers.Real, "a number"), (int, numbers.Integral, "an integer")):
-            if annotation is kind and (isinstance(value, bool) or not isinstance(value, number)):
-                raise ValueError(f"{section}.{key} must be {what}, got {value!r}")
+    _check_spec(section, {k: p.annotation for k, p in signature.parameters.items() if k not in kwargs}, spec)
     bound.apply_defaults()
     return bound.arguments
-
-
-def _from_spec(section: str, build, spec: dict, *args, **kwargs):
-    """build(*args, **kwargs, **spec), whose keys `validate` has checked; a
-    TypeError from inside the builder becomes a ValueError."""
-    try:
-        return build(*args, **kwargs, **spec)
-    except TypeError as exc:
-        raise ValueError(f"{section}: {exc}") from exc
 
 
 def build_graph(config: ExperimentConfig) -> Graph:
@@ -197,7 +195,7 @@ def build_graph(config: ExperimentConfig) -> Graph:
     if "path" in spec:
         return load_edge_list(spec["path"], spec.get("format", "auto"))
     if "sbm" in spec:
-        g = _from_spec("graph.sbm", sbm.generate, spec["sbm"])[0]
+        g = sbm.generate(**spec["sbm"])[0]
         if g.edge_count == 0:  # refused as an edge file without edges is
             raise ValueError("graph.sbm drew no edges")
         return g
@@ -237,25 +235,20 @@ def build_partition(config: ExperimentConfig, g: Graph) -> tuple[Partition, dict
     return decompose(g, sbm.block_labels(spec["communities"], spec["size"])), info
 
 
-def _model_builder(section: dict):
-    """The model section's builder and its keyword arguments (every key but kind)."""
-    spec = dict(section)
+def _model_arguments(config: ExperimentConfig, g: Graph | None = None, p_part: Partition | None = None):
+    """The model section's builder and its arguments, defaults applied (the
+    graph and partition are None when only the section is checked)."""
+    spec = dict(config.model)
     kind = spec.pop("kind", "linear_two_hop")
     builders = {"linear_two_hop": outcomes.linear_two_hop, "partial_linear": outcomes.partial_linear}
     if not isinstance(kind, str) or kind not in builders:
         raise ValueError(f"unknown model kind {kind!r}")
-    return builders[kind], spec
-
-
-def _model_arguments(config: ExperimentConfig) -> dict:
-    """The model builder's arguments with its defaults, None for the graph and partition."""
-    build, spec = _model_builder(config.model)
-    return _check_spec("model", build, spec, None, p_part=None)
+    return builders[kind], _arguments("model", builders[kind], spec, g, p_part=p_part)
 
 
 def build_model(config: ExperimentConfig, g: Graph, p_part: Partition) -> OutcomeModel:
-    build, spec = _model_builder(config.model)
-    return _from_spec("model", build, spec, g, p_part=p_part)
+    build, arguments = _model_arguments(config, g, p_part)
+    return build(**arguments)
 
 
 @dataclass(frozen=True)
@@ -338,22 +331,20 @@ class _SimulationState:
         self.model = model
         self.names = [n.upper() for n in config.estimators]
         self.needs_predictor = bool({"GNN", "AMII"} & set(self.names))
-        pspec = config.predictor
-        self.ridge_lambda = pspec.get("ridge_lambda", None)
-        covariates = {
-            name: outcomes.covariate_vector(name, g, p_part)
-            for name in pspec.get("covariates", ["degree"])
-        }
-        self.mask = ~p_part.interior_mask if pspec.get("training_mask") == "boundary" else None
+        pspec = {**PREDICTOR_DEFAULTS, **config.predictor}
+        self.ridge_lambda = pspec["ridge_lambda"]
+        self.mask = ~p_part.interior_mask if pspec["training_mask"] == "boundary" else None
         if self.needs_predictor and self.mask is not None and not self.mask.any():
             raise ValueError("predictor.training_mask 'boundary': the partition has no boundary node")
-        self.basis = predictor.FeatureBasis(g, covariates, pspec.get("max_hop", 2))
-        self.f1 = self.basis.at(np.ones(g.node_count))
-        self.f0 = self.basis.at(np.zeros(g.node_count))
-        # fitted interaction coefficient tracked for the bias-law checks
-        self.tracked_column = None
-        if isinstance(model, PartialLinearModel):
-            column = f"{_model_arguments(config)['u']}*z"
+        # the predictor's parts, and the fitted interaction coefficient tracked for
+        # the bias-law checks, only for a table that fits the predictor
+        self.basis = self.f1 = self.f0 = self.tracked_column = None
+        if self.needs_predictor:
+            covariates = {name: outcomes.covariate_vector(name, g, p_part) for name in pspec["covariates"]}
+            self.basis = predictor.FeatureBasis(g, covariates, pspec["max_hop"])
+            self.f1 = self.basis.at(np.ones(g.node_count))
+            self.f0 = self.basis.at(np.zeros(g.node_count))
+            column = f"{_model_arguments(config)[1]['u']}*z" if isinstance(model, PartialLinearModel) else None
             if column in self.basis.names:
                 self.tracked_column = column
 
@@ -465,6 +456,9 @@ def run(
         g = build_graph(config)
     if p_part is None:
         p_part, _ = build_partition(config, g)
+    other = p_part.graph
+    if other is not g and not (np.array_equal(other.indptr, g.indptr) and np.array_equal(other.indices, g.indices)):
+        raise ValueError(f"the partition belongs to another graph ({other.node_count} nodes, g has {g.node_count})")
     info = _clustering_info(config)
     model = build_model(config, g, p_part)
     truth = TRUTHS[config.truth](model)
@@ -548,9 +542,9 @@ def verify_theorem2(config: ExperimentConfig) -> Theorem2Report:
         raise ValueError("theorem verification targets the gate estimand")
     if not {"MII", "AMII"} <= {n.upper() for n in config.estimators}:
         raise ValueError("theorem verification needs MII and AMII estimators")
-    arguments = _model_arguments(config)
+    _, arguments = _model_arguments(config)
     u_name = arguments["u"]
-    if u_name not in config.predictor.get("covariates", ["degree"]):
+    if u_name not in {**PREDICTOR_DEFAULTS, **config.predictor}["covariates"]:
         raise ValueError(f"predictor covariates must include {u_name!r} for the u*z column")
 
     g = build_graph(config)

@@ -8,13 +8,17 @@ the treated-neighbor fraction.
 
 from __future__ import annotations
 
+from typing import Literal
+
 import numpy as np
 
 from .design import Assignment, as_assignment
 from .graph import Graph, Partition
 
+Covariate = Literal["degree", "clusters", "constant"]  # the names covariate_vector takes
 
-def covariate_vector(name: str, g: Graph, p_part: Partition | None = None) -> np.ndarray:
+
+def covariate_vector(name: Covariate, g: Graph, p_part: Partition | None = None) -> np.ndarray:
     """Named per-node covariate, normalized by its population mean.
 
     "degree": deg / mean(deg); "clusters": touch count c / mean(c) (needs a
@@ -96,6 +100,7 @@ _H_BASE = {
     "sqrt": np.sqrt,
     "quadratic": np.square,
 }
+_NODE_EFFECTS = ("none", "normal")
 
 
 class PartialLinearModel(OutcomeModel):
@@ -137,7 +142,7 @@ def linear_two_hop(
     r1: float = 1.0,
     r2: float = 0.0,
     sigma: float = 2.0,
-    interaction: tuple[str, ...] = (),
+    interaction: list[Covariate] = (),
     p_part: Partition | None = None,
 ) -> LinearTwoHopModel:
     """Build a LinearTwoHopModel from named interaction covariates, each with
@@ -152,14 +157,14 @@ def linear_two_hop(
 
 
 def partial_linear(
-    g: Graph, beta: float = 1.0, alpha: float = 1.0, u: str = "degree", sigma: float = 2.0,
-    h: str = "linear", h_scale: float = 1.0, v: str = "none", v_seed: int = 2024,
-    p_part: Partition | None = None,
+    g: Graph, beta: float = 1.0, alpha: float = 1.0, u: Covariate = "degree", sigma: float = 2.0,
+    h: Literal[tuple(_H_BASE)] = "linear", h_scale: float = 1.0, v: Literal[_NODE_EFFECTS] = "none",
+    v_seed: int = 2024, p_part: Partition | None = None,
 ) -> PartialLinearModel:
     """Build a PartialLinearModel from a named covariate u, with node effects
     v that are 0 ("none") or standard normal draws from v_seed ("normal")."""
-    if v not in ("none", "normal"):
-        raise ValueError(f"v must be 'none' or 'normal', got {v!r}")
+    if v not in _NODE_EFFECTS:
+        raise ValueError(f"v must be one of {_NODE_EFFECTS}, got {v!r}")
     v_vec = np.random.default_rng(int(v_seed)).standard_normal(g.node_count) if v == "normal" else None
     return PartialLinearModel(g, beta, alpha, covariate_vector(u, g, p_part), sigma, h, h_scale, v_vec)
 

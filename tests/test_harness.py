@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import netgate
 from netgate import cli, community, harness, outcomes, predictor, sbm
 from netgate.estimators import ESTIMATOR_NAMES
-from netgate.graph import decompose
+from netgate.graph import Graph, decompose
 from netgate.harness import (
     ExperimentConfig,
     _SimulationState,
@@ -159,11 +159,26 @@ def test_config_rejects_unknown_section_keys(section, spec, typo):
         ("graph", {"sbm": {**sbm_config().graph["sbm"], "communities": "4"}},
          "graph.sbm.communities must be an integer, got '4'"),
         ("graph", {"sbm": 5}, "graph.sbm must be a mapping, got 5"),
+        ("model", {"kind": "partial_linear", "h": "sqrtt"},
+         "model.h must be one of ('linear', 'sqrt', 'quadratic'), got 'sqrtt'"),
+        ("model", {"kind": "partial_linear", "v": "gaussian"},
+         "model.v must be one of ('none', 'normal'), got 'gaussian'"),
+        ("model", {"kind": "partial_linear", "u": "degre"},
+         "model.u must be one of ('degree', 'clusters', 'constant'), got 'degre'"),
+        ("model", {"interaction": ["degree", "degre"]},
+         "model.interaction must be a list of names in ('degree', 'clusters', 'constant'), got ['degree', 'degre']"),
+        ("predictor", {"covariates": ["clustres"]},
+         "predictor.covariates must be a list of names in ('degree', 'clusters', 'constant'), got ['clustres']"),
+        ("graph", {"path": "net.mtx", "format": "mtx"},
+         "graph.format must be one of ('auto', 'plain-edge-list', 'matrix-market'), got 'mtx'"),
+        ("truth", "gate_", "truth must be one of ('gate', 'global_treatment_mean'), got 'gate_'"),
+        ("model", {"p_part": None}, "unknown model keys: ['p_part']"),
     ],
 )
 def test_model_and_sbm_sections_fail_before_anything_loads(monkeypatch, tmp_path, capsys, section, spec, message):
-    """The builders' signatures are checked in validate: neither from_dict nor
-    `netgate run` gets as far as Louvain."""
+    """The builders' signatures and the annotations of every other config value
+    are checked in validate: neither from_dict nor `netgate run` gets as far as
+    Louvain."""
     clustered = []
     real = community.louvain
     monkeypatch.setattr(community, "louvain", lambda *args: clustered.append(args) or real(*args))
@@ -176,6 +191,67 @@ def test_model_and_sbm_sections_fail_before_anything_loads(monkeypatch, tmp_path
     assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     assert message in capsys.readouterr().err
     assert clustered == []
+
+
+# a section and a spec it accepts; the property below swaps one value (never kind) for one of mixed type
+MIXED_SECTIONS = [
+    ("graph.sbm", {"communities": 3, "size": 8, "p_in": 0.5, "p_out": 0.1, "seed": 1}),
+    ("clustering", {"gamma": 1.0, "seed": 3}),
+    ("clustering", {"blocks": True}),
+    ("model", {"kind": "linear_two_hop", "beta": 1.0, "r1": 1.0, "r2": 0.5, "sigma": 1.0, "interaction": ["degree"]}),
+    ("model", {"kind": "partial_linear", "beta": 1.0, "alpha": 1.0, "u": "degree", "sigma": 1.0, "h": "sqrt",
+               "h_scale": 1.0, "v": "normal", "v_seed": 2}),
+    ("predictor", {"max_hop": 2, "ridge_lambda": None, "training_mask": "boundary", "covariates": ["degree"]}),
+]
+NAMES = ["", "degree", "clusters", "constant", "degre", "sqrt", "normal", "full", "boundary"]
+MIXED_VALUES = st.one_of(
+    st.booleans(),
+    st.integers(-3, 6),
+    st.floats(-2.0, 8.0),
+    st.sampled_from(NAMES),
+    st.none(),
+    st.lists(st.one_of(st.sampled_from(NAMES), st.integers(0, 2), st.booleans(), st.none()), max_size=3),
+    st.dictionaries(st.sampled_from(["seed", "gamma"]), st.integers(0, 3), max_size=2),
+)
+
+
+@st.composite
+def mixed_section_values(draw):
+    section, spec = draw(st.sampled_from(MIXED_SECTIONS))
+    key = draw(st.sampled_from(sorted(set(spec) - {"kind"})))
+    return section, key, {**spec, key: draw(MIXED_VALUES)}
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=mixed_section_values())
+def test_a_section_value_of_any_type_fails_in_from_dict_or_builds_and_runs(case):
+    """A section value that from_dict accepts has the form its builder's
+    annotation names, so the builders, called directly, raise no TypeError:
+    what they still refuse is a ValueError, such as a negative resolution."""
+    section, key, spec = case
+    data = {"graph": {"sbm": MIXED_SECTIONS[0][1]}, "clustering": {"gamma": 1.0}, "proportions": [0.5],
+            "repetitions": 2, "master_seed": 1}
+    if section == "graph.sbm":
+        data["graph"] = {"sbm": spec}
+    else:
+        data[section] = spec
+    try:
+        cfg = ExperimentConfig.from_dict(data)
+    except ValueError as exc:
+        assert f"{section}.{key} " in str(exc)
+        return
+    try:
+        g = build_graph(cfg)
+        part, _ = build_partition(cfg, g)
+        build_model(cfg, g, part)
+        run(cfg, g, part)
+    except ValueError:
+        pass
+
+
+def test_predictor_defaults_are_values_the_section_takes():
+    assert set(harness.PREDICTOR_DEFAULTS) == set(harness.SECTION_KINDS["predictor"])
+    harness._check_spec("predictor", harness.SECTION_KINDS["predictor"], harness.PREDICTOR_DEFAULTS)
 
 
 @pytest.mark.parametrize("proportions", [[0.3, 0.3], [0.3, 0.3 + 1e-15], [0.1, 0.5, 0.1]])
@@ -664,6 +740,7 @@ def test_blocks_clustering_samples_the_sbm_once(monkeypatch):
     drawn = []
     real = sbm.generate
 
+    @functools.wraps(real)  # validate reads the builder's signature
     def counting(*args, **kwargs):
         drawn.append(real(*args, **kwargs))
         return drawn[-1]
@@ -718,7 +795,8 @@ SMALL_SBM = (
         (SMALL_SBM.replace("blocks: true", "gamma: '1.0'"), [], "clustering.gamma must be a number"),
         (SMALL_SBM.replace("blocks: true", "gamma: 1.0, seed: 9.7"), [], "clustering.seed must be an integer"),
         (SMALL_SBM.replace("blocks: true", "gamma: 1.0, seed: true"), [], "clustering.seed must be an integer"),
-        (SMALL_SBM.replace("blocks: true", "partition: [p.txt]"), [], "clustering.partition must be a path"),
+        (SMALL_SBM.replace("blocks: true", "partition: [p.txt]"), [],
+         "clustering.partition must be a string, got ['p.txt']"),
         (SMALL_SBM.replace("blocks: true", "blocks: 'no'"), [], "clustering.blocks must be a boolean"),
         (SMALL_SBM.replace("blocks: true", "blocks: true, gamma: 1.0"), [], "got ['blocks', 'gamma']"),
         (SMALL_SBM.replace("blocks: true", "partition: p.txt, seed: 3"), [], "got ['partition', 'seed']"),
@@ -730,9 +808,9 @@ SMALL_SBM = (
         (SMALL_SBM + "model: {sigma: abc}\n", [], "model.sigma must be a number, got 'abc'"),
         (SMALL_SBM + "model: {kind: partial_linear, v: normal, v_seed: 2.5}\n", [],
          "model.v_seed must be an integer, got 2.5"),
-        (SMALL_SBM + "predictor: {max_hop: true}\n", [], "predictor.max_hop must be the integer 1 or 2, got True"),
-        (SMALL_SBM + "predictor: {max_hop: 2.9}\n", [], "predictor.max_hop must be the integer 1 or 2, got 2.9"),
-        (SMALL_SBM + "predictor: {max_hop: '2'}\n", [], "predictor.max_hop must be the integer 1 or 2, got '2'"),
+        (SMALL_SBM + "predictor: {max_hop: true}\n", [], "predictor.max_hop must be one of (1, 2), got True"),
+        (SMALL_SBM + "predictor: {max_hop: 2.9}\n", [], "predictor.max_hop must be one of (1, 2), got 2.9"),
+        (SMALL_SBM + "predictor: {max_hop: '2'}\n", [], "predictor.max_hop must be one of (1, 2), got '2'"),
         (SMALL_SBM.replace("communities: 4,", "communities: '4',"), [],
          "graph.sbm.communities must be an integer, got '4'"),
         (SMALL_SBM.replace("communities: 4,", "communities: 4.0,"), [],
@@ -742,6 +820,13 @@ SMALL_SBM = (
         (SMALL_SBM.replace("p_in: 0.5", "p_in: high"), [], "graph.sbm.p_in must be a number, got 'high'"),
         (SMALL_SBM.replace("p_out: 0.05", "p_out: true"), [], "graph.sbm.p_out must be a number, got True"),
         (SMALL_SBM.replace("p_in: 0.5, p_out: 0.05", "p_in: 0.0, p_out: 0.0"), [], "graph.sbm drew no edges"),
+        (SMALL_SBM + "master_seed: -1\n", [], "master_seed must be a non-negative integer, got -1"),
+        ("repetitions: 5\n", ["--seed", "-1"], "master_seed must be a non-negative integer, got -1"),
+        (SMALL_SBM.replace("blocks: true", "gamma: 1, seed: -3"), [],
+         "clustering.seed must be a non-negative integer, got -3"),
+        (SMALL_SBM.replace("seed: 2}", "seed: -2}"), [], "graph.sbm.seed must be a non-negative integer, got -2"),
+        (SMALL_SBM + "model: {kind: partial_linear, v: normal, v_seed: -1}\n", [],
+         "model.v_seed must be a non-negative integer, got -1"),
     ],
     ids=[
         "missing-file", "unknown-key", "yaml-syntax", "p-out-of-range", "p-not-a-number", "p-duplicate",
@@ -756,6 +841,8 @@ SMALL_SBM = (
         "max-hop-a-bool", "max-hop-a-float", "max-hop-a-string",
         "sbm-communities-a-string", "sbm-communities-a-float", "sbm-size-a-bool", "sbm-seed-a-float",
         "sbm-p-in-a-string", "sbm-p-out-a-bool", "sbm-edgeless",
+        "master-seed-negative", "master-seed-flag-negative", "clustering-seed-negative", "sbm-seed-negative",
+        "v-seed-negative",
     ],
 )
 def test_cli_run_bad_config_is_a_usage_error(tmp_path, capsys, config_text, flags, message):
@@ -794,6 +881,46 @@ def test_boundary_training_mask_without_boundary_nodes_fails_before_the_table(mo
     cfg = ExperimentConfig.from_dict({**spec, "estimators": ["DIM", "MII"]})
     report = run(cfg)
     assert [(c.estimator, c.p) for c in report.cells] == [(n, p) for n in ("DIM", "MII") for p in cfg.proportions]
+
+
+def test_run_refuses_a_partition_of_another_graph():
+    """A partition keeps the graph it was decomposed on: run takes it with that
+    graph or one of equal CSR arrays, and otherwise names both node counts,
+    also for another draw of the same size, whose interior and touch counts
+    would silently be wrong."""
+    cfg = sbm_config(
+        graph={"sbm": {"communities": 4, "size": 12, "p_in": 0.5, "p_out": 0.05, "seed": 2}},
+        repetitions=3, estimators=["DIM", "HT", "MII"],
+    )
+    g = build_graph(cfg)
+    part, _ = build_partition(cfg, g)
+    twin = Graph(g.indptr.copy(), g.indices.copy())
+    assert run(cfg, twin, part).to_csv() == run(cfg, g, part).to_csv()
+    other, labels = sbm.generate(communities=4, size=12, p_in=0.5, p_out=0.05, seed=3)
+    with pytest.raises(ValueError, match=re.escape("another graph (48 nodes, g has 48)")):
+        run(cfg, g, decompose(other, labels))
+    smaller, labels = sbm.generate(communities=4, size=10, p_in=0.5, p_out=0.05, seed=2)
+    with pytest.raises(ValueError, match=re.escape("another graph (40 nodes, g has 48)")):
+        run(cfg, g, decompose(smaller, labels))
+
+
+def test_a_table_without_gnn_or_amii_builds_no_predictor_parts(monkeypatch):
+    """The covariates, the FeatureBasis and f1/f0 are built only for a table
+    that fits the predictor; the other estimators' rows are the same."""
+    full = run(sbm_config(repetitions=20))
+    bases = []
+
+    class Counting(predictor.FeatureBasis):
+        def __init__(self, *args):
+            bases.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(predictor, "FeatureBasis", Counting)
+    report = run(sbm_config(repetitions=20, estimators=["DIM", "MII"]))
+    assert bases == []
+    assert report.cells == [cell for cell in full.cells if cell.estimator in ("DIM", "MII")]
+    run(sbm_config(repetitions=2, estimators=["DIM", "AMII"]))
+    assert len(bases) == 1
 
 
 def test_cli_stats_bad_gamma_is_a_usage_error(tmp_path, capsys):

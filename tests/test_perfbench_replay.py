@@ -41,3 +41,25 @@ def test_replay_finds_every_entry_point_and_repeats_the_run():
     report = harness.run(config, g, part)
     assert bench.compare_estimates(replay["values"], report, config) == []
     assert gate.check_invariants(report, config, g, part) == []
+
+
+def test_replay_takes_the_predictor_defaults_the_run_takes():
+    """An empty predictor section: every predictor setting is a default, read
+    by `harness.run` from `PREDICTOR_DEFAULTS` and by the replay from its own
+    spelling, so a default changed on one side only fails here."""
+    config = harness.ExperimentConfig.from_dict(dict(
+        graph={"sbm": {"communities": 6, "size": 20, "p_in": 0.3, "p_out": 0.01, "seed": 4}},
+        clustering={"blocks": True},
+        proportions=[0.3, 0.5],
+        model={"kind": "partial_linear", "u": "degree", "v": "normal"},
+        predictor={},
+        estimators=["MII", "GNN", "AMII"],
+        repetitions=6,
+        master_seed=8,
+        verbose=True,
+    ))
+    g = harness.build_graph(config)
+    part, _ = harness.build_partition(config, g)
+    replay = tracing.replay_table(tracing.Tracer(), config, g, part, harness.build_model(config, g, part))
+    assert replay["probe_errors"] == {}
+    assert bench.compare_estimates(replay["values"], harness.run(config, g, part), config) == []
