@@ -117,14 +117,12 @@ def clean_weights(a: Assignment, p_part: Partition, p: float) -> tuple[np.ndarra
 
     w1 = 1/p^c and w0 = 1/(1-p)^c are set on the clean nodes of their level
     and are 0 elsewhere, so a probability that underflows to 0 on a node
-    that is not clean never enters a 0/0.
+    that is not clean never enters a 0/0; on a clean node it gives an
+    infinite weight.
     """
     d1, d0 = a.clean
-    q1, q0 = p_part.clean_probability(p)
-    return (
-        np.divide(1.0, q1, out=np.zeros_like(q1), where=d1),
-        np.divide(1.0, q0, out=np.zeros_like(q0), where=d0),
-    )
+    inv1, inv0 = p_part.inverse_clean_probability(p)
+    return np.where(d1, inv1, 0.0), np.where(d0, inv0, 0.0)
 
 
 def enumerate_assignments(p_part: Partition, p: float) -> Iterator[tuple[np.ndarray, float]]:

@@ -27,11 +27,17 @@ _NO_CLUSTER_ARM = "an arm has no cluster with clean nodes"
 _NO_INTERIOR_ARM = "interior set lacks a treated or control node"
 
 
+def _mean(v: np.ndarray) -> np.float64:
+    """np.mean of a non-empty 1-D float64 array, with its bits (the same
+    pairwise sum, divided by the count) and without its dispatch."""
+    return np.add.reduce(v) / len(v)
+
+
 def _gap(y: np.ndarray, arm1: np.ndarray, arm0: np.ndarray, why: str) -> float:
     """Mean of y over the boolean mask arm1 minus its mean over arm0."""
     if not arm1.any() or not arm0.any():
         raise DegenerateArmError(why)
-    return float(y[arm1].mean() - y[arm0].mean())
+    return float(_mean(y[arm1]) - _mean(y[arm0]))
 
 
 def dim(z: np.ndarray, y: np.ndarray) -> float:
@@ -42,7 +48,7 @@ def dim(z: np.ndarray, y: np.ndarray) -> float:
 
 
 def _ht(w1: np.ndarray, w0: np.ndarray, y: np.ndarray) -> float:
-    return float(np.mean((w1 - w0) * y))
+    return float(_mean((w1 - w0) * y))
 
 
 def ht(g: Graph, p_part: Partition, z: np.ndarray | Assignment, y: np.ndarray, p: float) -> float:
@@ -105,16 +111,14 @@ def gnn_point(pred1: np.ndarray, pred0: np.ndarray) -> float:
     pred0 = np.asarray(pred0, dtype=np.float64)
     if pred1.shape != pred0.shape:
         raise ValueError("prediction vectors must have equal length")
-    return float(pred1.mean() - pred0.mean())
+    return float(_mean(pred1) - _mean(pred0))
 
 
-def _amii(
-    it: np.ndarray, ic: np.ndarray, y: np.ndarray, pred1: np.ndarray, pred0: np.ndarray
-) -> float:
-    base = _gap(y, it, ic, _NO_INTERIOR_ARM)
-    adj1 = pred1.mean() - pred1[it].mean()
-    adj0 = pred0.mean() - pred0[ic].mean()
-    return float(base + adj1 - adj0)
+def _amii(gap: float, it: np.ndarray, ic: np.ndarray, pred1: np.ndarray, pred0: np.ndarray,
+          mean1: np.float64, mean0: np.float64) -> float:
+    """The interior gap plus each arm's prediction mean over all nodes
+    (mean1, mean0) minus its mean over that arm's interior nodes."""
+    return float(gap + (mean1 - _mean(pred1[it])) - (mean0 - _mean(pred0[ic])))
 
 
 def amii(
@@ -127,7 +131,9 @@ def amii(
     """Interior difference-in-means plus the predictor correction for the
     covariate shift between interior nodes and the full population."""
     it, ic = _interior_arms(p_part, np.asarray(z))
-    return _amii(it, ic, *(np.asarray(v, dtype=np.float64) for v in (y, pred1, pred0)))
+    y, pred1, pred0 = (np.asarray(v, dtype=np.float64) for v in (y, pred1, pred0))
+    gap = _gap(y, it, ic, _NO_INTERIOR_ARM)
+    return _amii(gap, it, ic, pred1, pred0, _mean(pred1), _mean(pred0))
 
 
 def amii_ppi_form(
@@ -141,7 +147,7 @@ def amii_ppi_form(
     it, _ = _interior_arms(p_part, np.asarray(z))
     if not it.any():
         raise DegenerateArmError("no treated interior nodes")
-    return float(pred1.mean() + (y[it] - pred1[it]).mean())
+    return float(_mean(pred1) + _mean(y[it] - pred1[it]))
 
 
 @dataclass
@@ -171,19 +177,28 @@ def estimate_all(
     """
     a = as_assignment(g, z, p_part)
     y = np.asarray(y, dtype=np.float64)
-    result = EstimateSet()
-    if {"HT", "HAJEK"} & {name.upper() for name in names}:
-        w1, w0 = clean_weights(a, p_part, p)
-        clean = {"clean_treated": int(a.clean[0].sum()), "clean_control": int(a.clean[1].sum())}
-    it, ic = _interior_arms(p_part, a.z)
-    arms = {"s1": int(it.sum()), "s0": int(ic.sum())}
-
-    for name in names:
-        key = name.upper()
+    keys = [name.upper() for name in names]
+    for name, key in zip(names, keys):
         if key not in ESTIMATOR_NAMES:
             raise ValueError(f"unknown estimator {name!r}")
         if key in ("GNN", "AMII") and (pred1 is None or pred0 is None):
             raise ValueError(f"{key} estimator needs prediction vectors")
+    result = EstimateSet()
+    # each quantity that two estimators share is computed once, and only when one is asked for
+    if {"HT", "HAJEK"} & set(keys):
+        w1, w0 = clean_weights(a, p_part, p)
+        clean = {"clean_treated": int(a.clean[0].sum()), "clean_control": int(a.clean[1].sum())}
+    if {"MII", "AMII"} & set(keys):
+        it, ic = _interior_arms(p_part, a.z)
+        arms = {"s1": int(np.count_nonzero(it)), "s0": int(np.count_nonzero(ic))}
+        gap = float(_mean(y[it]) - _mean(y[ic])) if arms["s1"] and arms["s0"] else None
+    if {"GNN", "AMII"} & set(keys):
+        pred1, pred0 = (np.asarray(v, dtype=np.float64) for v in (pred1, pred0))
+        if pred1.shape != pred0.shape:
+            raise ValueError("prediction vectors must have equal length")
+        mean1, mean0 = _mean(pred1), _mean(pred0)
+
+    for key in keys:
         diag: dict = {"flags": []}
         try:
             if key == "DIM":
@@ -204,14 +219,13 @@ def estimate_all(
                     clusters_skipped_control=int((~t & ~usable).sum()),
                 )
                 value = _gap(means, t & usable, ~t & usable, _NO_CLUSTER_ARM)
-            elif key == "MII":
-                diag.update(arms)
-                value = _gap(y, it, ic, _NO_INTERIOR_ARM)
             elif key == "GNN":
-                value = gnn_point(pred1, pred0)
-            else:  # AMII
+                value = float(mean1 - mean0)
+            else:  # MII or AMII
                 diag.update(arms)
-                value = _amii(it, ic, y, *(np.asarray(v, dtype=np.float64) for v in (pred1, pred0)))
+                if gap is None:
+                    raise DegenerateArmError(_NO_INTERIOR_ARM)
+                value = gap if key == "MII" else _amii(gap, it, ic, pred1, pred0, mean1, mean0)
             if not math.isfinite(value):
                 raise DegenerateArmError(f"{key} produced a non-finite value")
             result.estimates[key] = value

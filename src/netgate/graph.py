@@ -346,21 +346,33 @@ class Partition:
         for arr in (self.cluster_of, self.interior_mask, self.touch_counts,
                     neighbor_counts.data, neighbor_counts.indices, neighbor_counts.indptr):
             arr.setflags(write=False)
-        self._clean_probability: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+        self._exposures: dict[float, tuple[np.ndarray, ...]] = {}
+
+    def _exposure(self, p: float) -> tuple[np.ndarray, ...]:
+        """(p^c, (1-p)^c, 1/p^c, 1/(1-p)^c) per node, read-only and computed
+        once per p. An inverse is inf, without a RuntimeWarning, where its
+        probability underflowed to 0 or is so small that 1/q overflows."""
+        arrays = self._exposures.get(p)
+        if arrays is None:
+            if not 0.0 < p < 1.0:
+                raise ValueError(f"treatment proportion must be in (0,1), got {p}")
+            c = self.touch_counts.astype(np.float64)
+            q1, q0 = p**c, (1.0 - p) ** c
+            with np.errstate(divide="ignore", over="ignore"):
+                arrays = (q1, q0, 1.0 / q1, 1.0 / q0)
+            for arr in arrays:
+                arr.setflags(write=False)
+            self._exposures[p] = arrays
+        return arrays
 
     def clean_probability(self, p: float) -> tuple[np.ndarray, np.ndarray]:
         """Design probabilities of clean exposure at treatment proportion p:
         (p^c, (1-p)^c) per node, read-only and computed once per p."""
-        pair = self._clean_probability.get(p)
-        if pair is None:
-            if not 0.0 < p < 1.0:
-                raise ValueError(f"treatment proportion must be in (0,1), got {p}")
-            c = self.touch_counts.astype(np.float64)
-            pair = (p**c, (1.0 - p) ** c)
-            for arr in pair:
-                arr.setflags(write=False)
-            self._clean_probability[p] = pair
-        return pair
+        return self._exposure(p)[:2]
+
+    def inverse_clean_probability(self, p: float) -> tuple[np.ndarray, np.ndarray]:
+        """(1/p^c, 1/(1-p)^c) per node, from the same cache."""
+        return self._exposure(p)[2:]
 
 
 def decompose(g: Graph, cluster_of: np.ndarray) -> Partition:

@@ -72,7 +72,12 @@ class ExperimentConfig:
         # checked against the builders' signatures here, before anything loads
         if "sbm" in self.graph:
             _arguments("graph.sbm", sbm.generate, self.graph["sbm"])
-        _model_arguments(self)
+        sigma = _model_arguments(self)[1]["sigma"]
+        if not 0 <= sigma < np.inf:
+            raise ValueError(f"model.sigma must be a finite number >= 0, got {sigma!r}")
+        gamma = self.clustering.get("gamma", 1.0)
+        if not 0 < gamma < np.inf:
+            raise ValueError(f"clustering.gamma must be a finite number > 0, got {gamma!r}")
         seeds = {"master_seed": self.master_seed, "clustering.seed": self.clustering.get("seed", 0),
                  "graph.sbm.seed": self.graph.get("sbm", {}).get("seed", 0),
                  "model.v_seed": self.model.get("v_seed", 0)}
@@ -329,7 +334,7 @@ class _SimulationState:
         self.graph = g
         self.partition = p_part
         self.model = model
-        self.names = [n.upper() for n in config.estimators]
+        self.names = tuple(n.upper() for n in config.estimators)
         self.needs_predictor = bool({"GNN", "AMII"} & set(self.names))
         pspec = {**PREDICTOR_DEFAULTS, **config.predictor}
         self.ridge_lambda = pspec["ridge_lambda"]
@@ -355,15 +360,13 @@ class _SimulationState:
         pred1 = pred0 = None
         alpha_hat = np.nan
         if self.needs_predictor:
-            feats = self.basis.at(a)
+            feats = self.basis.write(a)  # this worker's one feature buffer
             fitted = predictor.fit(feats, y, self.ridge_lambda, self.mask)
             pred1 = predictor.predict(fitted, self.f1)
             pred0 = predictor.predict(fitted, self.f0)
             if self.tracked_column is not None:
                 alpha_hat = fitted.coefficient(self.tracked_column)
-        est = estimators.estimate_all(
-            self.graph, self.partition, a, y, p, pred1, pred0, tuple(self.names)
-        )
+        est = estimators.estimate_all(self.graph, self.partition, a, y, p, pred1, pred0, self.names)
         return est, alpha_hat
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import lapack
 
 from .design import Assignment, as_assignment
 from .graph import Graph
@@ -30,10 +30,12 @@ class FeatureMatrix:
 class FeatureBasis:
     """Feature columns for one graph and covariate set.
 
-    The columns that do not depend on the assignment (1, u, P u, P^2 u) are
-    computed once here; `at(z)` adds z, u*z, P z and P^2 z. Columns: [1, z,
-    u..., u*z..., nbr-mean z, nbr-mean u..., and at max_hop=2 the 2-hop
-    neighbor means of the same]. Isolated nodes get neighbor means 0.
+    Columns: [1, z, u..., u*z..., nbr-mean z, nbr-mean u..., and at max_hop=2
+    the 2-hop neighbor means of the same]. Isolated nodes get neighbor means
+    0. The columns that do not depend on the assignment (1, u, P u, P^2 u)
+    are written once into one C-order buffer; `write(z)` fills in z, u*z,
+    P z and P^2 z and returns the buffer itself, while `at(z)` returns a
+    copy that no later draw overwrites.
     """
 
     def __init__(self, g: Graph, covariates: dict[str, np.ndarray], max_hop: int = 2):
@@ -46,23 +48,35 @@ class FeatureBasis:
         p = g.row_normalized
         self._graph = g
         self._two_hop = max_hop == 2
-        self._ones = np.ones(n)
         self._u = [np.asarray(vec, dtype=np.float64) for vec in covariates.values()]
-        self._pu = [p @ u for u in self._u]
-        self._p2u = [p @ pu for pu in self._pu] if self._two_hop else []
+        pu = [p @ u for u in self._u]
+        zero = np.zeros(n)  # the z-dependent columns, filled in by write
+        cols = [np.ones(n), zero, *self._u, *(zero for _ in self._u), zero, *pu]
+        if self._two_hop:
+            cols += [zero, *(p @ x for x in pu)]
+        self._buffer = np.column_stack(cols)
         names = ["const", "z", *covariates, *(f"{c}*z" for c in covariates)]
         names += ["nbr_z", *(f"nbr_{c}" for c in covariates)]
         if self._two_hop:
             names += ["nbr2_z", *(f"nbr2_{c}" for c in covariates)]
         self.names = tuple(names)
 
-    def at(self, z: np.ndarray | Assignment) -> FeatureMatrix:
-        """The feature matrix under assignment z (an array or its record)."""
+    def write(self, z: np.ndarray | Assignment) -> FeatureMatrix:
+        """The feature matrix under assignment z (an array or its record),
+        held in this basis's one buffer: the next `write` overwrites it."""
         a = as_assignment(self._graph, z)
-        cols = [self._ones, a.z, *self._u, *(u * a.z for u in self._u), a.pz, *self._pu]
+        f, k = self._buffer, len(self._u)
+        f[:, 1] = a.z
+        for j, u in enumerate(self._u):
+            np.multiply(u, a.z, out=f[:, 2 + k + j])
+        f[:, 2 + 2 * k] = a.pz
         if self._two_hop:
-            cols += [a.p2z, *self._p2u]
-        return FeatureMatrix(np.column_stack(cols), self.names)
+            f[:, 3 + 3 * k] = a.p2z
+        return FeatureMatrix(f, self.names)
+
+    def at(self, z: np.ndarray | Assignment) -> FeatureMatrix:
+        """The feature matrix under assignment z, in an array of its own."""
+        return FeatureMatrix(self.write(z).values.copy(), self.names)
 
 
 def build_features(
@@ -72,14 +86,14 @@ def build_features(
     max_hop: int = 2,
 ) -> FeatureMatrix:
     """Deterministic feature matrix for predicting outcomes under assignment z."""
-    return FeatureBasis(g, covariates, max_hop).at(z)
+    return FeatureBasis(g, covariates, max_hop).write(z)  # the buffer of a basis no one else holds
 
 
 def features_at_level(
     g: Graph, covariates: dict[str, np.ndarray], level: int, max_hop: int = 2
 ) -> FeatureMatrix:
     """Features under the constant assignment z = level."""
-    return FeatureBasis(g, covariates, max_hop).at(np.full(g.node_count, float(level)))
+    return FeatureBasis(g, covariates, max_hop).write(np.full(g.node_count, float(level)))
 
 
 @dataclass(frozen=True)
@@ -127,9 +141,14 @@ def fit(
 
     def solve(lam: float) -> np.ndarray | None:
         lhs = gram + np.diag(np.full(d, lam))
-        try:
-            w = scipy.linalg.solve(lhs, rhs, assume_a="pos")
-        except np.linalg.LinAlgError:
+        if not (np.isfinite(lhs).all() and np.isfinite(rhs).all()):
+            raise ValueError("array must not contain infs or NaNs")
+        # Cholesky factor and solve in one LAPACK call, bit for bit what
+        # scipy.linalg.solve(assume_a="pos") computes, without its condition
+        # estimate (the residual check below decides); info > 0 means not
+        # positive definite
+        _, w, info = lapack.dposv(lhs, rhs)
+        if info != 0:
             return None
         resid = np.linalg.norm(lhs @ w - rhs)
         scale = np.linalg.norm(rhs)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netgate import design, estimators, outcomes
+from netgate import design, estimators, outcomes, sbm
 from netgate.estimators import (
     DegenerateArmError,
     amii,
@@ -429,3 +429,119 @@ def test_estimate_all_skips_exposure_when_no_estimator_reads_it(
 def test_estimate_all_rejects_unknown_names(toy_graph, toy_partition):
     with pytest.raises(ValueError):
         estimate_all(toy_graph, toy_partition, np.ones(9), np.ones(9), 0.5, names=("BOGUS",))
+
+
+def reference_estimates(g, part, t, y, p, pred1, pred0):
+    """Every estimate and diagnostic of estimate_all, from the plain formulas:
+    clean masks from adjacency counts, weights np.divide(1, q, where=clean)
+    and each mean np.mean over a boolean-indexed array."""
+    z = t[part.cluster_of].astype(np.float64)
+    adj = g.adjacency()
+    d1, d0 = (z == 1) & (adj @ (1 - z) == 0), (z == 0) & (adj @ z == 0)
+    c = part.touch_counts.astype(np.float64)
+    w1 = np.divide(1.0, p**c, out=np.zeros(len(z)), where=d1)
+    w0 = np.divide(1.0, (1.0 - p) ** c, out=np.zeros(len(z)), where=d0)
+    clean = {"clean_treated": int(d1.sum()), "clean_control": int(d0.sum())}
+    it, ic = part.interior_mask & (z == 1), part.interior_mask & (z == 0)
+    arms = {"s1": int(it.sum()), "s0": int(ic.sum())}
+    k = part.cluster_count
+    counts = np.bincount(part.cluster_of, weights=d1 | d0, minlength=k)
+    sums = np.bincount(part.cluster_of, weights=(d1 | d0) * y, minlength=k)
+    usable = counts > 0
+    means = np.zeros(k)
+    means[usable] = sums[usable] / counts[usable]
+
+    def gap(v, arm1, arm0, why):
+        if not arm1.any() or not arm0.any():
+            raise DegenerateArmError(why)
+        return float(np.mean(v[arm1]) - np.mean(v[arm0]))
+
+    def hajek_value():
+        if w1.sum() == 0 or w0.sum() == 0:
+            raise DegenerateArmError("an arm has no cleanly exposed nodes")
+        return float((w1 @ y) / w1.sum() - (w0 @ y) / w0.sum())
+
+    interior = "interior set lacks a treated or control node"
+    formulas = {
+        "DIM": ({}, lambda: gap(y, z == 1, z == 0, "difference-in-means needs both arms populated")),
+        "HT": (clean, lambda: float(np.mean((w1 - w0) * y))),
+        "HAJEK": (clean, hajek_value),
+        "CAE": ({"clusters_used_treated": int((t & usable).sum()), "clusters_used_control": int((~t & usable).sum()),
+                 "clusters_skipped_treated": int((t & ~usable).sum()),
+                 "clusters_skipped_control": int((~t & ~usable).sum())},
+                lambda: gap(means, t & usable, ~t & usable, "an arm has no cluster with clean nodes")),
+        "MII": (arms, lambda: gap(y, it, ic, interior)),
+        "GNN": ({}, lambda: float(np.mean(pred1) - np.mean(pred0))),
+        "AMII": (arms, lambda: float(gap(y, it, ic, interior) + (np.mean(pred1) - np.mean(pred1[it]))
+                                     - (np.mean(pred0) - np.mean(pred0[ic])))),
+    }
+    values, diagnostics = {}, {}
+    for key, (counts_of, formula) in formulas.items():
+        diag = {"flags": [], **counts_of}
+        if key == "HT":
+            diag["flags"] += [f"no_{arm}" for arm in clean if clean[arm] == 0]
+        try:
+            value = formula()
+            if not math.isfinite(value):
+                raise DegenerateArmError(f"{key} produced a non-finite value")
+        except DegenerateArmError as exc:
+            value = None
+            diag["flags"].append(f"degenerate: {exc}")
+        values[key], diagnostics[key] = value, diag
+    return values, diagnostics
+
+
+@st.composite
+def sbm_with_hub_draws(draw):
+    """A small SBM plus a hub joined to up to 500 leaves that are each a
+    cluster of their own (hub touch count up to 501), clustered by blocks or
+    one cluster per node (an interior of isolated nodes only, often empty);
+    cluster bits all treated, all control or random; p near 0, mid or near 1."""
+    g0, blocks = sbm.generate(draw(st.integers(1, 4)), draw(st.integers(1, 8)), draw(st.sampled_from([0.0, 0.4, 1.0])),
+                              draw(st.sampled_from([0.0, 0.1])), draw(st.integers(0, 1000)))
+    leaves = draw(st.sampled_from([0, 1, 40, 160, 330, 500]))
+    hub = g0.node_count
+    e = g0.edge_array()
+    u = np.concatenate([e[:, 0], np.full(leaves, hub)])
+    v = np.concatenate([e[:, 1], hub + 1 + np.arange(leaves)])
+    g = from_edges(u, v, hub + 1 + leaves)
+    if draw(st.booleans()):
+        labels = np.arange(g.node_count)
+    else:
+        labels = np.concatenate([blocks, blocks.max() + 1 + np.arange(1 + leaves)])
+    part = decompose(g, labels)
+    p = draw(st.sampled_from([1e-9, 1e-3, 0.01, 0.1, 0.5, 0.9, 0.99, 1 - 1e-9]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bits = draw(st.sampled_from(["all", "none", "p", "half"]))
+    t = {"all": np.ones(part.cluster_count, dtype=bool), "none": np.zeros(part.cluster_count, dtype=bool),
+         "p": rng.random(part.cluster_count) < p, "half": rng.random(part.cluster_count) < 0.5}[bits]
+    y, pred1, pred0 = (rng.standard_normal(g.node_count) * 3 for _ in range(3))
+    return g, part, t, y, p, pred1, pred0
+
+
+@given(sbm_with_hub_draws())
+@settings(max_examples=150, deadline=None)
+def test_estimate_all_equals_the_plain_formulas_bit_for_bit(case):
+    g, part, t, y, p, pred1, pred0 = case
+    part.inverse_clean_probability(p)  # cached here, where a RuntimeWarning is an error
+    a = design.Assignment(g, design.expand(part, t), part, t)
+    with np.errstate(invalid="ignore", over="ignore"):  # an infinite weight of a clean node with p^c near 0
+        es = estimate_all(g, part, a, y, p, pred1, pred0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        values, diagnostics = reference_estimates(g, part, t, y, p, pred1, pred0)
+    hexed = {k: None if v is None else v.hex() for k, v in es.estimates.items()}
+    assert hexed == {k: None if v is None else v.hex() for k, v in values.items()}
+    assert es.diagnostics == diagnostics
+
+
+def test_clean_node_with_underflowed_probability_makes_ht_degenerate():
+    # every node its own cluster and all treated: the hub is clean, its p^401 is 0
+    g, part = star_with_isolates(400, 400, 0)
+    q1, _ = part.clean_probability(0.1)
+    inv1, _ = part.inverse_clean_probability(0.1)
+    assert q1[0] == 0.0 and inv1[0] == np.inf
+    y = np.random.default_rng(1).standard_normal(g.node_count)
+    with np.errstate(invalid="ignore"):
+        es = estimate_all(g, part, np.ones(g.node_count), y, 0.1, names=("HT",))
+    assert es.estimates["HT"] is None
+    assert es.diagnostics["HT"]["flags"] == ["no_clean_control", "degenerate: HT produced a non-finite value"]

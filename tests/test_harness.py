@@ -827,6 +827,11 @@ SMALL_SBM = (
         (SMALL_SBM.replace("seed: 2}", "seed: -2}"), [], "graph.sbm.seed must be a non-negative integer, got -2"),
         (SMALL_SBM + "model: {kind: partial_linear, v: normal, v_seed: -1}\n", [],
          "model.v_seed must be a non-negative integer, got -1"),
+        (SMALL_SBM.replace("blocks: true", "gamma: 1.0") + "model: {sigma: -1}\n", [],
+         "model.sigma must be a finite number >= 0, got -1"),
+        (SMALL_SBM.replace("blocks: true", "gamma: -1"), [], "clustering.gamma must be a finite number > 0, got -1"),
+        (SMALL_SBM.replace("blocks: true", "gamma: .nan"), [], "clustering.gamma must be a finite number > 0, got nan"),
+        (SMALL_SBM.replace("blocks: true", "gamma: .inf"), [], "clustering.gamma must be a finite number > 0, got inf"),
     ],
     ids=[
         "missing-file", "unknown-key", "yaml-syntax", "p-out-of-range", "p-not-a-number", "p-duplicate",
@@ -842,10 +847,12 @@ SMALL_SBM = (
         "sbm-communities-a-string", "sbm-communities-a-float", "sbm-size-a-bool", "sbm-seed-a-float",
         "sbm-p-in-a-string", "sbm-p-out-a-bool", "sbm-edgeless",
         "master-seed-negative", "master-seed-flag-negative", "clustering-seed-negative", "sbm-seed-negative",
-        "v-seed-negative",
+        "v-seed-negative", "sigma-negative", "gamma-negative", "gamma-nan", "gamma-inf",
     ],
 )
-def test_cli_run_bad_config_is_a_usage_error(tmp_path, capsys, config_text, flags, message):
+def test_cli_run_bad_config_is_a_usage_error(monkeypatch, tmp_path, capsys, config_text, flags, message):
+    clustered = []
+    monkeypatch.setattr(community, "louvain", lambda *args: clustered.append(args))
     cfg_path = tmp_path / "missing.yaml"
     if config_text is not None:
         cfg_path.write_text(config_text, encoding="utf-8")
@@ -854,6 +861,7 @@ def test_cli_run_bad_config_is_a_usage_error(tmp_path, capsys, config_text, flag
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert not (tmp_path / "o").exists()
+    assert clustered == []  # refused before the network is clustered
 
 
 def test_boundary_training_mask_without_boundary_nodes_fails_before_the_table(monkeypatch, tmp_path, capsys):

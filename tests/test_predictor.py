@@ -1,11 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netgate import design, outcomes, sbm
+from netgate import design, harness, outcomes, predictor, sbm
 from netgate.graph import decompose, from_edges
-from netgate.predictor import FeatureBasis, build_features, features_at_level, fit, predict
+from netgate.predictor import FeatureBasis, FeatureMatrix, build_features, features_at_level, fit, predict
 
 
 def toy_covariates(g, part):
@@ -241,3 +244,116 @@ def test_boundary_and_full_masks_both_deterministic(interior_rich_sbm):
     assert np.array_equal(full_a.coefficients, full_b.coefficients)
     assert np.array_equal(bnd_a.coefficients, bnd_b.coefficients)
     assert not np.array_equal(full_a.coefficients, bnd_a.coefficients)
+
+
+def reference_fit(f, y, ridge_lambda, mask):
+    """The ridge fit through scipy.linalg.solve(assume_a="pos"): (coefficients,
+    lambda, fallback flag), or the LinAlgError when even the fallback fails."""
+    if mask is not None:
+        f, y = f[mask], y[mask]
+    d = f.shape[1]
+    gram, rhs = f.T @ f, f.T @ y
+    if ridge_lambda is None:
+        ridge_lambda = 1e-6 * np.trace(gram) / d
+
+    def solve(lam):
+        lhs = gram + np.diag(np.full(d, lam))
+        try:
+            with warnings.catch_warnings():  # an ill-conditioned but solved system only warns
+                warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+                w = scipy.linalg.solve(lhs, rhs, assume_a="pos")
+        except np.linalg.LinAlgError:
+            return None
+        scale = np.linalg.norm(rhs)
+        return None if scale > 0 and np.linalg.norm(lhs @ w - rhs) > 1e-8 * max(scale, 1.0) else w
+
+    coef = solve(float(ridge_lambda))
+    if coef is not None:
+        return coef, float(ridge_lambda), False
+    coef = solve(1e-8)
+    if coef is None:
+        return np.linalg.LinAlgError
+    return coef, 1e-8, True
+
+
+@st.composite
+def normal_equations(draw):
+    """A feature matrix of d in 2..16 columns with its outcome, a lambda (None,
+    0 or a drawn one) and a training mask. Some columns repeat, combine or
+    zero others, and n may be below d, so F'F is often singular."""
+    d = draw(st.integers(2, 16))
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    integral = draw(st.booleans())  # small integers make a dependence exact
+    f = rng.integers(-3, 4, (n, d)).astype(float) if integral else rng.standard_normal((n, d))
+    f *= 10.0 ** rng.integers(-3, 4, d)
+    for j in draw(st.lists(st.integers(1, d - 1), max_size=3, unique=True)):
+        f[:, j] = draw(st.sampled_from([0.0, 1.0, -2.0])) * f[:, 0] + draw(st.sampled_from([0.0, 1.0])) * f[:, j - 1]
+    y = rng.standard_normal(n) if draw(st.booleans()) else f @ rng.standard_normal(d)
+    lam = draw(st.one_of(st.none(), st.just(0.0), st.floats(0.0, 1e3)))
+    mask = None
+    if draw(st.booleans()):
+        mask = rng.random(n) < 0.7
+        mask[rng.integers(n)] = True
+    return np.ascontiguousarray(f), y, lam, mask
+
+
+@given(normal_equations())
+@settings(max_examples=300, deadline=None)
+def test_fit_solves_bit_for_bit_as_scipy_solve(system):
+    f, y, lam, mask = system
+    features = FeatureMatrix(f, tuple(f"c{j}" for j in range(f.shape[1])))
+    expected = reference_fit(f, y, lam, mask)
+    if expected is np.linalg.LinAlgError:
+        with pytest.raises(np.linalg.LinAlgError):
+            fit(features, y, lam, mask)
+        return
+    fitted = fit(features, y, lam, mask)
+    coef, ridge_lambda, fallback = expected
+    assert fitted.coefficients.tobytes() == coef.tobytes()
+    assert (fitted.ridge_lambda, fitted.fallback_used) == (ridge_lambda, fallback)
+
+
+@pytest.mark.parametrize("where", ["y", "features"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_fit_refuses_a_non_finite_system(where, bad):
+    rng = np.random.default_rng(4)
+    f, y = rng.standard_normal((12, 3)), rng.standard_normal(12)
+    (y if where == "y" else f)[5] = bad
+    with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+        fit(FeatureMatrix(f, ("a", "b", "c")), y, 0.0)
+
+
+@pytest.mark.parametrize("training_mask", ["full", "boundary"])
+def test_table_cells_fit_on_the_feature_buffer_as_on_stacked_columns(monkeypatch, training_mask):
+    """Each cell writes its z-dependent columns into the basis's one buffer:
+    the normal equations it fits equal, bit for bit, those of the matrix
+    np.column_stack builds afresh, and f1/f0 stay as built."""
+    g, labels = sbm.generate(communities=5, size=24, p_in=0.3, p_out=0.01, seed=3)
+    part = decompose(g, labels)
+    cfg = harness.ExperimentConfig.from_dict({
+        "graph": {"sbm": {"communities": 5, "size": 24, "p_in": 0.3, "p_out": 0.01, "seed": 3}},
+        "clustering": {"blocks": True}, "estimators": ["GNN", "AMII"], "repetitions": 6,
+        "predictor": {"covariates": ["degree", "clusters"], "training_mask": training_mask},
+    })
+    state = harness._SimulationState(cfg, g, part, harness.build_model(cfg, g, part))
+    covs = toy_covariates(g, part)
+    drawn, cells = [], []
+    real_draw, real_fit = design.draw, predictor.fit
+    monkeypatch.setattr(design, "draw", lambda *args: drawn.append(real_draw(*args)) or drawn[-1])
+
+    def checked_fit(features, y, ridge_lambda=None, mask=None):
+        rows = slice(None) if mask is None else mask
+        fm, fresh = features.values[rows], reference_features(g, drawn[-1].unit_bits, covs, 2)[rows]
+        assert (fm.T @ fm).tobytes() == (fresh.T @ fresh).tobytes()
+        assert (fm.T @ y[rows]).tobytes() == (fresh.T @ y[rows]).tobytes()
+        assert not np.shares_memory(features.values, state.f1.values)
+        assert not np.shares_memory(features.values, state.f0.values)
+        cells.append(mask is not None)
+        return real_fit(features, y, ridge_lambda, mask)
+
+    monkeypatch.setattr(predictor, "fit", checked_fit)
+    harness._run_span(state, range(cfg.repetitions))
+    assert cells == [training_mask == "boundary"] * (cfg.repetitions * len(cfg.proportions))
+    for level, f in ((1, state.f1), (0, state.f0)):
+        assert f.values.tobytes() == features_at_level(g, covs, level).values.tobytes()
