@@ -35,38 +35,72 @@ def draw(p_part: Partition, p: float, rng: np.random.Generator) -> TreatmentDraw
     return TreatmentDraw(cluster_bits=bits, unit_bits=expand(p_part, bits))
 
 
+class DrawBlock:
+    """The sparse products of B drawn assignments of one graph and partition,
+    each held as an n×B block with one column per draw and computed on first
+    use: P z from one integer product N T (T holds the draws' cluster bits as
+    K×B columns, N is the partition's neighbor_counts) and one lookup in the
+    graph's share table, and P^2 z from one product P (P z). Column b of each
+    equals, bit for bit, the product of draw b alone: scipy's multi-column
+    kernel sums each column in the order of its matrix-vector product. n×B is
+    the layout that product takes and gives, so no transposed copy is made."""
+
+    def __init__(self, g: Graph, p_part: Partition, bits: np.ndarray | list[np.ndarray]):
+        self.graph = g
+        self.partition = p_part
+        self.bits = np.array(bits, dtype=bool, ndmin=2)  # B × K, one row per draw
+        self.bits.setflags(write=False)
+
+    @cached_property
+    def pz(self) -> np.ndarray:
+        table, offset = self.graph.share_table
+        index = self.partition.neighbor_counts @ self.bits.T  # N T: each node's treated neighbors per draw
+        index += offset[:, None]
+        pz = table[index]
+        pz.setflags(write=False)
+        return pz
+
+    @cached_property
+    def p2z(self) -> np.ndarray:
+        p2z = self.graph.row_normalized @ self.pz
+        p2z.setflags(write=False)
+        return p2z
+
+
 class Assignment:
     """One draw's 0/1 treatment vector z (float64) and its sparse products,
     each computed on first use and kept: P z and P^2 z, with P = D^-1 A the
     row-normalized adjacency, the clean masks read off P z, and the cluster
     bits t of z on the partition.
 
-    The record of a drawn assignment takes its partition and cluster bits t
-    and reads P z off integer counts: k = N t counts each node's treated
-    neighbors (N is the partition's neighbor_counts) and (P z)_i is entry
-    k_i of node i's row of the graph's share table, bit for bit the product.
-    The record of a bare vector computes P z as the sparse product and
-    derives t from z when asked (z must then be constant on clusters).
+    The record of a drawn assignment copies P z and P^2 z out of column
+    `column` of its DrawBlock; given its cluster bits t instead, it is the one
+    column of a block of its own. The record of a bare vector computes P z as the
+    sparse product and derives t from z when asked (z must then be constant
+    on clusters).
     """
 
     def __init__(
-        self, g: Graph, z: np.ndarray, p_part: Partition | None = None, t: np.ndarray | None = None
+        self, g: Graph, z: np.ndarray, p_part: Partition | None = None, t: np.ndarray | None = None,
+        block: DrawBlock | None = None, column: int = 0,
     ):
         z = np.asarray(z, dtype=np.float64)
         if z.shape != (g.node_count,):
             raise ValueError("treatment vector length mismatch")
-        if t is not None and p_part is None:
+        if (t is not None or block is not None) and p_part is None:
             raise ValueError("cluster bits need their partition")
         self.graph = g
         self.partition = p_part
         self.z = z
-        self._drawn_bits = t
+        if t is not None:
+            block, column = DrawBlock(g, p_part, t), 0
+        self._block, self._column = block, column
 
     @cached_property
     def t(self) -> np.ndarray:
         """Cluster bits: bit j is set iff cluster j is treated."""
-        if self._drawn_bits is not None:
-            return self._drawn_bits
+        if self._block is not None:
+            return self._block.bits[self._column]
         bits = np.zeros(self.partition.cluster_count, dtype=bool)
         bits[self.partition.cluster_of[self.z == 1]] = True
         return bits
@@ -85,14 +119,15 @@ class Assignment:
 
     @cached_property
     def pz(self) -> np.ndarray:
-        if self._drawn_bits is None:
+        if self._block is None:
             return self.graph.row_normalized @ self.z
-        table, offset = self.graph.share_table
-        return table[offset + self.partition.neighbor_counts @ self._drawn_bits]
+        return np.ascontiguousarray(self._block.pz[:, self._column])
 
     @cached_property
     def p2z(self) -> np.ndarray:
-        return self.graph.row_normalized @ self.pz
+        if self._block is None:
+            return self.graph.row_normalized @ self.pz
+        return np.ascontiguousarray(self._block.p2z[:, self._column])
 
 
 def as_assignment(g: Graph, z: np.ndarray | Assignment, p_part: Partition | None = None) -> Assignment:

@@ -2,7 +2,13 @@
 outcome model, estimator set), with bias/std/MSE aggregation and reporting.
 
 Repetitions draw independent substreams from the master seed, so results are
-identical for any execution order or number of worker processes (fork).
+identical for any execution order or number of worker processes (fork). A
+worker runs contiguous spans of repetitions; a span runs its cells in blocks
+of CELLS_PER_BLOCK consecutive ones. Each cell of a block draws its cluster
+bits on its own generator, the block makes one product of each sparse matrix
+for all its draws (design.DrawBlock), and then each cell realizes, fits and
+estimates on, its generator carrying on from its draw. Neither the split into
+spans nor the one into blocks changes a bit of the reports.
 """
 
 from __future__ import annotations
@@ -27,6 +33,9 @@ from .outcomes import Covariate, OutcomeModel, PartialLinearModel
 
 # a table is split into this many spans of repetitions per worker, to balance the load
 SPANS_PER_WORKER = 4
+# a span runs its cells in blocks of this many consecutive ones, which share one
+# product of each sparse matrix (design.DrawBlock)
+CELLS_PER_BLOCK = 24
 TRUTHS = {"gate": outcomes.true_gate, "global_treatment_mean": outcomes.global_treatment_mean}
 # what each key of the graph, clustering and predictor sections may be (see _fits)
 SECTION_KINDS = {
@@ -309,11 +318,14 @@ class SimulationReport:
         }
         if self.alpha_hat_mean is not None:
             payload["alpha_hat_mean"] = self.alpha_hat_mean
-        if self.raw_estimates is not None:
-            payload["raw_estimates"] = self.raw_estimates
+        if self.raw_estimates is not None:  # a degenerate draw's NaN is written as null
+            payload["raw_estimates"] = {
+                name: {key: [v if np.isfinite(v) else None for v in values] for key, values in by_p.items()}
+                for name, by_p in self.raw_estimates.items()
+            }
         if self.raw_diagnostics is not None:
             payload["raw_diagnostics"] = self.raw_diagnostics
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
 
     def all_absent(self) -> bool:
         return bool(self.cells) and all(c.absent_reason is not None for c in self.cells)
@@ -353,9 +365,9 @@ class _SimulationState:
             if column in self.basis.names:
                 self.tracked_column = column
 
-    def run_cell(self, rng: np.random.Generator, p: float):
-        d = design.draw(self.partition, p, rng)
-        a = design.Assignment(self.graph, d.unit_bits, self.partition, d.cluster_bits)
+    def run_cell(self, a: design.Assignment, rng: np.random.Generator, p: float):
+        """The estimates and fitted alpha_hat of the cell whose draw is `a`,
+        its noise taken from `rng`, the generator that drew it."""
         y = self.model.realize(a, rng)
         pred1 = pred0 = None
         alpha_hat = np.nan
@@ -388,13 +400,24 @@ def _run_span(state: _SimulationState, span: range):
     """The repetitions in `span`, each cell on its own substream, as one
     (len(span), n_p, len(names) + 1) array: each estimator's value (NaN on a
     degenerate draw) in `state.names` order, then the fitted alpha_hat; plus,
-    when verbose, the cells' diagnostics in repetition-major order."""
+    when verbose, the cells' diagnostics in repetition-major order.
+
+    The cells run in blocks of CELLS_PER_BLOCK: each draws its cluster bits
+    on its own generator, the block's draws share one DrawBlock, and then
+    each cell runs on, its generator carrying on from its draw."""
     ps = state.proportions
     table = np.full((len(span), len(ps), len(state.names) + 1), np.nan)
     diagnostics = [] if state.verbose else None
-    for j, r in enumerate(span):
-        for pi, (p, seed) in enumerate(zip(ps, state.rep_seeds[r].spawn(len(ps)))):
-            est, table[j, pi, -1] = state.run_cell(np.random.default_rng(seed), p)
+    cells = [(j, pi, p, seed) for j, r in enumerate(span)
+             for pi, (p, seed) in enumerate(zip(ps, state.rep_seeds[r].spawn(len(ps))))]
+    for start in range(0, len(cells), CELLS_PER_BLOCK):
+        chunk = cells[start : start + CELLS_PER_BLOCK]
+        rngs = [np.random.default_rng(seed) for *_, seed in chunk]
+        draws = [design.draw(state.partition, p, rng) for (_, _, p, _), rng in zip(chunk, rngs)]
+        block = design.DrawBlock(state.graph, state.partition, [d.cluster_bits for d in draws])
+        for b, ((j, pi, p, _), rng, d) in enumerate(zip(chunk, rngs, draws)):
+            a = design.Assignment(state.graph, d.unit_bits, state.partition, block=block, column=b)
+            est, table[j, pi, -1] = state.run_cell(a, rng, p)
             table[j, pi, :-1] = [est.estimates[name] for name in state.names]  # None casts to NaN
             if diagnostics is not None:
                 diagnostics.append(est.diagnostics)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netgate import design, estimators, outcomes, predictor
+from netgate import design, estimators, outcomes, predictor, sbm
 from netgate.graph import Graph, decompose, from_edges
 
 from conftest import neighbors, path_graph
@@ -286,6 +286,55 @@ def test_drawn_record_reads_pz_off_cluster_counts_bit_for_bit(case):
     assert np.array_equal(d1, (z == 1) & (treated_nbrs == g.degrees))
     assert np.array_equal(d0, (z == 0) & (treated_nbrs == 0))
     assert np.array_equal(a.t, t) and np.array_equal(design.Assignment(g, z, part).t, t)
+
+
+@st.composite
+def sbm_hub_and_block_of_draws(draw):
+    """An SBM whose blocks are the clusters, plus a hub linked to a random
+    share of its nodes (so it can touch every cluster) and 0-3 isolated
+    nodes, under 1-30 draws at proportions mixed within the block."""
+    k, size = draw(st.integers(1, 12)), draw(st.integers(1, 20))
+    sbm_graph, labels = sbm.generate(k, size, draw(st.floats(0.05, 1.0)), draw(st.floats(0.0, 0.2)),
+                                     draw(st.integers(0, 2**16)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    hub, isolated = k * size, draw(st.integers(0, 3))
+    spokes = rng.choice(hub, size=draw(st.integers(0, hub)), replace=False)
+    edges = sbm_graph.edge_array()
+    g = from_edges(np.concatenate([edges[:, 0], np.full(len(spokes), hub)]),
+                   np.concatenate([edges[:, 1], spokes]), hub + 1 + isolated)
+    part = decompose(g, np.concatenate([labels, rng.integers(0, k, 1 + isolated)]))
+    ps = draw(st.lists(st.sampled_from([0.01, 0.1, 0.3, 0.5, 0.9, 0.99]), min_size=1, max_size=30))
+    return g, part, [design.draw(part, p, rng).cluster_bits for p in ps]
+
+
+@given(sbm_hub_and_block_of_draws())
+@settings(max_examples=80, deadline=None)
+def test_block_columns_equal_each_draws_own_products_bit_for_bit(case):
+    """Column b of a block's P z and P^2 z is, in every bit, the
+    matrix-vector product of draw b alone, whatever the block's size and
+    proportions, and so is what a record of column b reads."""
+    g, part, bits = case
+    block = design.DrawBlock(g, part, bits)
+    p_mat = g.row_normalized
+    assert block.pz.shape == block.p2z.shape == (g.node_count, len(bits))
+    for b, t in enumerate(bits):
+        z = design.expand(part, t).astype(np.float64)
+        pz = p_mat @ z
+        p2z = p_mat @ pz
+        a = design.Assignment(g, z, part, block=block, column=b)
+        assert np.array_equal(a.t, t)
+        assert block.pz[:, b].tobytes() == a.pz.tobytes() == pz.tobytes()
+        assert block.p2z[:, b].tobytes() == a.p2z.tobytes() == p2z.tobytes()
+
+
+@given(st.one_of(hub_graph_and_draw().map(lambda case: case[0]),
+                 sbm_hub_and_block_of_draws().map(lambda case: case[0])))
+@settings(max_examples=80, deadline=None)
+def test_last_share_table_sums_are_p_times_ones_bit_for_bit(g):
+    """table[offset + degrees], which a drawn record's clean mask compares
+    P z with, is P 1 in every bit (0 on an isolated node)."""
+    table, offset = g.share_table
+    assert table[offset + g.degrees].tobytes() == (g.row_normalized @ np.ones(g.node_count)).tobytes()
 
 
 def test_record_without_partition_takes_the_one_it_is_used_with(toy_graph, toy_partition):

@@ -57,33 +57,37 @@ def sbm_config(**overrides):
 
 @pytest.mark.parametrize("r2", [0.0, 1.0])
 def test_run_cell_multiplies_by_each_sparse_matrix_once(monkeypatch, r2):
-    """One cell makes one product with P, P (P z): the draw's record reads P z
-    off the cluster counts and the clean masks off P z, the model, the
-    features and the estimators share that record, and nothing touches the
-    0/1 adjacency."""
-    cfg = sbm_config(model={**sbm_config().model, "r2": r2}, repetitions=1)
-    g = build_graph(cfg)
-    part, _ = build_partition(cfg, g)
-    calls = []
+    """A block of a span's cells makes one product with N, N T, and at most
+    one with P, P (P Z): the draws' records read P z off the cluster counts
+    and the clean masks off P z, the model, the features and the estimators
+    share them, and nothing touches the 0/1 adjacency. A table that never
+    reads P^2 z (DIM and MII under r2 = 0) makes no product with P."""
+    reps = 9  # 27 cells, no multiple of a block
+    blocks = -(-reps * 3 // harness.CELLS_PER_BLOCK)
+    for names in (["DIM", "HT", "HAJEK", "CAE", "MII", "GNN", "AMII"], ["DIM", "MII"]):
+        cfg = sbm_config(model={**sbm_config().model, "r2": r2}, estimators=names, repetitions=reps)
+        g = build_graph(cfg)
+        part, _ = build_partition(cfg, g)
+        calls = []
 
-    class Counting:
-        def __init__(self, matrix):
-            self.matrix = matrix
+        class Counting:
+            def __init__(self, name, matrix):
+                self.name, self.matrix = name, matrix
 
-        def __matmul__(self, v):
-            calls.append("row_normalized")
-            return self.matrix @ v
+            def __matmul__(self, v):
+                calls.append(self.name)
+                return self.matrix @ v
 
-    wrapped, adjacency = Counting(g.row_normalized), g.adjacency()
-    monkeypatch.setattr(g, "row_normalized", wrapped)
-    monkeypatch.setattr(g, "adjacency", lambda: calls.append("adjacency") or adjacency)
-    state = _SimulationState(cfg, g, part, build_model(cfg, g, part))
-    assert "adjacency" not in calls
-    rng = np.random.default_rng(0)
-    for p in cfg.proportions:
+        adjacency = g.adjacency()
+        monkeypatch.setattr(g, "row_normalized", Counting("P", g.row_normalized))
+        monkeypatch.setattr(part, "neighbor_counts", Counting("N", part.neighbor_counts))
+        monkeypatch.setattr(g, "adjacency", lambda: calls.append("adjacency") or adjacency)
+        state = _SimulationState(cfg, g, part, build_model(cfg, g, part))
+        assert "adjacency" not in calls
         calls.clear()
-        state.run_cell(rng, p)
-        assert calls == ["row_normalized"], p
+        harness._run_span(state, range(reps))
+        reads_p2z = state.needs_predictor or r2 != 0.0
+        assert calls == (["N", "P"] if reads_p2z else ["N"]) * blocks, names
 
 
 def test_config_file_roundtrip(tmp_path):
@@ -268,7 +272,7 @@ def test_shipped_configs_build_their_model_and_predictor(path):
     g, labels = sbm.generate(communities=4, size=12, p_in=0.5, p_out=0.05, seed=2)
     part = decompose(g, labels)
     state = _SimulationState(cfg, g, part, build_model(cfg, g, part))
-    state.run_cell(np.random.default_rng(0), cfg.proportions[0])
+    harness._run_span(state, range(1))
 
 
 def test_single_noiseless_repetition_has_zero_std():
@@ -343,7 +347,7 @@ def test_reports_identical_at_any_worker_count(threads, repetitions):
 
 
 def test_worker_error_reaches_the_caller_and_no_worker_outlives_it(monkeypatch):
-    def failing(self, rng, p):
+    def failing(self, a, rng, p):
         raise ValueError(f"cell failed at p={p}")
 
     monkeypatch.setattr(_SimulationState, "run_cell", failing)  # forked workers inherit the patch
@@ -494,6 +498,41 @@ def test_raw_estimates_and_diagnostics_dumped_when_verbose():
     assert "s1" in per_rep[0]["MII"]
     dumped = report.to_json()
     assert "raw_estimates" in dumped and "raw_diagnostics" in dumped
+
+
+def test_verbose_report_json_is_strict_json():
+    """A degenerate draw's estimate is null in report.json, never a bare NaN
+    token, and stays NaN in raw_estimates; nothing non-finite is written."""
+    cfg = ExperimentConfig.from_file(Path(__file__).parent.parent / "configs" / "sbm_demo.yaml")
+    report = run(ExperimentConfig.from_dict({**cfg.to_dict(), "repetitions": 30, "estimators": ["DIM", "MII"],
+                                             "verbose": True}))
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    written = json.loads(report.to_json(), parse_constant=refuse)
+    for name, by_p in report.raw_estimates.items():
+        for key, values in by_p.items():
+            assert written["raw_estimates"][name][key] == [None if math.isnan(v) else v for v in values]
+    nulls = sum(v is None for by_p in written["raw_estimates"].values() for values in by_p.values() for v in values)
+    assert nulls == sum(cell.degenerate for cell in report.cells) > 0
+
+
+@pytest.mark.parametrize("repetitions", [1, 7, 60])
+def test_reports_do_not_depend_on_block_boundaries(monkeypatch, repetitions):
+    """report.csv and the verbose report.json are the same bytes whatever
+    number of cells a block holds, at one and two workers: also when the
+    cell count is no multiple of it and a span holds less than one block."""
+    def reports(cells_per_block, threads):
+        monkeypatch.setattr(harness, "CELLS_PER_BLOCK", cells_per_block)  # forked workers inherit it
+        report = run(pool_config(threads, repetitions))
+        return report.to_csv(), report.to_json()
+
+    sizes = (2, 5, harness.CELLS_PER_BLOCK)
+    expected = reports(1, 1)
+    for cells_per_block in sizes:
+        for threads in (1, 2):
+            assert reports(cells_per_block, threads) == expected, (cells_per_block, threads)
 
 
 def test_mii_consistency_trend_in_cluster_count():

@@ -342,9 +342,9 @@ def test_table_cells_fit_on_the_feature_buffer_as_on_stacked_columns(monkeypatch
     real_draw, real_fit = design.draw, predictor.fit
     monkeypatch.setattr(design, "draw", lambda *args: drawn.append(real_draw(*args)) or drawn[-1])
 
-    def checked_fit(features, y, ridge_lambda=None, mask=None):
+    def checked_fit(features, y, ridge_lambda=None, mask=None):  # fit k is of draw k: a span draws a block first
         rows = slice(None) if mask is None else mask
-        fm, fresh = features.values[rows], reference_features(g, drawn[-1].unit_bits, covs, 2)[rows]
+        fm, fresh = features.values[rows], reference_features(g, drawn[len(cells)].unit_bits, covs, 2)[rows]
         assert (fm.T @ fm).tobytes() == (fresh.T @ fresh).tobytes()
         assert (fm.T @ y[rows]).tobytes() == (fresh.T @ y[rows]).tobytes()
         assert not np.shares_memory(features.values, state.f1.values)
