@@ -113,9 +113,8 @@ class Assignment:
         Read exactly off P z: (P z)_i is the k_i-th partial sum of fl(1/d_i)
         for k_i treated neighbors, and these sums strictly increase from 0 at
         k_i = 0 to P 1 at k_i = d_i."""
-        table, offset = self.graph.share_table
         z, pz = self.z, self.pz
-        return (z == 1) & (pz == table[offset + self.graph.degrees]), (z == 0) & (pz == 0)
+        return (z == 1) & (pz == self.graph.p_ones), (z == 0) & (pz == 0)
 
     @cached_property
     def pz(self) -> np.ndarray:

@@ -87,8 +87,8 @@ class Graph:
 
         P z adds fl(1/d_i) once per treated neighbor, in index order, so the
         d_i + 1 entries from offset[i] are the sequential partial sums of
-        fl(1/d_i), from 0 up to P 1 = table[offset + degrees]; nodes of one
-        degree share them. The table holds at most nnz + n floats."""
+        fl(1/d_i), from 0 up to P 1 (p_ones); nodes of one degree share
+        them. The table holds at most nnz + n floats."""
         degrees = _sorted_unique(self.degrees)
         starts = np.zeros(len(degrees), dtype=np.int64)
         np.cumsum(degrees[:-1] + 1, out=starts[1:])
@@ -100,6 +100,14 @@ class Graph:
         for arr in (table, offset):
             arr.setflags(write=False)
         return table, offset
+
+    @cached_property
+    def p_ones(self) -> np.ndarray:
+        """P 1 in every bit: each node's last share-table sum (read-only)."""
+        table, offset = self.share_table
+        ones = table[offset + self.degrees]
+        ones.setflags(write=False)
+        return ones
 
     @cached_property
     def diag_p_squared(self) -> np.ndarray:

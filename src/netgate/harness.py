@@ -1,14 +1,13 @@
 """Seeded Monte Carlo experiments over (clustering, treatment proportion,
 outcome model, estimator set), with bias/std/MSE aggregation and reporting.
 
-Repetitions draw independent substreams from the master seed, so results are
-identical for any execution order or number of worker processes (fork). A
-worker runs contiguous spans of repetitions; a span runs its cells in blocks
-of CELLS_PER_BLOCK consecutive ones. Each cell of a block draws its cluster
-bits on its own generator, the block makes one product of each sparse matrix
-for all its draws (design.DrawBlock), and then each cell realizes, fits and
-estimates on, its generator carrying on from its draw. Neither the split into
-spans nor the one into blocks changes a bit of the reports.
+A table's cells c = r * n_p + pi (repetition r at the pi-th proportion) run
+in blocks of CELLS_PER_BLOCK consecutive ones, inline or on forked workers.
+Each cell's generator is seeded with no state, by cell_seed(master_seed, r,
+pi), so the reports do not depend on the order, the workers or the blocks.
+A block draws each cell's cluster bits on its generator, makes one product
+of each sparse matrix for all its draws (design.DrawBlock), and then each
+cell realizes, fits and estimates, its generator carrying on from its draw.
 """
 
 from __future__ import annotations
@@ -31,9 +30,7 @@ from . import __version__, community, design, estimators, outcomes, predictor, s
 from .graph import EdgeFormat, Graph, Partition, decompose, load_edge_list, read_partition
 from .outcomes import Covariate, OutcomeModel, PartialLinearModel
 
-# a table is split into this many spans of repetitions per worker, to balance the load
-SPANS_PER_WORKER = 4
-# a span runs its cells in blocks of this many consecutive ones, which share one
+# a table runs its cells in blocks of this many consecutive ones, which share one
 # product of each sparse matrix (design.DrawBlock)
 CELLS_PER_BLOCK = 24
 TRUTHS = {"gate": outcomes.true_gate, "global_treatment_mean": outcomes.global_treatment_mean}
@@ -341,7 +338,7 @@ class _SimulationState:
 
     def __init__(self, config: ExperimentConfig, g: Graph, p_part: Partition, model: OutcomeModel):
         self.proportions = list(config.proportions)
-        self.rep_seeds = np.random.SeedSequence(config.master_seed).spawn(config.repetitions)
+        self.master_seed = config.master_seed
         self.verbose = config.verbose
         self.graph = g
         self.partition = p_part
@@ -382,8 +379,13 @@ class _SimulationState:
         return est, alpha_hat
 
 
-# the table a forked worker runs spans of: set in each worker (never in the parent)
-# by _start_worker, read by _worker_span
+def cell_seed(master_seed: int, r: int, pi: int) -> np.random.SeedSequence:
+    """The seed of repetition r's cell at the pi-th proportion, made with no state:
+    SeedSequence(master_seed).spawn(R)[r].spawn(n_p)[pi] for any R > r, n_p > pi."""
+    return np.random.SeedSequence(master_seed, spawn_key=(r, pi))
+
+
+# the table whose blocks a forked worker runs: set by _start_worker, never in the parent
 _worker_state: _SimulationState | None = None
 
 
@@ -392,52 +394,47 @@ def _start_worker(state: _SimulationState) -> None:
     _worker_state = state
 
 
-def _worker_span(span: range):
-    return _run_span(_worker_state, span)
+def _worker_block(cells: range):
+    return _run_block(_worker_state, cells)
 
 
-def _run_span(state: _SimulationState, span: range):
-    """The repetitions in `span`, each cell on its own substream, as one
-    (len(span), n_p, len(names) + 1) array: each estimator's value (NaN on a
-    degenerate draw) in `state.names` order, then the fitted alpha_hat; plus,
-    when verbose, the cells' diagnostics in repetition-major order.
+def _run_block(state: _SimulationState, cells: range):
+    """The cells c = r * n_p + pi in `cells`, each on its generator seeded by
+    cell_seed, as one (len(cells), len(names) + 1) array: each estimator's
+    value (NaN on a degenerate draw) in `state.names` order, then the fitted
+    alpha_hat; plus, when verbose, the cells' diagnostics in cell order.
 
-    The cells run in blocks of CELLS_PER_BLOCK: each draws its cluster bits
-    on its own generator, the block's draws share one DrawBlock, and then
-    each cell runs on, its generator carrying on from its draw."""
-    ps = state.proportions
-    table = np.full((len(span), len(ps), len(state.names) + 1), np.nan)
+    The draws share one DrawBlock, and each cell runs on from its draw on the
+    same generator. A state and cells give the same bits on every call."""
+    n_p = len(state.proportions)
+    rngs = [np.random.default_rng(cell_seed(state.master_seed, *divmod(c, n_p))) for c in cells]
+    ps = [state.proportions[c % n_p] for c in cells]
+    draws = [design.draw(state.partition, p, rng) for p, rng in zip(ps, rngs)]
+    block = design.DrawBlock(state.graph, state.partition, [d.cluster_bits for d in draws])
+    rows = np.empty((len(cells), len(state.names) + 1))
     diagnostics = [] if state.verbose else None
-    cells = [(j, pi, p, seed) for j, r in enumerate(span)
-             for pi, (p, seed) in enumerate(zip(ps, state.rep_seeds[r].spawn(len(ps))))]
-    for start in range(0, len(cells), CELLS_PER_BLOCK):
-        chunk = cells[start : start + CELLS_PER_BLOCK]
-        rngs = [np.random.default_rng(seed) for *_, seed in chunk]
-        draws = [design.draw(state.partition, p, rng) for (_, _, p, _), rng in zip(chunk, rngs)]
-        block = design.DrawBlock(state.graph, state.partition, [d.cluster_bits for d in draws])
-        for b, ((j, pi, p, _), rng, d) in enumerate(zip(chunk, rngs, draws)):
-            a = design.Assignment(state.graph, d.unit_bits, state.partition, block=block, column=b)
-            est, table[j, pi, -1] = state.run_cell(a, rng, p)
-            table[j, pi, :-1] = [est.estimates[name] for name in state.names]  # None casts to NaN
-            if diagnostics is not None:
-                diagnostics.append(est.diagnostics)
-    return table, diagnostics
+    for b, (p, rng, d) in enumerate(zip(ps, rngs, draws)):
+        a = design.Assignment(state.graph, d.unit_bits, state.partition, block=block, column=b)
+        est, rows[b, -1] = state.run_cell(a, rng, p)
+        rows[b, :-1] = [est.estimates[name] for name in state.names]  # None casts to NaN
+        if diagnostics is not None:
+            diagnostics.append(est.diagnostics)
+    return rows, diagnostics
 
 
 def _simulate(
     config: ExperimentConfig, g: Graph, p_part: Partition, model: OutcomeModel
 ) -> tuple[np.ndarray, list | None]:
-    """`_run_span`'s array and diagnostics for all R repetitions. Contiguous spans
-    of them run on min(threads, R, usable CPUs) forked worker processes, which
-    inherit the state instead of unpickling it; one worker runs them inline.
-    The substreams do not depend on the split."""
+    """`_run_block`'s rows for all R * n_p cells as one (R, n_p, len(names) + 1)
+    array, and their diagnostics. The blocks run on min(threads, blocks, usable
+    CPUs) forked worker processes, which inherit the state instead of
+    unpickling it; one worker runs them inline."""
     state = _SimulationState(config, g, p_part, model)
-    reps = config.repetitions
-    workers = min(config.threads, reps, len(os.sched_getaffinity(0)))
-    bounds = np.linspace(0, reps, min(reps, SPANS_PER_WORKER * workers) + 1).astype(int)
-    spans = [range(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+    cells = range(config.repetitions * len(config.proportions))
+    blocks = [cells[c : c + CELLS_PER_BLOCK] for c in cells[::CELLS_PER_BLOCK]]
+    workers = min(config.threads, len(blocks), len(os.sched_getaffinity(0)))
     if workers == 1:
-        parts = [_run_span(state, span) for span in spans]
+        parts = [_run_block(state, block) for block in blocks]
     else:
         # imported here, so a one-worker run never loads them and they do not
         # raise the peak RSS of the network load and Louvain before the table
@@ -448,11 +445,12 @@ def _simulate(
             workers, multiprocessing.get_context("fork"), initializer=_start_worker, initargs=(state,)
         )
         try:
-            parts = list(pool.map(_worker_span, spans))
+            parts = list(pool.map(_worker_block, blocks))
         finally:
             pool.shutdown(cancel_futures=True)
     diagnostics = [d for _, part in parts for d in part] if config.verbose else None
-    return np.concatenate([table for table, _ in parts]), diagnostics
+    table = np.concatenate([rows for rows, _ in parts])
+    return table.reshape(config.repetitions, len(config.proportions), -1), diagnostics
 
 
 def _cell_stats(name: str, p: float, values: np.ndarray, truth: float) -> CellStats:

@@ -331,10 +331,14 @@ def test_block_columns_equal_each_draws_own_products_bit_for_bit(case):
                  sbm_hub_and_block_of_draws().map(lambda case: case[0])))
 @settings(max_examples=80, deadline=None)
 def test_last_share_table_sums_are_p_times_ones_bit_for_bit(g):
-    """table[offset + degrees], which a drawn record's clean mask compares
-    P z with, is P 1 in every bit (0 on an isolated node)."""
+    """table[offset + degrees], and p_ones, the cached copy of it that a
+    drawn record's clean mask compares P z with, are P 1 in every bit (0 on
+    an isolated node); p_ones is read-only."""
     table, offset = g.share_table
-    assert table[offset + g.degrees].tobytes() == (g.row_normalized @ np.ones(g.node_count)).tobytes()
+    expected = (g.row_normalized @ np.ones(g.node_count)).tobytes()
+    assert table[offset + g.degrees].tobytes() == expected
+    assert g.p_ones.tobytes() == expected
+    assert not g.p_ones.flags.writeable
 
 
 def test_record_without_partition_takes_the_one_it_is_used_with(toy_graph, toy_partition):

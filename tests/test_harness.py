@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import json
 import math
 import multiprocessing
@@ -7,6 +8,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -57,8 +59,8 @@ def sbm_config(**overrides):
 
 @pytest.mark.parametrize("r2", [0.0, 1.0])
 def test_run_cell_multiplies_by_each_sparse_matrix_once(monkeypatch, r2):
-    """A block of a span's cells makes one product with N, N T, and at most
-    one with P, P (P Z): the draws' records read P z off the cluster counts
+    """A block of cells makes one product with N, N T, and at most one with
+    P, P (P Z): the draws' records read P z off the cluster counts
     and the clean masks off P z, the model, the features and the estimators
     share them, and nothing touches the 0/1 adjacency. A table that never
     reads P^2 z (DIM and MII under r2 = 0) makes no product with P."""
@@ -85,9 +87,39 @@ def test_run_cell_multiplies_by_each_sparse_matrix_once(monkeypatch, r2):
         state = _SimulationState(cfg, g, part, build_model(cfg, g, part))
         assert "adjacency" not in calls
         calls.clear()
-        harness._run_span(state, range(reps))
+        cells = range(reps * 3)
+        for start in cells[:: harness.CELLS_PER_BLOCK]:
+            harness._run_block(state, cells[start : start + harness.CELLS_PER_BLOCK])
         reads_p2z = state.needs_predictor or r2 != 0.0
         assert calls == (["N", "P"] if reads_p2z else ["N"]) * blocks, names
+
+
+@settings(max_examples=50, deadline=None)
+@given(master_seed=st.integers(0, 2**128), r=st.integers(0, 1999), pi=st.integers(0, 5),
+       extra=st.tuples(st.integers(1, 3), st.integers(1, 3)))
+def test_cell_seed_draws_as_the_spawn_chain(master_seed, r, pi, extra):
+    """cell_seed(m, r, pi) seeds the generator that SeedSequence(m).spawn(R)[r]
+    .spawn(n_p)[pi] seeds, for any R > r and n_p > pi: the rule perfbench's
+    replay spells out with its own spawn chain."""
+    repetitions, n_p = r + extra[0], pi + extra[1]
+    chained = np.random.SeedSequence(master_seed).spawn(repetitions)[r].spawn(n_p)[pi]
+    ours = harness.cell_seed(master_seed, r, pi)
+    assert ours.generate_state(8).tolist() == chained.generate_state(8).tolist()
+    a, b = np.random.default_rng(ours), np.random.default_rng(chained)
+    assert a.random(16).tobytes() == b.random(16).tobytes()
+    assert a.standard_normal(16).tobytes() == b.standard_normal(16).tobytes()
+
+
+def test_a_block_run_twice_on_one_state_gives_the_same_bits():
+    """Cells hold no seed state, so a second run of the same block on the
+    same state repeats every value and diagnostic."""
+    cfg = sbm_config(repetitions=9, verbose=True)
+    g = build_graph(cfg)
+    part, _ = build_partition(cfg, g)
+    state = _SimulationState(cfg, g, part, build_model(cfg, g, part))
+    first, again = harness._run_block(state, range(5, 27)), harness._run_block(state, range(5, 27))
+    assert first[0].tobytes() == again[0].tobytes()
+    assert first[1] == again[1]
 
 
 def test_config_file_roundtrip(tmp_path):
@@ -272,7 +304,7 @@ def test_shipped_configs_build_their_model_and_predictor(path):
     g, labels = sbm.generate(communities=4, size=12, p_in=0.5, p_out=0.05, seed=2)
     part = decompose(g, labels)
     state = _SimulationState(cfg, g, part, build_model(cfg, g, part))
-    harness._run_span(state, range(1))
+    harness._run_block(state, range(len(cfg.proportions)))  # one repetition
 
 
 def test_single_noiseless_repetition_has_zero_std():
@@ -334,10 +366,11 @@ def pool_config(threads, repetitions):
 
 
 @pytest.mark.parametrize("threads, repetitions", [(2, 30), (3, 30), (8, 5)])
-def test_reports_identical_at_any_worker_count(threads, repetitions):
-    """Forked workers run contiguous spans on the repetitions' own substreams:
-    report.csv and the verbose report.json match one worker's byte for byte,
-    also with more workers than repetitions, and no worker outlives the run."""
+def test_reports_identical_at_any_worker_count(monkeypatch, threads, repetitions):
+    """Forked workers run blocks of cells, each cell on its own seed: report.csv
+    and the verbose report.json match one worker's byte for byte, also with
+    more workers than blocks (8 for 4), and no worker outlives the run."""
+    monkeypatch.setattr(harness, "CELLS_PER_BLOCK", 4)  # forked workers inherit it
     one = run(pool_config(1, repetitions))
     many = run(pool_config(threads, repetitions))
     assert multiprocessing.active_children() == []
@@ -358,9 +391,9 @@ def test_worker_error_reaches_the_caller_and_no_worker_outlives_it(monkeypatch):
 
 
 def test_one_worker_runs_the_table_in_process(monkeypatch):
-    pooled = run(sbm_config(repetitions=4, threads=2)).to_csv()
+    pooled = run(sbm_config(repetitions=10, threads=2)).to_csv()  # 30 cells, two blocks
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", None)
-    assert run(sbm_config(repetitions=4)).to_csv() == pooled
+    assert run(sbm_config(repetitions=10)).to_csv() == pooled
 
 
 @pytest.mark.parametrize(
@@ -368,9 +401,10 @@ def test_one_worker_runs_the_table_in_process(monkeypatch):
     [(8, 30, 3, 3), (2, 30, 64, 2), (6, 4, 64, 4), (4, 30, 1, None), (4, 1, 64, None)],
 )
 def test_workers_are_capped_at_repetitions_and_usable_cpus(monkeypatch, threads, repetitions, cpus, workers):
-    """min(threads, repetitions, usable CPUs) workers, SPANS_PER_WORKER spans each
-    (at most one per repetition), and inline at one worker. A stand-in pool
-    runs the spans in this process, so no process starts."""
+    """min(threads, blocks, usable CPUs) workers, one task per block, and
+    inline at one worker. With blocks of 3 cells, one repetition at each of
+    the 3 proportions, there are as many blocks as repetitions. A stand-in
+    pool runs the blocks in this process, so no process starts."""
     pools = []
 
     class InlinePool:
@@ -378,14 +412,15 @@ def test_workers_are_capped_at_repetitions_and_usable_cpus(monkeypatch, threads,
             pools.append(self)
             self.max_workers, self.state = max_workers, initargs[0]
 
-        def map(self, fn, spans):
-            self.spans = list(spans)
-            return [harness._run_span(self.state, span) for span in self.spans]
+        def map(self, fn, blocks):
+            self.blocks = list(blocks)
+            return [harness._run_block(self.state, cells) for cells in self.blocks]
 
         def shutdown(self, cancel_futures):
             pass
 
     expected = run(sbm_config(repetitions=repetitions, estimators=["DIM", "MII"])).to_csv()
+    monkeypatch.setattr(harness, "CELLS_PER_BLOCK", 3)
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     report = run(sbm_config(threads=threads, repetitions=repetitions, estimators=["DIM", "MII"]))
@@ -394,8 +429,8 @@ def test_workers_are_capped_at_repetitions_and_usable_cpus(monkeypatch, threads,
         assert pools == []
     else:
         [pool] = pools
-        assert pool.max_workers == workers
-        assert len(pool.spans) == min(repetitions, harness.SPANS_PER_WORKER * workers)
+        assert pool.max_workers == workers == min(threads, repetitions, cpus)
+        assert pool.blocks == [range(3 * r, 3 * r + 3) for r in range(repetitions)]
 
 
 SMALL_SBM_CONFIGS = st.fixed_dictionaries({
@@ -419,25 +454,28 @@ SMALL_SBM_CONFIGS = st.fixed_dictionaries({
 
 
 @settings(max_examples=10, deadline=None)
-@given(spec=SMALL_SBM_CONFIGS)
-def test_any_small_table_has_one_row_per_cell_and_the_same_bytes_at_two_workers(spec):
+@given(spec=SMALL_SBM_CONFIGS, cells_per_block=st.integers(1, 4))
+def test_any_small_table_has_one_row_per_cell_and_the_same_bytes_at_two_workers(spec, cells_per_block):
     """A config that from_dict accepts either gives one row per (estimator, p),
     each accounting for every repetition, in the same bytes at one and two
     workers; or it is refused (an edgeless draw, an empty boundary training
-    set) with the same ValueError at both."""
-    try:
-        one = run(ExperimentConfig.from_dict({**spec, "threads": 1}))
-    except ValueError as exc:
-        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
-            run(ExperimentConfig.from_dict({**spec, "threads": 2}))
-        return
-    two = run(ExperimentConfig.from_dict({**spec, "threads": 2}))
-    cells = [(cell.estimator, cell.p) for cell in one.cells]
-    assert len(cells) == len(set(cells)) == len(spec["estimators"]) * len(spec["proportions"])
-    assert all(cell.reps_used + cell.degenerate == spec["repetitions"] for cell in one.cells)
-    assert two.to_csv() == one.to_csv()
-    assert two.to_json() == one.to_json()
-    assert multiprocessing.active_children() == []
+    set) with the same ValueError at both. These tables have at most 18
+    cells, so blocks of 1 to 4 make the two-worker run fork unless the table
+    fits in one block."""
+    with mock.patch.object(harness, "CELLS_PER_BLOCK", cells_per_block):  # forked workers inherit it
+        try:
+            one = run(ExperimentConfig.from_dict({**spec, "threads": 1}))
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                run(ExperimentConfig.from_dict({**spec, "threads": 2}))
+            return
+        two = run(ExperimentConfig.from_dict({**spec, "threads": 2}))
+        cells = [(cell.estimator, cell.p) for cell in one.cells]
+        assert len(cells) == len(set(cells)) == len(spec["estimators"]) * len(spec["proportions"])
+        assert all(cell.reps_used + cell.degenerate == spec["repetitions"] for cell in one.cells)
+        assert two.to_csv() == one.to_csv()
+        assert two.to_json() == one.to_json()
+        assert multiprocessing.active_children() == []
 
 
 def test_emit_empty_estimator_list_header_only(tmp_path):
@@ -522,7 +560,7 @@ def test_verbose_report_json_is_strict_json():
 def test_reports_do_not_depend_on_block_boundaries(monkeypatch, repetitions):
     """report.csv and the verbose report.json are the same bytes whatever
     number of cells a block holds, at one and two workers: also when the
-    cell count is no multiple of it and a span holds less than one block."""
+    cell count is no multiple of it and the table holds less than one block."""
     def reports(cells_per_block, threads):
         monkeypatch.setattr(harness, "CELLS_PER_BLOCK", cells_per_block)  # forked workers inherit it
         report = run(pool_config(threads, repetitions))
@@ -790,6 +828,17 @@ def test_blocks_clustering_samples_the_sbm_once(monkeypatch):
     part, _ = build_partition(cfg, g)
     assert len(drawn) == 1
     assert np.array_equal(part.cluster_of, decompose(g, drawn[0][1]).cluster_of)
+
+
+def test_cli_verify_quick_prints_the_pinned_output(capsys):
+    """`netgate verify --quick` passes and prints, byte for byte, the text
+    pinned by its sha256: the oracle errors and the bias-law table."""
+    assert cli.main(["verify", "--quick"]) == 0
+    out = capsys.readouterr().out
+    assert "verification passed" in out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "f64333efd3619121a86e7f190660928780e88776c03e81aa822419b9fa73afcb"
+    )
 
 
 def test_cli_run_missing_graph_fails(tmp_path):

@@ -342,7 +342,7 @@ def test_table_cells_fit_on_the_feature_buffer_as_on_stacked_columns(monkeypatch
     real_draw, real_fit = design.draw, predictor.fit
     monkeypatch.setattr(design, "draw", lambda *args: drawn.append(real_draw(*args)) or drawn[-1])
 
-    def checked_fit(features, y, ridge_lambda=None, mask=None):  # fit k is of draw k: a span draws a block first
+    def checked_fit(features, y, ridge_lambda=None, mask=None):  # fit k is of draw k: a block draws first
         rows = slice(None) if mask is None else mask
         fm, fresh = features.values[rows], reference_features(g, drawn[len(cells)].unit_bits, covs, 2)[rows]
         assert (fm.T @ fm).tobytes() == (fresh.T @ fresh).tobytes()
@@ -353,7 +353,7 @@ def test_table_cells_fit_on_the_feature_buffer_as_on_stacked_columns(monkeypatch
         return real_fit(features, y, ridge_lambda, mask)
 
     monkeypatch.setattr(predictor, "fit", checked_fit)
-    harness._run_span(state, range(cfg.repetitions))
+    harness._run_block(state, range(cfg.repetitions * len(cfg.proportions)))
     assert cells == [training_mask == "boundary"] * (cfg.repetitions * len(cfg.proportions))
     for level, f in ((1, state.f1), (0, state.f0)):
         assert f.values.tobytes() == features_at_level(g, covs, level).values.tobytes()
