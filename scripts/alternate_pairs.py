@@ -1,0 +1,105 @@
+#!/usr/bin/env python3
+"""Run the benchmark of two checkouts in alternating pairs and compare them.
+
+    python3 scripts/alternate_pairs.py PARENT_DIR CHANGE_DIR --workload paper_table --pairs 6 --seconds 15
+
+Pair i runs `perfbench/run.py` of both checkouts one after the other, on
+the same workload and seed: the parent first in pairs 1, 3, 5, ... and the
+change first in pairs 2, 4, 6, ..., so that a host whose speed drifts
+favours neither side. Each run's metrics come from the JSON object on the
+last line of its standard output. The script prints every pair's metrics,
+then per metric each side's median, the median over pairs of the ratio
+change / parent and how many pairs the change raised it in.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+from typing import Callable
+
+SIDES = ("parent", "change")
+METRICS = ("cells_per_s", "setup_s", "run_s", "peak_rss_mb", "correct_frac")
+
+
+def pair_order(i: int) -> tuple[str, str]:
+    """The sides of pair i (from 0) in the order they run."""
+    return SIDES if i % 2 == 0 else SIDES[::-1]
+
+
+def run_pairs(pairs: int, run_side: Callable[[str], dict[str, float]],
+              show: Callable[[int, dict], None] = lambda i, pair: None) -> list[dict[str, dict[str, float]]]:
+    """For each pair, {side: metrics}, running the sides in pair_order and
+    handing each finished pair to show."""
+    results = []
+    for i in range(pairs):
+        pair = {side: run_side(side) for side in pair_order(i)}
+        show(i, pair)
+        results.append(pair)
+    return results
+
+
+def _ratio(change: float, parent: float) -> float:
+    return change / parent if parent else float("nan")
+
+
+def summarize(results: list[dict[str, dict[str, float]]], metrics=METRICS) -> dict[str, dict[str, float]]:
+    """Per metric that every run reports: each side's median, the median pair
+    ratio change / parent and the number of pairs whose change is higher."""
+    summary = {}
+    for name in metrics:
+        if not all(name in pair[side] for pair in results for side in SIDES):
+            continue
+        parent = [pair["parent"][name] for pair in results]
+        change = [pair["change"][name] for pair in results]
+        summary[name] = {
+            "parent": statistics.median(parent),
+            "change": statistics.median(change),
+            "ratio": statistics.median(_ratio(c, p) for c, p in zip(change, parent)),
+            "higher": sum(c > p for c, p in zip(change, parent)),
+        }
+    return summary
+
+
+def run_checkout(root: Path, workload: str, seed: int, seconds: float) -> dict[str, float]:
+    """One untraced benchmark run of the checkout at root: {metric: value}."""
+    cmd = [sys.executable, str(root / "perfbench" / "run.py"), "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    done = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+    if done.returncode:
+        raise SystemExit(f"error: {' '.join(cmd)} exited {done.returncode}:\n{done.stderr}")
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    return {name: m["value"] for name, m in result["metrics"].items()}
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("parent", type=Path, help="checkout of the parent commit")
+    parser.add_argument("change", type=Path, help="checkout of the change")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=6)
+    parser.add_argument("--seconds", type=float, default=15.0)
+    parser.add_argument("--seed", type=int, default=1)
+    args = parser.parse_args(argv)
+    roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+
+    def run_side(side: str) -> dict[str, float]:
+        return run_checkout(roots[side], args.workload, args.seed, args.seconds)
+
+    def show(i: int, pair: dict) -> None:
+        shared = [name for name in METRICS if name in pair["parent"] and name in pair["change"]]
+        cells = "  ".join(f"{name} {pair['parent'][name]:.6g} -> {pair['change'][name]:.6g}" for name in shared)
+        print(f"pair {i + 1} ({pair_order(i)[0]} first): {cells}", flush=True)
+
+    for name, s in summarize(run_pairs(args.pairs, run_side, show)).items():
+        print(f"{name}: median parent {s['parent']:.6g}, change {s['change']:.6g}; median pair ratio "
+              f"{s['ratio']:.4g}; change higher in {s['higher']} of {args.pairs} pairs")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -36,22 +36,36 @@ class ClusteringStats:
         return "".join(f"{name} {value}\n" for name, value in self.fields())
 
 
-def modularity(g: Graph, p: Partition, resolution: float) -> float:
-    """Resolution-scaled modularity Q = sum_c [e_c/m - gamma (d_c/2m)^2]."""
+def _cluster_degrees(g: Graph, p: Partition) -> tuple[np.ndarray, np.ndarray]:
+    """(intra, tot) per cluster c off the neighbor counts N: intra_c sums column c
+    over c's nodes (twice c's edges), tot_c sums c's degrees. Both are the exact
+    integer-valued floats that _LevelGraph.modularity_of builds from every CSR entry."""
     if g.edge_count == 0:
         raise ValueError("modularity undefined on an edgeless graph")
-    return _LevelGraph.from_graph(g).modularity_of(p.cluster_of, resolution)
+    n = p.neighbor_counts
+    column = np.repeat(np.arange(p.cluster_count), np.diff(n.indptr))
+    own = p.cluster_of[n.indices] == column
+    intra = np.bincount(column[own], weights=n.data[own], minlength=p.cluster_count)
+    return intra, np.bincount(p.cluster_of, weights=g.degrees, minlength=p.cluster_count)
+
+
+def _modularity(intra: np.ndarray, tot: np.ndarray, t: float, resolution: float) -> float:
+    return float(np.sum(intra / t - resolution * (tot / t) ** 2))
+
+
+def modularity(g: Graph, p: Partition, resolution: float) -> float:
+    """Resolution-scaled modularity Q = sum_c [e_c/m - gamma (d_c/2m)^2]."""
+    return _modularity(*_cluster_degrees(g, p), 2.0 * g.edge_count, resolution)
 
 
 def stats(g: Graph, p: Partition, resolution: float) -> ClusteringStats:
-    """Cluster count, interior fraction, within-cluster edge fraction, modularity."""
-    edges = g.edge_array()
-    within = p.cluster_of[edges[:, 0]] == p.cluster_of[edges[:, 1]]
+    """Cluster count, interior and within-cluster edge fractions, modularity; no edge pass."""
+    intra, tot = _cluster_degrees(g, p)
     return ClusteringStats(
         cluster_count=p.cluster_count,
         interior_fraction=float(p.interior_mask.mean()),
-        within_edge_fraction=float(within.mean()),
-        modularity=modularity(g, p, resolution),
+        within_edge_fraction=float(intra.sum() / 2 / g.edge_count),
+        modularity=_modularity(intra, tot, 2.0 * g.edge_count, resolution),
     )
 
 
@@ -86,8 +100,7 @@ class _LevelGraph:
         intra = np.bincount(comm_row[same], weights=self.weights[same], minlength=k).astype(np.float64)
         intra += np.bincount(comm, weights=self.self_w, minlength=k)
         tot = np.bincount(comm, weights=self.strength, minlength=k)
-        t = self.total_weight
-        return float(np.sum(intra / t - resolution * (tot / t) ** 2))
+        return _modularity(intra, tot, self.total_weight, resolution)
 
     def aggregate(self, comm: np.ndarray) -> "_LevelGraph":
         k = int(comm.max()) + 1

@@ -152,11 +152,10 @@ def clean_weights(a: Assignment, p_part: Partition, p: float) -> tuple[np.ndarra
     w1 = 1/p^c and w0 = 1/(1-p)^c are set on the clean nodes of their level
     and are 0 elsewhere, so a probability that underflows to 0 on a node
     that is not clean never enters a 0/0; on a clean node it gives an
-    infinite weight.
+    infinite weight. Where every inverse at p is finite, inv * d has its bits.
     """
-    d1, d0 = a.clean
-    inv1, inv0 = p_part.inverse_clean_probability(p)
-    return np.where(d1, inv1, 0.0), np.where(d0, inv0, 0.0)
+    inverses = zip(a.clean, p_part.inverse_clean_probability(p), p_part.inverses_finite(p))
+    return tuple(inv * d if finite else np.where(d, inv, 0.0) for d, inv, finite in inverses)
 
 
 def enumerate_assignments(p_part: Partition, p: float) -> Iterator[tuple[np.ndarray, float]]:

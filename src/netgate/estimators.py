@@ -34,10 +34,11 @@ def _mean(v: np.ndarray) -> np.float64:
 
 
 def _gap(y: np.ndarray, arm1: np.ndarray, arm0: np.ndarray, why: str) -> float:
-    """Mean of y over the boolean mask arm1 minus its mean over arm0."""
-    if not arm1.any() or not arm0.any():
+    """Mean of y over arm1 minus its mean over arm0 (boolean masks or index arrays)."""
+    y1, y0 = y[arm1], y[arm0]
+    if not len(y1) or not len(y0):
         raise DegenerateArmError(why)
-    return float(_mean(y[arm1]) - _mean(y[arm0]))
+    return float(_mean(y1) - _mean(y0))
 
 
 def dim(z: np.ndarray, y: np.ndarray) -> float:
@@ -73,11 +74,13 @@ def _cae_clusters(
     p_part: Partition, a: Assignment, y: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Cluster bits, which clusters have a node that is clean at their own
-    level, and the mean outcome of those nodes per cluster (0 where none)."""
+    level, and the mean outcome of those nodes per cluster (0 where none),
+    which reads no other node's outcome."""
     k = p_part.cluster_count
-    clean = a.clean[0] | a.clean[1]
-    counts = np.bincount(p_part.cluster_of, weights=clean, minlength=k)
-    sums = np.bincount(p_part.cluster_of, weights=clean * y, minlength=k)
+    clean = np.flatnonzero(a.clean[0] | a.clean[1])  # an index gathers faster than a mask here
+    cluster = p_part.cluster_of[clean]
+    counts = np.bincount(cluster, minlength=k)
+    sums = np.bincount(cluster, weights=y[clean], minlength=k)
     usable = counts > 0
     means = np.zeros(k)
     means[usable] = sums[usable] / counts[usable]
@@ -94,9 +97,10 @@ def cae(g: Graph, p_part: Partition, z: np.ndarray | Assignment, y: np.ndarray) 
 
 
 def _interior_arms(p_part: Partition, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Treated and control interior nodes, where clean exposure is z itself."""
-    interior = p_part.interior_mask
-    return interior & (z == 1), interior & (z == 0)
+    """Treated and control interior nodes (clean exposure is z itself) as sorted indices."""
+    nodes = p_part.interior_nodes
+    z = z[nodes]
+    return nodes[z == 1], nodes[z == 0]
 
 
 def mii(p_part: Partition, z: np.ndarray, y: np.ndarray) -> float:
@@ -145,7 +149,7 @@ def amii_ppi_form(
     y = np.asarray(y, dtype=np.float64)
     pred1 = np.asarray(pred1, dtype=np.float64)
     it, _ = _interior_arms(p_part, np.asarray(z))
-    if not it.any():
+    if not len(it):
         raise DegenerateArmError("no treated interior nodes")
     return float(_mean(pred1) + _mean(y[it] - pred1[it]))
 
@@ -187,10 +191,11 @@ def estimate_all(
     # each quantity that two estimators share is computed once, and only when one is asked for
     if {"HT", "HAJEK"} & set(keys):
         w1, w0 = clean_weights(a, p_part, p)
-        clean = {"clean_treated": int(a.clean[0].sum()), "clean_control": int(a.clean[1].sum())}
+        d1, d0 = a.clean
+        clean = {"clean_treated": int(np.count_nonzero(d1)), "clean_control": int(np.count_nonzero(d0))}
     if {"MII", "AMII"} & set(keys):
         it, ic = _interior_arms(p_part, a.z)
-        arms = {"s1": int(np.count_nonzero(it)), "s0": int(np.count_nonzero(ic))}
+        arms = {"s1": len(it), "s0": len(ic)}
         gap = float(_mean(y[it]) - _mean(y[ic])) if arms["s1"] and arms["s0"] else None
     if {"GNN", "AMII"} & set(keys):
         pred1, pred0 = (np.asarray(v, dtype=np.float64) for v in (pred1, pred0))
@@ -213,10 +218,10 @@ def estimate_all(
             elif key == "CAE":
                 t, usable, means = _cae_clusters(p_part, a, y)
                 diag.update(
-                    clusters_used_treated=int((t & usable).sum()),
-                    clusters_used_control=int((~t & usable).sum()),
-                    clusters_skipped_treated=int((t & ~usable).sum()),
-                    clusters_skipped_control=int((~t & ~usable).sum()),
+                    clusters_used_treated=int(np.count_nonzero(t & usable)),
+                    clusters_used_control=int(np.count_nonzero(~t & usable)),
+                    clusters_skipped_treated=int(np.count_nonzero(t & ~usable)),
+                    clusters_skipped_control=int(np.count_nonzero(~t & ~usable)),
                 )
                 value = _gap(means, t & usable, ~t & usable, _NO_CLUSTER_ARM)
             elif key == "GNN":

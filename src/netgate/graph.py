@@ -338,7 +338,8 @@ class Partition:
 
     touch_counts[i] is the number of distinct clusters met by the closed
     neighborhood {i} union N(i,1); interior_mask[i] (touch count 1) is True
-    iff every neighbor of i shares i's cluster. neighbor_counts is the sparse
+    iff every neighbor of i shares i's cluster, and interior_nodes lists those
+    nodes in increasing order (read-only). neighbor_counts is the sparse
     node-by-cluster matrix N whose entry (i, j) counts i's neighbors in
     cluster j (CSC, read-only), so N t counts each node's treated neighbors
     under cluster bits t. graph is the Graph it was decomposed on.
@@ -349,17 +350,18 @@ class Partition:
         self.cluster_of = np.asarray(cluster_of, dtype=np.int64)
         self.touch_counts = np.asarray(touch_counts, dtype=np.int64)
         self.interior_mask = self.touch_counts == 1
+        self.interior_nodes = np.flatnonzero(self.interior_mask)
         self.cluster_count = int(self.cluster_of.max()) + 1 if len(self.cluster_of) else 0
         self.neighbor_counts = neighbor_counts
-        for arr in (self.cluster_of, self.interior_mask, self.touch_counts,
+        for arr in (self.cluster_of, self.interior_mask, self.interior_nodes, self.touch_counts,
                     neighbor_counts.data, neighbor_counts.indices, neighbor_counts.indptr):
             arr.setflags(write=False)
-        self._exposures: dict[float, tuple[np.ndarray, ...]] = {}
+        self._exposures: dict[float, tuple] = {}
 
-    def _exposure(self, p: float) -> tuple[np.ndarray, ...]:
-        """(p^c, (1-p)^c, 1/p^c, 1/(1-p)^c) per node, read-only and computed
-        once per p. An inverse is inf, without a RuntimeWarning, where its
-        probability underflowed to 0 or is so small that 1/q overflows."""
+    def _exposure(self, p: float) -> tuple:
+        """(p^c, (1-p)^c, 1/p^c, 1/(1-p)^c) per node, read-only, and whether each
+        inverse is finite, computed once per p. An inverse is inf, without a RuntimeWarning,
+        where its probability underflowed to 0 or is so small that 1/q overflows."""
         arrays = self._exposures.get(p)
         if arrays is None:
             if not 0.0 < p < 1.0:
@@ -370,6 +372,7 @@ class Partition:
                 arrays = (q1, q0, 1.0 / q1, 1.0 / q0)
             for arr in arrays:
                 arr.setflags(write=False)
+            arrays += (bool(np.isfinite(arrays[2]).all()), bool(np.isfinite(arrays[3]).all()))
             self._exposures[p] = arrays
         return arrays
 
@@ -380,7 +383,11 @@ class Partition:
 
     def inverse_clean_probability(self, p: float) -> tuple[np.ndarray, np.ndarray]:
         """(1/p^c, 1/(1-p)^c) per node, from the same cache."""
-        return self._exposure(p)[2:]
+        return self._exposure(p)[2:4]
+
+    def inverses_finite(self, p: float) -> tuple[bool, bool]:
+        """Whether every entry of 1/p^c, and of 1/(1-p)^c, is finite, from the same cache."""
+        return self._exposure(p)[4:]
 
 
 def decompose(g: Graph, cluster_of: np.ndarray) -> Partition:

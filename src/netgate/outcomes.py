@@ -56,7 +56,10 @@ class OutcomeModel:
     def realize(self, z: np.ndarray | Assignment, rng: np.random.Generator) -> np.ndarray:
         y = self.potential(z)
         if self.sigma > 0:
-            y = y + self.sigma * rng.standard_normal(self.graph.node_count)
+            noise = rng.standard_normal(self.graph.node_count)
+            noise *= self.sigma  # in place, the bits of y + sigma * noise
+            noise += y
+            y = noise
         return y
 
 

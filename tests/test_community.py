@@ -2,9 +2,11 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netgate import sbm
-from netgate.community import louvain, louvain_with_history, modularity, stats
+from netgate.community import _LevelGraph, louvain, louvain_with_history, modularity, stats
 from netgate.graph import decompose, from_edges
 
 from conftest import two_triangles
@@ -274,3 +276,50 @@ def test_stats_tri_ring(toy_graph, toy_clusters):
     assert s.cluster_count == 3
     assert s.interior_fraction == pytest.approx(3 / 9)
     assert s.within_edge_fraction == pytest.approx(9 / 12)
+
+
+@st.composite
+def clustered_sbms(draw):
+    """A small SBM, often with isolated nodes (sparse blocks and up to 3
+    appended), clustered by blocks, as one cluster, as singletons or by
+    random labels."""
+    g0, blocks = sbm.generate(draw(st.integers(1, 5)), draw(st.integers(1, 12)),
+                              draw(st.sampled_from([0.05, 0.3, 1.0])), draw(st.sampled_from([0.0, 0.02, 0.2])),
+                              draw(st.integers(0, 1000)))
+    isolated = draw(st.integers(0, 3))
+    e = g0.edge_array()
+    g = from_edges(e[:, 0], e[:, 1], g0.node_count + isolated)
+    n = g.node_count
+    kind = draw(st.sampled_from(["blocks", "one", "singletons", "random"]))
+    if kind == "blocks":
+        labels = np.concatenate([blocks, blocks.max() + 1 + np.arange(isolated)])
+    elif kind == "one":
+        labels = np.zeros(n, dtype=np.int64)
+    elif kind == "singletons":
+        labels = np.arange(n)
+    else:
+        raw = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(0, draw(st.integers(1, 6)), n)
+        labels = np.unique(raw, return_inverse=True)[1]
+    return g, decompose(g, labels), draw(st.sampled_from([0.3, 1.0, 5.0, 60.0]))
+
+
+@given(clustered_sbms())
+@settings(max_examples=200, deadline=None)
+def test_stats_from_cluster_counts_equal_the_edge_pass_bit_for_bit(case):
+    """stats() and modularity() read the partition's neighbor counts; they
+    give the bits of the formula over every edge: the Louvain working
+    graph's modularity and the mean of within-cluster edges."""
+    g, part, gamma = case
+    if g.edge_count == 0:
+        for f in (modularity, stats):
+            with pytest.raises(ValueError, match="edgeless"):
+                f(g, part, gamma)
+        return
+    q = _LevelGraph.from_graph(g).modularity_of(part.cluster_of, gamma)
+    e = g.edge_array()
+    within = float((part.cluster_of[e[:, 0]] == part.cluster_of[e[:, 1]]).mean())
+    s = stats(g, part, gamma)
+    assert modularity(g, part, gamma).hex() == s.modularity.hex() == q.hex()
+    assert s.within_edge_fraction.hex() == within.hex()
+    assert s.interior_fraction.hex() == float(part.interior_mask.mean()).hex()
+    assert s.cluster_count == part.cluster_count

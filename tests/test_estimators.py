@@ -545,3 +545,19 @@ def test_clean_node_with_underflowed_probability_makes_ht_degenerate():
         es = estimate_all(g, part, np.ones(g.node_count), y, 0.1, names=("HT",))
     assert es.estimates["HT"] is None
     assert es.diagnostics["HT"]["flags"] == ["no_clean_control", "degenerate: HT produced a non-finite value"]
+
+
+def test_weights_of_an_infinite_inverse_are_masked_not_multiplied():
+    """Where an inverse at p is inf, clean_weights masks it (inv * 0 would
+    be NaN on a node that is not clean); where every inverse is finite, it
+    multiplies. Both give the bits of np.where(d, inv, 0.0)."""
+    g, part = star_with_isolates(400, 400, 0)
+    z = np.ones(g.node_count)
+    z[1] = 0  # one control leaf: the hub, whose 1/p^401 is inf, is not clean
+    a = design.Assignment(g, z, part)
+    for p, finite in ((0.1, (False, True)), (0.5, (True, True))):
+        assert part.inverses_finite(p) == finite
+        weights = design.clean_weights(a, part, p)
+        for w, d, inv in zip(weights, a.clean, part.inverse_clean_probability(p)):
+            assert w.tobytes() == np.where(d, inv, 0.0).tobytes()
+        assert not np.isnan(weights[0]).any() and weights[0][0] == 0.0

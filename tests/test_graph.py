@@ -208,6 +208,18 @@ def test_partition_invariants(gc):
 
 
 @given(graph_and_clusters())
+@settings(max_examples=60, deadline=None)
+def test_interior_nodes_are_the_sorted_read_only_interior_index(gc):
+    g, labels = gc
+    part = decompose(g, labels)
+    nodes = part.interior_nodes
+    assert nodes is part.interior_nodes  # computed once
+    assert not nodes.flags.writeable
+    assert nodes.tolist() == sorted(nodes.tolist())
+    assert np.array_equal(nodes, np.flatnonzero(part.interior_mask))
+
+
+@given(graph_and_clusters())
 @settings(max_examples=40, deadline=None)
 def test_edge_list_roundtrip(temp_file, gc):
     g, _ = gc

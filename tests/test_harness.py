@@ -94,6 +94,26 @@ def test_run_cell_multiplies_by_each_sparse_matrix_once(monkeypatch, r2):
         assert calls == (["N", "P"] if reads_p2z else ["N"]) * blocks, names
 
 
+def test_run_on_a_preloaded_graph_and_partition_makes_no_pass_over_the_edges(monkeypatch):
+    """Once the graph and its partition are built, a table, its report and its
+    clustering statistics read the partition's counts and never walk the CSR
+    edges again: no edge array and no Louvain working graph."""
+    cfg = sbm_config(clustering={"gamma": 5.0, "seed": 1}, repetitions=9, verbose=True)
+    g = build_graph(cfg)
+    part, _ = build_partition(cfg, g)
+    expected = run(cfg, g, part).to_json()
+
+    def edge_pass(*args):
+        raise AssertionError("a pass over the CSR edges")
+
+    monkeypatch.setattr(Graph, "edge_array", edge_pass)
+    monkeypatch.setattr(community._LevelGraph, "from_graph", edge_pass)
+    for edge_pass_call in (g.edge_array, lambda: community._LevelGraph.from_graph(g)):
+        with pytest.raises(AssertionError, match="CSR edges"):
+            edge_pass_call()
+    assert run(cfg, g, part).to_json() == expected
+
+
 @settings(max_examples=50, deadline=None)
 @given(master_seed=st.integers(0, 2**128), r=st.integers(0, 1999), pi=st.integers(0, 5),
        extra=st.tuples(st.integers(1, 3), st.integers(1, 3)))

@@ -53,6 +53,15 @@ def test_realize_deterministic_for_fixed_seed(toy_graph):
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("sigma", [0.5, 2.0, 3.7])
+def test_realize_adds_the_noise_with_the_bits_of_the_plain_expression(sigma):
+    g, labels = sbm.generate(communities=6, size=50, p_in=0.2, p_out=0.01, seed=4)
+    model = linear_two_hop(g, sigma=sigma, interaction=("degree", "clusters"), p_part=decompose(g, labels))
+    z = (np.random.default_rng(5).random(g.node_count) < 0.4).astype(float)
+    plain = model.potential(z) + sigma * np.random.default_rng(9).standard_normal(g.node_count)
+    assert model.realize(z, np.random.default_rng(9)).tobytes() == plain.tobytes()
+
+
 def test_realize_noise_mean_clt_bound(toy_graph):
     model = linear_two_hop(toy_graph, sigma=2.0)
     z = np.ones(9)
