@@ -1,15 +1,18 @@
 #!/usr/bin/env python3
 """Run the benchmark of two checkouts in alternating pairs and compare them.
 
-    python3 scripts/alternate_pairs.py PARENT_DIR CHANGE_DIR --workload paper_table --pairs 6 --seconds 15
+    python3 scripts/alternate_pairs.py PARENT_DIR CHANGE_DIR --workload paper_table --pairs 10 --seconds 15
 
 Pair i runs `perfbench/run.py` of both checkouts one after the other, on
 the same workload and seed: the parent first in pairs 1, 3, 5, ... and the
 change first in pairs 2, 4, 6, ..., so that a host whose speed drifts
 favours neither side. Each run's metrics come from the JSON object on the
-last line of its standard output. The script prints every pair's metrics,
-then per metric each side's median, the median over pairs of the ratio
-change / parent and how many pairs the change raised it in.
+last line of its standard output. The end-to-end metrics and whether lower
+or higher is better come from the change checkout's BENCHMARK.json, which
+is only read. The script prints every pair's metrics, then per metric each
+side's median, the parent's quartiles, the median over pairs of the ratio
+change / parent and in how many pairs the change is better and worse (an
+equal pair counts for neither).
 """
 
 from __future__ import annotations
@@ -23,7 +26,13 @@ from pathlib import Path
 from typing import Callable
 
 SIDES = ("parent", "change")
-METRICS = ("cells_per_s", "setup_s", "run_s", "peak_rss_mb", "correct_frac")
+
+
+def read_better(root: Path) -> dict[str, str]:
+    """{metric: "lower" or "higher"} for each end-to-end metric of the
+    BENCHMARK.json at root, in its order."""
+    spec = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
+    return {m["name"]: m["better"] for m in spec["end_to_end"]}
 
 
 def pair_order(i: int) -> tuple[str, str]:
@@ -47,20 +56,33 @@ def _ratio(change: float, parent: float) -> float:
     return change / parent if parent else float("nan")
 
 
-def summarize(results: list[dict[str, dict[str, float]]], metrics=METRICS) -> dict[str, dict[str, float]]:
-    """Per metric that every run reports: each side's median, the median pair
-    ratio change / parent and the number of pairs whose change is higher."""
+def _quartiles(values: list[float]) -> tuple[float, float]:
+    """First and third quartile, interpolated between order statistics as numpy's percentile does."""
+    if len(values) < 2:
+        return values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q3
+
+
+def summarize(results: list[dict[str, dict[str, float]]], better: dict[str, str]) -> dict[str, dict]:
+    """Per metric of `better` that every run reports: each side's median, the
+    parent's quartiles, the median pair ratio change / parent and the number
+    of pairs in which the change is better and worse; `better` maps each
+    metric to "lower" or "higher", the direction in which it improves."""
     summary = {}
-    for name in metrics:
+    for name, direction in better.items():
         if not all(name in pair[side] for pair in results for side in SIDES):
             continue
         parent = [pair["parent"][name] for pair in results]
         change = [pair["change"][name] for pair in results]
+        improves = (lambda c, p: c > p) if direction == "higher" else (lambda c, p: c < p)
         summary[name] = {
             "parent": statistics.median(parent),
             "change": statistics.median(change),
+            "parent_quartiles": _quartiles(parent),
             "ratio": statistics.median(_ratio(c, p) for c, p in zip(change, parent)),
-            "higher": sum(c > p for c, p in zip(change, parent)),
+            "better": sum(improves(c, p) for c, p in zip(change, parent)),
+            "worse": sum(improves(p, c) for c, p in zip(change, parent)),
         }
     return summary
 
@@ -81,23 +103,26 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
     parser.add_argument("change", type=Path, help="checkout of the change")
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, default=6)
+    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=15.0)
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    better = read_better(roots["change"])
 
     def run_side(side: str) -> dict[str, float]:
         return run_checkout(roots[side], args.workload, args.seed, args.seconds)
 
     def show(i: int, pair: dict) -> None:
-        shared = [name for name in METRICS if name in pair["parent"] and name in pair["change"]]
+        shared = [name for name in better if name in pair["parent"] and name in pair["change"]]
         cells = "  ".join(f"{name} {pair['parent'][name]:.6g} -> {pair['change'][name]:.6g}" for name in shared)
         print(f"pair {i + 1} ({pair_order(i)[0]} first): {cells}", flush=True)
 
-    for name, s in summarize(run_pairs(args.pairs, run_side, show)).items():
-        print(f"{name}: median parent {s['parent']:.6g}, change {s['change']:.6g}; median pair ratio "
-              f"{s['ratio']:.4g}; change higher in {s['higher']} of {args.pairs} pairs")
+    for name, s in summarize(run_pairs(args.pairs, run_side, show), better).items():
+        q1, q3 = s["parent_quartiles"]
+        print(f"{name} ({better[name]} is better): median parent {s['parent']:.6g} (quartiles {q1:.6g}-{q3:.6g}, "
+              f"IQR {q3 - q1:.4g}), change {s['change']:.6g}; median pair ratio {s['ratio']:.4g}; "
+              f"better in {s['better']} of {args.pairs} pairs, worse in {s['worse']}")
     return 0
 
 

@@ -2,8 +2,10 @@
 cluster-randomized assignment.
 
 All estimators are pure functions of (graph, partition, assignment, outcomes).
-Degenerate arms raise DegenerateArmError; estimate_all converts those into
-absent entries with diagnostics instead of silent zeros.
+estimate_all is the one implementation of HT, Hajek, CAE, MII and AMII:
+it records a degenerate draw as an absent entry with diagnostics instead of a
+silent zero. ht, hajek, cae, mii and amii are views of it that return one
+estimate or raise DegenerateArmError with the reason it recorded.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ class DegenerateArmError(ValueError):
 
 _NO_CLUSTER_ARM = "an arm has no cluster with clean nodes"
 _NO_INTERIOR_ARM = "interior set lacks a treated or control node"
+_DEGENERATE = "degenerate: "  # the flag of a degenerate draw, before its reason
 
 
 def _mean(v: np.ndarray) -> np.float64:
@@ -48,54 +51,6 @@ def dim(z: np.ndarray, y: np.ndarray) -> float:
     return _gap(y, treated, ~treated, "difference-in-means needs both arms populated")
 
 
-def _ht(w1: np.ndarray, w0: np.ndarray, y: np.ndarray) -> float:
-    return float(_mean((w1 - w0) * y))
-
-
-def ht(g: Graph, p_part: Partition, z: np.ndarray | Assignment, y: np.ndarray, p: float) -> float:
-    """Inverse-probability estimator over cleanly exposed nodes, with analytic
-    exposure probabilities p^c and (1-p)^c."""
-    return _ht(*clean_weights(as_assignment(g, z), p_part, p), np.asarray(y, dtype=np.float64))
-
-
-def _hajek(w1: np.ndarray, w0: np.ndarray, y: np.ndarray) -> float:
-    s1, s0 = w1.sum(), w0.sum()
-    if s1 == 0 or s0 == 0:
-        raise DegenerateArmError("an arm has no cleanly exposed nodes")
-    return float((w1 @ y) / s1 - (w0 @ y) / s0)
-
-
-def hajek(g: Graph, p_part: Partition, z: np.ndarray | Assignment, y: np.ndarray, p: float) -> float:
-    """Self-normalized variant of ht; requires a clean node in each arm."""
-    return _hajek(*clean_weights(as_assignment(g, z), p_part, p), np.asarray(y, dtype=np.float64))
-
-
-def _cae_clusters(
-    p_part: Partition, a: Assignment, y: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cluster bits, which clusters have a node that is clean at their own
-    level, and the mean outcome of those nodes per cluster (0 where none),
-    which reads no other node's outcome."""
-    k = p_part.cluster_count
-    clean = np.flatnonzero(a.clean[0] | a.clean[1])  # an index gathers faster than a mask here
-    cluster = p_part.cluster_of[clean]
-    counts = np.bincount(cluster, minlength=k)
-    sums = np.bincount(cluster, weights=y[clean], minlength=k)
-    usable = counts > 0
-    means = np.zeros(k)
-    means[usable] = sums[usable] / counts[usable]
-    return a.t, usable, means
-
-
-def cae(g: Graph, p_part: Partition, z: np.ndarray | Assignment, y: np.ndarray) -> float:
-    """Within-cluster averages of clean nodes, then an unweighted average
-    across contributing clusters per arm; clusters with no clean node at
-    their level are skipped."""
-    a = as_assignment(g, z, p_part)
-    t, usable, means = _cae_clusters(p_part, a, np.asarray(y, dtype=np.float64))
-    return _gap(means, t & usable, ~t & usable, _NO_CLUSTER_ARM)
-
-
 def _interior_arms(p_part: Partition, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Treated and control interior nodes (clean exposure is z itself) as sorted indices."""
     nodes = p_part.interior_nodes
@@ -103,41 +58,19 @@ def _interior_arms(p_part: Partition, z: np.ndarray) -> tuple[np.ndarray, np.nda
     return nodes[z == 1], nodes[z == 0]
 
 
-def mii(p_part: Partition, z: np.ndarray, y: np.ndarray) -> float:
-    """Difference in mean outcomes between treated and control interior nodes."""
-    it, ic = _interior_arms(p_part, np.asarray(z))
-    return _gap(np.asarray(y, dtype=np.float64), it, ic, _NO_INTERIOR_ARM)
+def _predictions(pred1: np.ndarray, pred0: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.float64, np.float64, float]:
+    """The two counterfactual prediction vectors as float64 (of equal length),
+    their means, and GNN, the difference of the means."""
+    pred1, pred0 = (np.asarray(v, dtype=np.float64) for v in (pred1, pred0))
+    if pred1.shape != pred0.shape:
+        raise ValueError("prediction vectors must have equal length")
+    mean1, mean0 = _mean(pred1), _mean(pred0)
+    return pred1, pred0, mean1, mean0, float(mean1 - mean0)
 
 
 def gnn_point(pred1: np.ndarray, pred0: np.ndarray) -> float:
     """Mean difference of the two counterfactual prediction vectors."""
-    pred1 = np.asarray(pred1, dtype=np.float64)
-    pred0 = np.asarray(pred0, dtype=np.float64)
-    if pred1.shape != pred0.shape:
-        raise ValueError("prediction vectors must have equal length")
-    return float(_mean(pred1) - _mean(pred0))
-
-
-def _amii(gap: float, it: np.ndarray, ic: np.ndarray, pred1: np.ndarray, pred0: np.ndarray,
-          mean1: np.float64, mean0: np.float64) -> float:
-    """The interior gap plus each arm's prediction mean over all nodes
-    (mean1, mean0) minus its mean over that arm's interior nodes."""
-    return float(gap + (mean1 - _mean(pred1[it])) - (mean0 - _mean(pred0[ic])))
-
-
-def amii(
-    p_part: Partition,
-    z: np.ndarray,
-    y: np.ndarray,
-    pred1: np.ndarray,
-    pred0: np.ndarray,
-) -> float:
-    """Interior difference-in-means plus the predictor correction for the
-    covariate shift between interior nodes and the full population."""
-    it, ic = _interior_arms(p_part, np.asarray(z))
-    y, pred1, pred0 = (np.asarray(v, dtype=np.float64) for v in (y, pred1, pred0))
-    gap = _gap(y, it, ic, _NO_INTERIOR_ARM)
-    return _amii(gap, it, ic, pred1, pred0, _mean(pred1), _mean(pred0))
+    return _predictions(pred1, pred0)[-1]
 
 
 def amii_ppi_form(
@@ -177,7 +110,7 @@ def estimate_all(
 
     GNN and AMII need the counterfactual prediction vectors. Each
     estimator's counts go into its diagnostics before it runs, so a
-    degenerate draw keeps them.
+    degenerate draw keeps them. A non-finite value is a degenerate draw.
     """
     a = as_assignment(g, z, p_part)
     y = np.asarray(y, dtype=np.float64)
@@ -196,12 +129,9 @@ def estimate_all(
     if {"MII", "AMII"} & set(keys):
         it, ic = _interior_arms(p_part, a.z)
         arms = {"s1": len(it), "s0": len(ic)}
-        gap = float(_mean(y[it]) - _mean(y[ic])) if arms["s1"] and arms["s0"] else None
     if {"GNN", "AMII"} & set(keys):
-        pred1, pred0 = (np.asarray(v, dtype=np.float64) for v in (pred1, pred0))
-        if pred1.shape != pred0.shape:
-            raise ValueError("prediction vectors must have equal length")
-        mean1, mean0 = _mean(pred1), _mean(pred0)
+        pred1, pred0, mean1, mean0, gnn = _predictions(pred1, pred0)
+    gap = None  # MII, and the first term of AMII
 
     for key in keys:
         diag: dict = {"flags": []}
@@ -211,12 +141,24 @@ def estimate_all(
             elif key == "HT":
                 diag.update(clean)
                 diag["flags"] += [f"no_{arm}" for arm in clean if clean[arm] == 0]
-                value = _ht(w1, w0, y)
+                value = float(_mean((w1 - w0) * y))
             elif key == "HAJEK":
                 diag.update(clean)
-                value = _hajek(w1, w0, y)
+                s1, s0 = w1.sum(), w0.sum()
+                if s1 == 0 or s0 == 0:
+                    raise DegenerateArmError("an arm has no cleanly exposed nodes")
+                value = float((w1 @ y) / s1 - (w0 @ y) / s0)
             elif key == "CAE":
-                t, usable, means = _cae_clusters(p_part, a, y)
+                # per cluster, the mean outcome of its nodes that are clean at its own
+                # level (0 where none), which reads no other node's outcome
+                k, t = p_part.cluster_count, a.t
+                nodes = np.flatnonzero(a.clean[0] | a.clean[1])  # an index gathers faster than a mask here
+                cluster = p_part.cluster_of[nodes]
+                counts = np.bincount(cluster, minlength=k)
+                sums = np.bincount(cluster, weights=y[nodes], minlength=k)
+                usable = counts > 0
+                means = np.zeros(k)
+                means[usable] = sums[usable] / counts[usable]
                 diag.update(
                     clusters_used_treated=int(np.count_nonzero(t & usable)),
                     clusters_used_control=int(np.count_nonzero(~t & usable)),
@@ -225,17 +167,56 @@ def estimate_all(
                 )
                 value = _gap(means, t & usable, ~t & usable, _NO_CLUSTER_ARM)
             elif key == "GNN":
-                value = float(mean1 - mean0)
-            else:  # MII or AMII
+                value = gnn
+            else:  # MII or AMII: AMII adds to MII each arm's prediction mean over all
+                # nodes minus its mean over that arm's interior nodes
                 diag.update(arms)
-                if gap is None:
-                    raise DegenerateArmError(_NO_INTERIOR_ARM)
-                value = gap if key == "MII" else _amii(gap, it, ic, pred1, pred0, mean1, mean0)
+                gap = _gap(y, it, ic, _NO_INTERIOR_ARM) if gap is None else gap
+                value = gap if key == "MII" else float(
+                    gap + (mean1 - _mean(pred1[it])) - (mean0 - _mean(pred0[ic])))
             if not math.isfinite(value):
                 raise DegenerateArmError(f"{key} produced a non-finite value")
             result.estimates[key] = value
         except DegenerateArmError as exc:
             result.estimates[key] = None
-            diag["flags"].append(f"degenerate: {exc}")
+            diag["flags"].append(f"{_DEGENERATE}{exc}")
         result.diagnostics[key] = diag
     return result
+
+
+def _view(key: str, g: Graph, p_part: Partition, z: np.ndarray | Assignment, y: np.ndarray,
+          p: float | None = None, pred1: np.ndarray | None = None, pred0: np.ndarray | None = None) -> float:
+    """The estimate `key` of estimate_all alone, or DegenerateArmError with the reason it recorded."""
+    result = estimate_all(g, p_part, z, y, p, pred1, pred0, (key,))
+    if result.estimates[key] is None:
+        raise DegenerateArmError(result.diagnostics[key]["flags"][-1].removeprefix(_DEGENERATE))
+    return result.estimates[key]
+
+
+def ht(g: Graph, p_part: Partition, z: np.ndarray | Assignment, y: np.ndarray, p: float) -> float:
+    """Inverse-probability estimator over cleanly exposed nodes, with analytic
+    exposure probabilities p^c and (1-p)^c."""
+    return _view("HT", g, p_part, z, y, p)
+
+
+def hajek(g: Graph, p_part: Partition, z: np.ndarray | Assignment, y: np.ndarray, p: float) -> float:
+    """Self-normalized variant of ht; requires a clean node in each arm."""
+    return _view("HAJEK", g, p_part, z, y, p)
+
+
+def cae(g: Graph, p_part: Partition, z: np.ndarray | Assignment, y: np.ndarray) -> float:
+    """Within-cluster averages of clean nodes, then an unweighted average
+    across contributing clusters per arm; clusters with no clean node at
+    their level are skipped."""
+    return _view("CAE", g, p_part, z, y)
+
+
+def mii(p_part: Partition, z: np.ndarray, y: np.ndarray) -> float:
+    """Difference in mean outcomes between treated and control interior nodes."""
+    return _view("MII", p_part.graph, p_part, z, y)
+
+
+def amii(p_part: Partition, z: np.ndarray, y: np.ndarray, pred1: np.ndarray, pred0: np.ndarray) -> float:
+    """Interior difference-in-means plus the predictor correction for the
+    covariate shift between interior nodes and the full population."""
+    return _view("AMII", p_part.graph, p_part, z, y, pred1=pred1, pred0=pred0)

@@ -114,6 +114,10 @@ class ExperimentConfig:
                 raise ValueError(f"unknown estimator {name!r}")
             if keys[i] in keys[:i]:
                 raise ValueError(f"duplicate estimator {name!r}")
+        covariates = {**PREDICTOR_DEFAULTS, **self.predictor}["covariates"]
+        for i, name in enumerate(covariates):
+            if name in covariates[:i]:
+                raise ValueError(f"duplicate predictor.covariates name {name!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -92,9 +92,16 @@ class LinearTwoHopModel(OutcomeModel):
 
     def potential(self, z: np.ndarray | Assignment) -> np.ndarray:
         a = as_assignment(self.graph, z)
-        out = self.beta * a.z + self.r1 * a.pz + self.interaction * a.z
+        # in place, with the order of operations and so the bits of
+        # beta z + r1 P z + interaction z + r2 (P^2 z - diag(P^2) z)
+        out = self.beta * a.z
+        tmp = self.r1 * a.pz
+        out += tmp
+        out += np.multiply(self.interaction, a.z, out=tmp)
         if self.r2 != 0.0:
-            out += self.r2 * (a.p2z - self._diag_p2 * a.z)
+            np.subtract(a.p2z, np.multiply(self._diag_p2, a.z, out=tmp), out=tmp)
+            tmp *= self.r2
+            out += tmp
         return out
 
 
@@ -130,13 +137,14 @@ class PartialLinearModel(OutcomeModel):
         self.v = np.zeros(g.node_count) if v is None else np.asarray(v, dtype=np.float64)
         self.h_kind = h
         self.h_scale = float(h_scale)
-        self.u.setflags(write=False)
-        self.v.setflags(write=False)
+        self._slope = self.beta + self.alpha * self.u  # each node's direct-effect coefficient
+        for arr in (self.u, self.v, self._slope):
+            arr.setflags(write=False)
 
     def potential(self, z: np.ndarray | Assignment) -> np.ndarray:
         a = as_assignment(self.graph, z)
         h = _H_BASE[self.h_kind](a.pz)
-        return (self.beta + self.alpha * self.u) * a.z + self.h_scale * h + self.v
+        return self._slope * a.z + self.h_scale * h + self.v
 
 
 def linear_two_hop(

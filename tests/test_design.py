@@ -357,10 +357,18 @@ def test_record_of_another_partition_is_an_error(toy_graph, toy_partition):
     z = design.expand(toy_partition, np.array([True, False, True]))
     other = decompose(toy_graph, np.zeros(9, dtype=np.int64))
     a = design.Assignment(toy_graph, z, other)
-    with pytest.raises(ValueError, match="another partition"):
-        estimators.cae(toy_graph, toy_partition, a, np.arange(9.0))
-    with pytest.raises(ValueError, match="another partition"):
-        estimators.estimate_all(toy_graph, toy_partition, a, np.arange(9.0), 0.5)
+    y = np.arange(9.0)
+    calls = [
+        lambda: estimators.ht(toy_graph, toy_partition, a, y, 0.5),
+        lambda: estimators.hajek(toy_graph, toy_partition, a, y, 0.5),
+        lambda: estimators.cae(toy_graph, toy_partition, a, y),
+        lambda: estimators.mii(toy_partition, a, y),
+        lambda: estimators.amii(toy_partition, a, y, y, y),
+        lambda: estimators.estimate_all(toy_graph, toy_partition, a, y, 0.5),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="another partition"):
+            call()
 
 
 def test_assignment_rejects_length_mismatch(toy_graph):

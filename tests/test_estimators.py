@@ -532,6 +532,25 @@ def test_estimate_all_equals_the_plain_formulas_bit_for_bit(case):
     hexed = {k: None if v is None else v.hex() for k, v in es.estimates.items()}
     assert hexed == {k: None if v is None else v.hex() for k, v in values.items()}
     assert es.diagnostics == diagnostics
+    # each entry point gives the bits of estimate_all, and raises exactly where it records None
+    z = a.z
+    entry_points = {
+        "DIM": lambda: dim(z, y),
+        "HT": lambda: ht(g, part, a, y, p),
+        "HAJEK": lambda: hajek(g, part, a, y, p),
+        "CAE": lambda: cae(g, part, a, y),
+        "MII": lambda: mii(part, z, y),
+        "GNN": lambda: gnn_point(pred1, pred0),
+        "AMII": lambda: amii(part, z, y, pred1, pred0),
+    }
+    for key, call in entry_points.items():
+        with np.errstate(invalid="ignore", over="ignore"):
+            if es.estimates[key] is None:
+                with pytest.raises(DegenerateArmError) as exc:
+                    call()
+                assert es.diagnostics[key]["flags"][-1] == f"degenerate: {exc.value}"
+            else:
+                assert call().hex() == hexed[key]
 
 
 def test_clean_node_with_underflowed_probability_makes_ht_degenerate():
@@ -545,6 +564,8 @@ def test_clean_node_with_underflowed_probability_makes_ht_degenerate():
         es = estimate_all(g, part, np.ones(g.node_count), y, 0.1, names=("HT",))
     assert es.estimates["HT"] is None
     assert es.diagnostics["HT"]["flags"] == ["no_clean_control", "degenerate: HT produced a non-finite value"]
+    with np.errstate(invalid="ignore"), pytest.raises(DegenerateArmError, match="HT produced a non-finite value"):
+        ht(g, part, np.ones(g.node_count), y, 0.1)
 
 
 def test_weights_of_an_infinite_inverse_are_masked_not_multiplied():

@@ -898,6 +898,8 @@ SMALL_SBM = (
         (SMALL_SBM + "model: {interaction: [degree, 1]}\n", [], "model.interaction must be a list of names"),
         (SMALL_SBM + "estimators: []\n", [], "at least one estimator required"),
         (SMALL_SBM + "estimators: [MII, mii]\n", [], "duplicate estimator 'mii'"),
+        (SMALL_SBM + "predictor: {covariates: [degree, clusters, degree]}\n", [],
+         "duplicate predictor.covariates name 'degree'"),
         (SMALL_SBM + "verbose: 'no'\n", [], "verbose must be a boolean"),
         (SMALL_SBM.replace("blocks: true", "gamma: true"), [], "clustering.gamma must be a number"),
         (SMALL_SBM.replace("blocks: true", "gamma: '1.0'"), [], "clustering.gamma must be a number"),
@@ -947,7 +949,7 @@ SMALL_SBM = (
         "model-v-unknown", "graph-key-typo", "clustering-key-typo", "sbm-key-typo",
         "ridge-lambda-not-a-number", "ridge-lambda-negative", "ridge-lambda-nan", "ridge-lambda-bool",
         "covariates-a-string", "interaction-a-string", "interaction-not-names",
-        "estimators-empty", "estimators-duplicate", "verbose-a-string",
+        "estimators-empty", "estimators-duplicate", "covariates-duplicate", "verbose-a-string",
         "gamma-a-bool", "gamma-a-string", "seed-a-float", "seed-a-bool", "partition-a-list", "blocks-a-string",
         "blocks-and-gamma", "partition-with-seed", "blocks-with-seed", "graph-path-and-sbm", "graph-sbm-with-format",
         "beta-a-string", "beta-a-bool", "sigma-a-string", "v-seed-a-float",

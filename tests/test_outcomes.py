@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from netgate import sbm
+from netgate import design, sbm
 from netgate.graph import decompose, from_edges
 from netgate.outcomes import (
     PartialLinearModel,
@@ -9,6 +9,7 @@ from netgate.outcomes import (
     global_treatment_mean,
     interior_mean_gap,
     linear_two_hop,
+    partial_linear,
     true_gate,
 )
 
@@ -60,6 +61,31 @@ def test_realize_adds_the_noise_with_the_bits_of_the_plain_expression(sigma):
     z = (np.random.default_rng(5).random(g.node_count) < 0.4).astype(float)
     plain = model.potential(z) + sigma * np.random.default_rng(9).standard_normal(g.node_count)
     assert model.realize(z, np.random.default_rng(9)).tobytes() == plain.tobytes()
+
+
+def test_potentials_have_the_bits_of_the_plain_expressions():
+    """The linear model sums in place and the partial-linear model keeps its
+    slope beta + alpha u: on drawn and on constant records, each potential
+    has the bits of the expression written out."""
+    g, labels = sbm.generate(communities=6, size=50, p_in=0.2, p_out=0.01, seed=4)
+    part = decompose(g, labels)
+    rng = np.random.default_rng(6)
+    drawn = [rng.random(part.cluster_count) < q for q in (0.1, 0.5, 0.9)]
+    records = [design.Assignment(g, design.expand(part, t), part, t) for t in drawn]
+    records += [design.Assignment(g, np.full(g.node_count, v)) for v in (0.0, 1.0)]
+    for r2 in (0.0, 0.7):
+        for interaction in ((), ("degree", "clusters")):
+            model = linear_two_hop(g, 1.3, 0.9, r2, 0.0, interaction, part)
+            for a in records:
+                plain = model.beta * a.z + model.r1 * a.pz + model.interaction * a.z
+                if r2:
+                    plain += r2 * (a.p2z - g.diag_p_squared * a.z)
+                assert model.potential(a).tobytes() == plain.tobytes()
+    for h, response in (("linear", lambda rho: rho), ("sqrt", np.sqrt), ("quadratic", np.square)):
+        model = partial_linear(g, 0.7, 1.9, "clusters", 0.0, h, 1.4, "normal", 5, part)
+        for a in records:
+            plain = (model.beta + model.alpha * model.u) * a.z + model.h_scale * response(a.pz) + model.v
+            assert model.potential(a).tobytes() == plain.tobytes()
 
 
 def test_realize_noise_mean_clt_bound(toy_graph):
