@@ -3,16 +3,20 @@
 
     python3 scripts/alternate_pairs.py PARENT_DIR CHANGE_DIR --workload paper_table --pairs 10 --seconds 15
 
-Pair i runs `perfbench/run.py` of both checkouts one after the other, on
-the same workload and seed: the parent first in pairs 1, 3, 5, ... and the
-change first in pairs 2, 4, 6, ..., so that a host whose speed drifts
-favours neither side. Each run's metrics come from the JSON object on the
+--workload may be given more than once; without it, every workload of the
+change checkout's BENCHMARK.json runs, one after another. Pair i runs
+`perfbench/run.py` of both checkouts one after the other, on the same
+workload and seed: the parent first in pairs 1, 3, 5, ... and the change
+first in pairs 2, 4, 6, ..., so that a host whose speed drifts favours
+neither side. Each run's metrics come from the JSON object on the
 last line of its standard output. The end-to-end metrics and whether lower
 or higher is better come from the change checkout's BENCHMARK.json, which
-is only read. The script prints every pair's metrics, then per metric each
-side's median, the parent's quartiles, the median over pairs of the ratio
-change / parent and in how many pairs the change is better and worse (an
-equal pair counts for neither).
+is only read. Per workload, the script prints every pair's metrics, then per
+metric each side's median, the parent's quartiles, the median over pairs of
+the ratio change / parent and in how many pairs the change is better and
+worse (an equal pair counts for neither). It flags each metric whose change
+median is worse than the parent median by more than the metric's `bound`, a
+fraction of the parent median, and exits 1 if it flagged any.
 """
 
 from __future__ import annotations
@@ -28,11 +32,15 @@ from typing import Callable
 SIDES = ("parent", "change")
 
 
+def read_spec(root: Path) -> dict:
+    """The BENCHMARK.json at root."""
+    return json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
+
+
 def read_better(root: Path) -> dict[str, str]:
     """{metric: "lower" or "higher"} for each end-to-end metric of the
     BENCHMARK.json at root, in its order."""
-    spec = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
-    return {m["name"]: m["better"] for m in spec["end_to_end"]}
+    return {m["name"]: m["better"] for m in read_spec(root)["end_to_end"]}
 
 
 def pair_order(i: int) -> tuple[str, str]:
@@ -87,6 +95,17 @@ def summarize(results: list[dict[str, dict[str, float]]], better: dict[str, str]
     return summary
 
 
+def regressions(summary: dict[str, dict], better: dict[str, str], bounds: dict[str, float]) -> list[str]:
+    """The metrics of `summary` with a bound whose change median is worse than
+    the parent median by more than bound * |parent median|."""
+    flagged = []
+    for name, s in summary.items():
+        worse_by = s["parent"] - s["change"] if better[name] == "higher" else s["change"] - s["parent"]
+        if name in bounds and worse_by > bounds[name] * abs(s["parent"]):
+            flagged.append(name)
+    return flagged
+
+
 def run_checkout(root: Path, workload: str, seed: int, seconds: float) -> dict[str, float]:
     """One untraced benchmark run of the checkout at root: {metric: value}."""
     cmd = [sys.executable, str(root / "perfbench" / "run.py"), "--workload", workload,
@@ -102,28 +121,39 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
     parser.add_argument("change", type=Path, help="checkout of the change")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", action="append", help="a workload to run (repeatable; default: all)")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=15.0)
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    spec = read_spec(roots["change"])
     better = read_better(roots["change"])
-
-    def run_side(side: str) -> dict[str, float]:
-        return run_checkout(roots[side], args.workload, args.seed, args.seconds)
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"] if "bound" in m}
+    flagged = False
 
     def show(i: int, pair: dict) -> None:
         shared = [name for name in better if name in pair["parent"] and name in pair["change"]]
         cells = "  ".join(f"{name} {pair['parent'][name]:.6g} -> {pair['change'][name]:.6g}" for name in shared)
         print(f"pair {i + 1} ({pair_order(i)[0]} first): {cells}", flush=True)
 
-    for name, s in summarize(run_pairs(args.pairs, run_side, show), better).items():
-        q1, q3 = s["parent_quartiles"]
-        print(f"{name} ({better[name]} is better): median parent {s['parent']:.6g} (quartiles {q1:.6g}-{q3:.6g}, "
-              f"IQR {q3 - q1:.4g}), change {s['change']:.6g}; median pair ratio {s['ratio']:.4g}; "
-              f"better in {s['better']} of {args.pairs} pairs, worse in {s['worse']}")
-    return 0
+    for workload in args.workload or [w["name"] for w in spec["workloads"]]:
+        print(f"workload {workload}", flush=True)
+
+        def run_side(side: str) -> dict[str, float]:
+            return run_checkout(roots[side], workload, args.seed, args.seconds)
+
+        summary = summarize(run_pairs(args.pairs, run_side, show), better)
+        for name, s in summary.items():
+            q1, q3 = s["parent_quartiles"]
+            print(f"{name} ({better[name]} is better): median parent {s['parent']:.6g} (quartiles {q1:.6g}-"
+                  f"{q3:.6g}, IQR {q3 - q1:.4g}), change {s['change']:.6g}; median pair ratio {s['ratio']:.4g}; "
+                  f"better in {s['better']} of {args.pairs} pairs, worse in {s['worse']}")
+        for name in regressions(summary, better, bounds):
+            flagged = True
+            print(f"FLAG {workload} {name}: change median is worse than the parent's by more than its bound "
+                  f"{bounds[name]:g}")
+    return int(flagged)
 
 
 if __name__ == "__main__":

@@ -3,7 +3,6 @@ vector's sparse products, and an exact enumeration oracle for small K."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
 
@@ -14,46 +13,32 @@ from .graph import Graph, Partition
 ENUMERATION_MAX_CLUSTERS = 20
 
 
-@dataclass(frozen=True)
-class TreatmentDraw:
-    """One realized assignment: cluster bits expanded to unit bits."""
-
-    cluster_bits: np.ndarray  # bool, length K
-    unit_bits: np.ndarray  # int8 0/1, length n
-
-
-def expand(p_part: Partition, cluster_bits: np.ndarray) -> np.ndarray:
-    """Unit bits implied by cluster bits."""
-    return np.asarray(cluster_bits)[p_part.cluster_of].astype(np.int8)
-
-
-def draw(p_part: Partition, p: float, rng: np.random.Generator) -> TreatmentDraw:
-    """Assign each cluster Bernoulli(p) independently and expand to units."""
+def draw(p_part: Partition, p: float, rng: np.random.Generator) -> Assignment:
+    """Assign each cluster Bernoulli(p) independently: column 0 of a block of its own."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"treatment proportion must be in (0,1), got {p}")
-    bits = rng.random(p_part.cluster_count) < p
-    return TreatmentDraw(cluster_bits=bits, unit_bits=expand(p_part, bits))
+    return DrawBlock(p_part, rng.random(p_part.cluster_count) < p).record(0)
 
 
 class DrawBlock:
-    """The sparse products of B drawn assignments of one graph and partition,
-    each held as an n×B block with one column per draw and computed on first
-    use: P z from one integer product N T (T holds the draws' cluster bits as
-    K×B columns, N is the partition's neighbor_counts) and one lookup in the
-    graph's share table, and P^2 z from one product P (P z). Column b of each
-    equals, bit for bit, the product of draw b alone: scipy's multi-column
-    kernel sums each column in the order of its matrix-vector product. n×B is
-    the layout that product takes and gives, so no transposed copy is made."""
+    """B drawn assignments of one partition, given by their cluster bits, and
+    their sparse products, each held as an n×B block with one column per draw
+    and computed on first use: P z from one integer product N T (T holds the
+    draws' cluster bits as K×B columns, N is the partition's neighbor_counts)
+    and one lookup in the graph's share table, and P^2 z from one product
+    P (P z). Column b of each equals, bit for bit, the product of draw b alone:
+    scipy's multi-column kernel sums each column in the order of its
+    matrix-vector product. n×B is the layout that product takes and gives, so
+    no transposed copy is made."""
 
-    def __init__(self, g: Graph, p_part: Partition, bits: np.ndarray | list[np.ndarray]):
-        self.graph = g
+    def __init__(self, p_part: Partition, bits: np.ndarray | list[np.ndarray]):
         self.partition = p_part
         self.bits = np.array(bits, dtype=bool, ndmin=2)  # B × K, one row per draw
         self.bits.setflags(write=False)
 
     @cached_property
     def pz(self) -> np.ndarray:
-        table, offset = self.graph.share_table
+        table, offset = self.partition.graph.share_table
         index = self.partition.neighbor_counts @ self.bits.T  # N T: each node's treated neighbors per draw
         index += offset[:, None]
         pz = table[index]
@@ -62,48 +47,54 @@ class DrawBlock:
 
     @cached_property
     def p2z(self) -> np.ndarray:
-        p2z = self.graph.row_normalized @ self.pz
+        p2z = self.partition.graph.row_normalized @ self.pz
         p2z.setflags(write=False)
         return p2z
+
+    def record(self, column: int) -> Assignment:
+        """The record of the draw in this column, with z made from its bits."""
+        a = Assignment.__new__(Assignment)
+        a.graph, a.partition, a._block, a._column = self.partition.graph, self.partition, self, column
+        return a
 
 
 class Assignment:
     """One draw's 0/1 treatment vector z (float64) and its sparse products,
     each computed on first use and kept: P z and P^2 z, with P = D^-1 A the
-    row-normalized adjacency, the clean masks read off P z, and the cluster
-    bits t of z on the partition.
+    row-normalized adjacency, and the clean masks read off P z.
 
-    The record of a drawn assignment copies P z and P^2 z out of column
-    `column` of its DrawBlock; given its cluster bits t instead, it is the one
-    column of a block of its own. The record of a bare vector computes P z as the
-    sparse product and derives t from z when asked (z must then be constant
-    on clusters).
+    A record with a partition is a column of a DrawBlock, which holds its
+    cluster bits t and its P z and P^2 z. Given z and a partition, it derives
+    t, refuses a z that is not 0/1 and constant on every cluster, and is a
+    block of its own. Only a record without a partition computes P z.
     """
 
-    def __init__(
-        self, g: Graph, z: np.ndarray, p_part: Partition | None = None, t: np.ndarray | None = None,
-        block: DrawBlock | None = None, column: int = 0,
-    ):
+    def __init__(self, g: Graph, z: np.ndarray, p_part: Partition | None = None):
         z = np.asarray(z, dtype=np.float64)
         if z.shape != (g.node_count,):
             raise ValueError("treatment vector length mismatch")
-        if (t is not None or block is not None) and p_part is None:
-            raise ValueError("cluster bits need their partition")
-        self.graph = g
-        self.partition = p_part
-        self.z = z
-        if t is not None:
-            block, column = DrawBlock(g, p_part, t), 0
-        self._block, self._column = block, column
+        self.graph, self.partition, self.z, self._block, self._column = g, p_part, z, None, 0
+        if p_part is not None:
+            t = np.zeros(p_part.cluster_count, dtype=bool)
+            t[p_part.cluster_of[z == 1]] = True
+            if not np.array_equal(t[p_part.cluster_of], z):  # True == 1.0, False == 0.0
+                raise ValueError("treatment vector is not 0/1 and constant on every cluster")
+            self._block = DrawBlock(p_part, t)
 
-    @cached_property
+    @property
     def t(self) -> np.ndarray:
         """Cluster bits: bit j is set iff cluster j is treated."""
-        if self._block is not None:
-            return self._block.bits[self._column]
-        bits = np.zeros(self.partition.cluster_count, dtype=bool)
-        bits[self.partition.cluster_of[self.z == 1]] = True
-        return bits
+        return self._block.bits[self._column]
+
+    @cached_property
+    def z(self) -> np.ndarray:
+        """The unit bits of t as float64, made by one gather (unless given)."""
+        return self.t.astype(np.float64)[self.partition.cluster_of]
+
+    @property
+    def unit_bits(self) -> np.ndarray:
+        """z as int8."""
+        return self.z.astype(np.int8)
 
     @cached_property
     def clean(self) -> tuple[np.ndarray, np.ndarray]:
@@ -141,7 +132,9 @@ def as_assignment(g: Graph, z: np.ndarray | Assignment, p_part: Partition | None
 
 
 def exposure_vector(g: Graph, z: np.ndarray | Assignment, level: int) -> np.ndarray:
-    """The clean-exposure indicator at one level for all nodes (int8)."""
+    """The clean-exposure indicator at one level (0 or 1) for all nodes (int8)."""
+    if level not in (0, 1):
+        raise ValueError(f"exposure level must be 0 or 1, got {level}")
     d1, d0 = as_assignment(g, z).clean
     return (d1 if level == 1 else d0).astype(np.int8)
 

@@ -434,8 +434,9 @@ def read_partition(g: Graph, path: str | Path) -> Partition:
     """Read a "node_id cluster_id" file and decompose it against g. Lines end
     at universal newlines, as in `load_edge_list`: text mode reads each as a line feed."""
     lines = Path(path).read_text(encoding="utf-8").split("\n")
-    cluster_of = np.zeros(g.node_count, dtype=np.int64)
-    seen = np.zeros(g.node_count, dtype=bool)
+    n = g.node_count
+    cluster_of = np.zeros(n, dtype=np.int64)
+    seen = np.zeros(n, dtype=bool)
     for line_no, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -447,8 +448,10 @@ def read_partition(g: Graph, path: str | Path) -> Partition:
             node, cluster = int(parts[0]), int(parts[1])
         except ValueError:
             raise EdgeListFormatError(f"non-integer entry in {stripped!r}", line_no) from None
-        if not 0 <= node < g.node_count:
+        if not 0 <= node < n:
             raise EdgeListFormatError(f"node {node} out of range", line_no)
+        if not 0 <= cluster < n:
+            raise EdgeListFormatError(f"cluster {cluster} out of range 0..{n - 1}", line_no)
         if seen[node]:
             raise EdgeListFormatError(f"node {node} listed twice", line_no)
         cluster_of[node] = cluster

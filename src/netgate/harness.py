@@ -78,7 +78,8 @@ class ExperimentConfig:
         # checked against the builders' signatures here, before anything loads
         if "sbm" in self.graph:
             _arguments("graph.sbm", sbm.generate, self.graph["sbm"])
-        sigma = _model_arguments(self)[1]["sigma"]
+        model_arguments = _model_arguments(self)[1]
+        sigma = model_arguments["sigma"]
         if not 0 <= sigma < np.inf:
             raise ValueError(f"model.sigma must be a finite number >= 0, got {sigma!r}")
         gamma = self.clustering.get("gamma", 1.0)
@@ -114,10 +115,12 @@ class ExperimentConfig:
                 raise ValueError(f"unknown estimator {name!r}")
             if keys[i] in keys[:i]:
                 raise ValueError(f"duplicate estimator {name!r}")
-        covariates = {**PREDICTOR_DEFAULTS, **self.predictor}["covariates"]
-        for i, name in enumerate(covariates):
-            if name in covariates[:i]:
-                raise ValueError(f"duplicate predictor.covariates name {name!r}")
+        name_lists = {"predictor.covariates": {**PREDICTOR_DEFAULTS, **self.predictor}["covariates"],
+                      "model.interaction": model_arguments.get("interaction", ())}
+        for key, names in name_lists.items():
+            for i, name in enumerate(names):
+                if name in names[:i]:
+                    raise ValueError(f"duplicate {key} name {name!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -413,13 +416,12 @@ def _run_block(state: _SimulationState, cells: range):
     n_p = len(state.proportions)
     rngs = [np.random.default_rng(cell_seed(state.master_seed, *divmod(c, n_p))) for c in cells]
     ps = [state.proportions[c % n_p] for c in cells]
-    draws = [design.draw(state.partition, p, rng) for p, rng in zip(ps, rngs)]
-    block = design.DrawBlock(state.graph, state.partition, [d.cluster_bits for d in draws])
+    bits = [design.draw(state.partition, p, rng).t for p, rng in zip(ps, rngs)]
+    block = design.DrawBlock(state.partition, bits)
     rows = np.empty((len(cells), len(state.names) + 1))
     diagnostics = [] if state.verbose else None
-    for b, (p, rng, d) in enumerate(zip(ps, rngs, draws)):
-        a = design.Assignment(state.graph, d.unit_bits, state.partition, block=block, column=b)
-        est, rows[b, -1] = state.run_cell(a, rng, p)
+    for b, (p, rng) in enumerate(zip(ps, rngs)):
+        est, rows[b, -1] = state.run_cell(block.record(b), rng, p)
         rows[b, :-1] = [est.estimates[name] for name in state.names]  # None casts to NaN
         if diagnostics is not None:
             diagnostics.append(est.diagnostics)

@@ -149,7 +149,7 @@ def check_case(case: OracleCase) -> OracleResult:
     freq0 = np.zeros(n)
     mass = 0.0
     for bits, prob in design.enumerate_assignments(part, p):
-        a = design.Assignment(g, design.expand(part, bits), part, bits)
+        a = design.DrawBlock(part, bits).record(0)
         ht_expect += prob * estimators.ht(g, part, a, model.potential(a), p)
         freq1 += prob * a.clean[0]
         freq0 += prob * a.clean[1]

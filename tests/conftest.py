@@ -85,6 +85,11 @@ def neighbors(g: Graph, i: int) -> np.ndarray:
     return g.indices[g.indptr[i] : g.indptr[i + 1]]
 
 
+def expand(p_part: Partition, cluster_bits) -> np.ndarray:
+    """The int8 unit bits implied by cluster bits."""
+    return np.asarray(cluster_bits)[p_part.cluster_of].astype(np.int8)
+
+
 def path_graph(n: int) -> Graph:
     u = np.arange(n - 1)
     return from_edges(u, u + 1, n)

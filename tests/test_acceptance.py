@@ -18,7 +18,7 @@ import pytest
 from netgate import community, design, estimators, oracles
 from netgate.harness import ExperimentConfig, run, verify_theorem2
 
-from conftest import report_cell
+from conftest import expand, report_cell
 
 LOUVAIN_SEED = 20240501
 MASTER_SEED = 20240501
@@ -71,7 +71,7 @@ def test_criterion_2_ppi_identity():
         bits = np.zeros(3, dtype=bool)
         while bits.all() or not bits.any():
             bits = rng.random(3) < 0.5
-        z = design.expand(part, bits).astype(float)
+        z = expand(part, bits).astype(float)
         scale = rng.uniform(0.1, 100.0)
         y = rng.standard_normal(9) * scale
         pred1 = rng.standard_normal(9) * scale

@@ -84,3 +84,44 @@ def test_main_runs_ten_pairs_and_prints_better_of_all_pairs(monkeypatch, tmp_pat
     assert "cells_per_s (higher is better): median parent 100 (quartiles 100-100, IQR 0)" in out
     assert "better in 10 of 10 pairs, worse in 0" in out
     assert "run_s (lower is better)" in out and "better in 0 of 10 pairs, worse in 10" in out
+
+
+def test_regressions_flag_a_metric_worse_than_its_bound_in_its_own_direction():
+    summary = {
+        "cells_per_s": {"parent": 100.0, "change": 74.0},  # 26% lower, higher is better
+        "setup_s": {"parent": 2.0, "change": 2.4},  # 20% higher, within 0.25
+        "peak_rss_mb": {"parent": 100.0, "change": 111.0},  # 11% higher, bound 0.1
+        "run_s": {"parent": 10.0, "change": 5.0},  # better
+        "unbounded": {"parent": 1.0, "change": 9.0},
+    }
+    better = {**BETTER, "peak_rss_mb": "lower", "run_s": "lower", "unbounded": "lower"}
+    bounds = {"cells_per_s": 0.25, "setup_s": 0.25, "peak_rss_mb": 0.1, "run_s": 0.25}
+    assert alternate_pairs.regressions(summary, better, bounds) == ["cells_per_s", "peak_rss_mb"]
+
+
+def test_main_runs_every_workload_by_default_and_flags_each_regression(monkeypatch, tmp_path, capsys):
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({
+        "workloads": [{"name": "a"}, {"name": "b"}, {"name": "c"}],
+        "end_to_end": [{"name": "cells_per_s", "better": "higher", "bound": 0.25},
+                       {"name": "run_s", "better": "lower", "bound": 0.25}]}))
+    runs = []
+
+    def run_checkout(root, workload, seed, seconds):
+        runs.append((workload, root.name))
+        slow = root.name == "change" and workload == "b"
+        return {"cells_per_s": 50.0 if slow else 100.0, "run_s": 1.0}
+
+    monkeypatch.setattr(alternate_pairs, "run_checkout", run_checkout)
+    parent, change = str(tmp_path / "parent"), str(tmp_path / "change")
+    assert alternate_pairs.main([parent, change, "--pairs", "2"]) == 1
+    assert [w for w, _ in runs] == ["a"] * 4 + ["b"] * 4 + ["c"] * 4
+    out = capsys.readouterr().out
+    assert [line for line in out.splitlines() if line.startswith("FLAG")] == [
+        "FLAG b cells_per_s: change median is worse than the parent's by more than its bound 0.25"]
+
+    runs.clear()
+    assert alternate_pairs.main([parent, change, "--pairs", "1", "--workload", "c", "--workload", "a"]) == 0
+    assert runs == [("c", "parent"), ("c", "change"), ("a", "parent"), ("a", "change")]
+    assert "FLAG" not in capsys.readouterr().out

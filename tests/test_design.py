@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from netgate import design, estimators, outcomes, predictor, sbm
 from netgate.graph import Graph, decompose, from_edges
 
-from conftest import neighbors, path_graph
+from conftest import expand, neighbors, path_graph
 
 
 def ring_graph(n):
@@ -33,14 +33,14 @@ def test_draw_single_cluster_shares_one_bit(toy_graph):
     part = decompose(toy_graph, np.zeros(9, dtype=int))
     d = design.draw(part, 0.5, np.random.default_rng(0))
     assert len(set(d.unit_bits.tolist())) == 1
-    assert d.unit_bits[0] == int(d.cluster_bits[0])
+    assert d.unit_bits[0] == int(d.t[0])
 
 
 def test_draw_deterministic_for_fixed_seed():
     part = decompose(ring_graph(95), np.arange(95))
     a = design.draw(part, 0.1, np.random.default_rng(42))
     b = design.draw(part, 0.1, np.random.default_rng(42))
-    assert np.array_equal(a.cluster_bits, b.cluster_bits)
+    assert np.array_equal(a.t, b.t)
 
 
 def test_draw_rejects_bad_proportion(toy_partition):
@@ -53,7 +53,7 @@ def test_draw_treated_fraction_concentrates():
     # binomial concentration: mean of 10k draws of (sum t_k)/K around p
     part = decompose(ring_graph(95), np.arange(95))
     rng = np.random.default_rng(7)
-    fractions = [design.draw(part, 0.3, rng).cluster_bits.mean() for _ in range(10_000)]
+    fractions = [design.draw(part, 0.3, rng).t.mean() for _ in range(10_000)]
     assert 0.29 <= np.mean(fractions) <= 0.31
 
 
@@ -66,7 +66,7 @@ def test_exposure_under_global_treatment(toy_graph):
 
 def test_exposure_tri_ring_boundary(toy_graph, toy_partition):
     # cluster A = {0,1,2} treated, B and C control
-    z = design.expand(toy_partition, np.array([True, False, False]))
+    z = expand(toy_partition, np.array([True, False, False]))
     assert exposure(toy_graph, z, 1, 1) == 1  # interior of A
     assert exposure(toy_graph, z, 2, 1) == 0  # neighbor 3 is control
 
@@ -96,6 +96,12 @@ def test_exposure_vector_matches_scalar(toy_graph, toy_partition):
         assert vec.tolist() == scalars
 
 
+def test_exposure_vector_rejects_a_level_other_than_0_or_1(toy_graph):
+    for level in (2, -1):
+        with pytest.raises(ValueError, match=f"exposure level must be 0 or 1, got {level}"):
+            design.exposure_vector(toy_graph, np.ones(9), level)
+
+
 def test_exposure_probability_values(toy_partition):
     assert exposure_probability(toy_partition, 0.1, 1, 1) == pytest.approx(0.1)
     assert exposure_probability(toy_partition, 0.5, 0, 1) == pytest.approx(0.25)
@@ -108,7 +114,7 @@ def test_exposure_probability_matches_enumeration(toy_graph, toy_partition):
         freq1 = np.zeros(9)
         freq0 = np.zeros(9)
         for bits, prob in design.enumerate_assignments(toy_partition, p):
-            z = design.expand(toy_partition, bits)
+            z = expand(toy_partition, bits)
             freq1 += prob * design.exposure_vector(toy_graph, z, 1)
             freq0 += prob * design.exposure_vector(toy_graph, z, 0)
         for i in range(9):
@@ -161,7 +167,7 @@ def test_enumerated_clean_frequencies_equal_clean_probability(gp, p):
     freq1 = np.zeros(g.node_count)
     freq0 = np.zeros(g.node_count)
     for bits, prob in design.enumerate_assignments(part, p):
-        d1, d0 = design.Assignment(g, design.expand(part, bits)).clean
+        d1, d0 = design.Assignment(g, expand(part, bits)).clean
         freq1 += prob * d1
         freq0 += prob * d0
     q1, q0 = part.clean_probability(p)
@@ -275,10 +281,11 @@ def test_drawn_record_reads_pz_off_cluster_counts_bit_for_bit(case):
     adjacency = g.adjacency()
     one_hot = np.eye(part.cluster_count, dtype=np.int64)[part.cluster_of]
     assert np.array_equal(part.neighbor_counts.toarray(), adjacency @ one_hot)
-    z = design.expand(part, t)
-    a = design.Assignment(g, z, part, t)
+    z = expand(part, t)
+    a = design.DrawBlock(part, t).record(0)
     p_mat = g.row_normalized
     zf = z.astype(np.float64)
+    assert a.z.tobytes() == zf.tobytes() and np.array_equal(a.unit_bits, z)
     assert a.pz.tobytes() == (p_mat @ zf).tobytes()
     assert a.p2z.tobytes() == (p_mat @ (p_mat @ zf)).tobytes()
     treated_nbrs = adjacency @ zf
@@ -304,7 +311,7 @@ def sbm_hub_and_block_of_draws(draw):
                    np.concatenate([edges[:, 1], spokes]), hub + 1 + isolated)
     part = decompose(g, np.concatenate([labels, rng.integers(0, k, 1 + isolated)]))
     ps = draw(st.lists(st.sampled_from([0.01, 0.1, 0.3, 0.5, 0.9, 0.99]), min_size=1, max_size=30))
-    return g, part, [design.draw(part, p, rng).cluster_bits for p in ps]
+    return g, part, [design.draw(part, p, rng).t for p in ps]
 
 
 @given(sbm_hub_and_block_of_draws())
@@ -314,15 +321,15 @@ def test_block_columns_equal_each_draws_own_products_bit_for_bit(case):
     matrix-vector product of draw b alone, whatever the block's size and
     proportions, and so is what a record of column b reads."""
     g, part, bits = case
-    block = design.DrawBlock(g, part, bits)
+    block = design.DrawBlock(part, bits)
     p_mat = g.row_normalized
     assert block.pz.shape == block.p2z.shape == (g.node_count, len(bits))
     for b, t in enumerate(bits):
-        z = design.expand(part, t).astype(np.float64)
+        z = expand(part, t).astype(np.float64)
         pz = p_mat @ z
         p2z = p_mat @ pz
-        a = design.Assignment(g, z, part, block=block, column=b)
-        assert np.array_equal(a.t, t)
+        a = block.record(b)
+        assert np.array_equal(a.t, t) and a.z.tobytes() == z.tobytes()
         assert block.pz[:, b].tobytes() == a.pz.tobytes() == pz.tobytes()
         assert block.p2z[:, b].tobytes() == a.p2z.tobytes() == p2z.tobytes()
 
@@ -342,7 +349,7 @@ def test_last_share_table_sums_are_p_times_ones_bit_for_bit(g):
 
 
 def test_record_without_partition_takes_the_one_it_is_used_with(toy_graph, toy_partition):
-    z = design.expand(toy_partition, np.array([True, False, True]))
+    z = expand(toy_partition, np.array([True, False, True]))
     y = np.arange(9.0)
     bare = design.Assignment(toy_graph, z)
     a = design.as_assignment(toy_graph, bare, toy_partition)
@@ -354,8 +361,8 @@ def test_record_without_partition_takes_the_one_it_is_used_with(toy_graph, toy_p
 
 
 def test_record_of_another_partition_is_an_error(toy_graph, toy_partition):
-    z = design.expand(toy_partition, np.array([True, False, True]))
     other = decompose(toy_graph, np.zeros(9, dtype=np.int64))
+    z = expand(other, np.array([True]))
     a = design.Assignment(toy_graph, z, other)
     y = np.arange(9.0)
     calls = [
@@ -368,6 +375,25 @@ def test_record_of_another_partition_is_an_error(toy_graph, toy_partition):
     ]
     for call in calls:
         with pytest.raises(ValueError, match="another partition"):
+            call()
+
+
+@pytest.mark.parametrize(
+    "z", [np.full(9, 0.5), np.array([1, 2, 1, 0, 0, 0, 1, 1, 1]), np.array([1, 0, 0, 0, 0, 0, 1, 1, 1])],
+    ids=["all-half", "a-two", "split-cluster"],
+)
+def test_a_vector_that_is_not_a_design_on_the_partition_is_refused(toy_graph, toy_partition, z):
+    """A record with a partition reads its products off its cluster bits, so
+    a vector that is not 0/1, or not constant on every cluster, has none."""
+    y = np.arange(9.0)
+    calls = [
+        lambda: design.Assignment(toy_graph, z, toy_partition),
+        lambda: estimators.estimate_all(toy_graph, toy_partition, z, y, 0.5),
+        lambda: estimators.ht(toy_graph, toy_partition, z, y, 0.5),
+        lambda: estimators.cae(toy_graph, toy_partition, z, y),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="not 0/1 and constant on every cluster"):
             call()
 
 

@@ -21,10 +21,12 @@ from netgate.estimators import (
 from netgate.graph import decompose, from_edges
 from netgate.oracles import tri_ring_partition
 
+from conftest import expand
+
 
 def a_treated(part):
     """Tri-ring draw: cluster A treated, B and C control."""
-    return design.expand(part, np.array([True, False, False])).astype(float)
+    return expand(part, np.array([True, False, False])).astype(float)
 
 
 # ---------------------------------------------------------------- dim
@@ -56,7 +58,7 @@ def enumeration_expectation(g, part, model, p, fn):
     """Design expectation of a per-draw estimator via full enumeration."""
     total = 0.0
     for bits, prob in design.enumerate_assignments(part, p):
-        z = design.expand(part, bits).astype(float)
+        z = expand(part, bits).astype(float)
         y = model.potential(z)
         total += prob * fn(z, y)
     return total
@@ -178,7 +180,7 @@ def test_hajek_design_bias_is_nonzero_under_interactions(toy_graph, toy_partitio
     p = 0.4
     total, mass = 0.0, 0.0
     for bits, prob in design.enumerate_assignments(toy_partition, p):
-        z = design.expand(toy_partition, bits).astype(float)
+        z = expand(toy_partition, bits).astype(float)
         y = model.potential(z)
         try:
             value = hajek(toy_graph, toy_partition, z, y, p)
@@ -199,7 +201,7 @@ def test_cae_all_interior_components():
     g = from_edges(e[:, 0], e[:, 1], 9)
     part = decompose(g, np.repeat(np.arange(3), 3))
     assert part.interior_mask.all()
-    z = design.expand(part, np.array([True, True, False])).astype(float)
+    z = expand(part, np.array([True, True, False])).astype(float)
     rng = np.random.default_rng(1)
     y = rng.standard_normal(9)
     cluster_means = [y[0:3].mean(), y[3:6].mean(), y[6:9].mean()]
@@ -231,7 +233,7 @@ def test_cae_skips_clusters_without_clean_nodes():
     # path of 4 clusters; middle clusters' nodes all border other clusters
     g = from_edges(np.arange(7), np.arange(1, 8), 8)
     part = decompose(g, np.repeat(np.arange(4), 2))
-    z = design.expand(part, np.array([True, False, True, False])).astype(float)
+    z = expand(part, np.array([True, False, True, False])).astype(float)
     y = np.arange(8, dtype=float)
     es = estimate_all(g, part, z, y, 0.5, names=("CAE",))
     diag = es.diagnostics["CAE"]
@@ -269,7 +271,7 @@ def test_mii_equals_dim_on_all_interior_partition():
     g = from_edges(e[:, 0], e[:, 1], 6)
     part = decompose(g, np.repeat(np.arange(2), 3))
     assert part.interior_mask.all()
-    z = design.expand(part, np.array([True, False])).astype(float)
+    z = expand(part, np.array([True, False])).astype(float)
     rng = np.random.default_rng(2)
     y = rng.standard_normal(6)
     assert mii(part, z, y) == pytest.approx(dim(z, y), abs=1e-14)
@@ -359,7 +361,7 @@ def test_amii_matches_ppi_rearrangement(seed):
     bits = np.zeros(3, dtype=bool)
     while bits.all() or not bits.any():
         bits = rng.random(3) < 0.5
-    z = design.expand(part, bits).astype(float)
+    z = expand(part, bits).astype(float)
     y = rng.standard_normal(9) * rng.uniform(0.1, 10)
     pred1 = rng.standard_normal(9) * rng.uniform(0.1, 10)
     pred0 = rng.standard_normal(9) * rng.uniform(0.1, 10)
@@ -524,14 +526,21 @@ def sbm_with_hub_draws(draw):
 def test_estimate_all_equals_the_plain_formulas_bit_for_bit(case):
     g, part, t, y, p, pred1, pred0 = case
     part.inverse_clean_probability(p)  # cached here, where a RuntimeWarning is an error
-    a = design.Assignment(g, design.expand(part, t), part, t)
+    a = design.DrawBlock(part, t).record(0)
+    bare = expand(part, t)
     with np.errstate(invalid="ignore", over="ignore"):  # an infinite weight of a clean node with p^c near 0
         es = estimate_all(g, part, a, y, p, pred1, pred0)
+        es_bare = estimate_all(g, part, bare, y, p, pred1, pred0)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         values, diagnostics = reference_estimates(g, part, t, y, p, pred1, pred0)
     hexed = {k: None if v is None else v.hex() for k, v in es.estimates.items()}
     assert hexed == {k: None if v is None else v.hex() for k, v in values.items()}
     assert es.diagnostics == diagnostics
+    # a bare design vector is read as the drawn record, bit for bit
+    assert {k: None if v is None else v.hex() for k, v in es_bare.estimates.items()} == hexed
+    assert es_bare.diagnostics == diagnostics
+    b = design.Assignment(g, bare, part)
+    assert b.pz.tobytes() == a.pz.tobytes() and b.p2z.tobytes() == a.p2z.tobytes()
     # each entry point gives the bits of estimate_all, and raises exactly where it records None
     z = a.z
     entry_points = {

@@ -158,6 +158,14 @@ def test_read_partition_non_integer_reports_line_number(temp_file):
     assert err.value.line_number == 2
 
 
+@pytest.mark.parametrize("cluster", ["-1", "2", "99999999999999999999999"])
+def test_read_partition_cluster_out_of_range_reports_line_number(temp_file, cluster):
+    g = path_graph(2)
+    with pytest.raises(EdgeListFormatError, match=f"line 2: cluster {cluster} out of range") as err:
+        read_partition(g, temp_file(f"0 0\n1 {cluster}\n".encode()))
+    assert err.value.line_number == 2
+
+
 def test_read_partition_duplicate_node_reports_line_number(temp_file):
     g = path_graph(2)
     with pytest.raises(EdgeListFormatError) as err:

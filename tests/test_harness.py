@@ -900,6 +900,8 @@ SMALL_SBM = (
         (SMALL_SBM + "estimators: [MII, mii]\n", [], "duplicate estimator 'mii'"),
         (SMALL_SBM + "predictor: {covariates: [degree, clusters, degree]}\n", [],
          "duplicate predictor.covariates name 'degree'"),
+        (SMALL_SBM + "model: {interaction: [degree, clusters, degree]}\n", [],
+         "duplicate model.interaction name 'degree'"),
         (SMALL_SBM + "verbose: 'no'\n", [], "verbose must be a boolean"),
         (SMALL_SBM.replace("blocks: true", "gamma: true"), [], "clustering.gamma must be a number"),
         (SMALL_SBM.replace("blocks: true", "gamma: '1.0'"), [], "clustering.gamma must be a number"),
@@ -949,7 +951,8 @@ SMALL_SBM = (
         "model-v-unknown", "graph-key-typo", "clustering-key-typo", "sbm-key-typo",
         "ridge-lambda-not-a-number", "ridge-lambda-negative", "ridge-lambda-nan", "ridge-lambda-bool",
         "covariates-a-string", "interaction-a-string", "interaction-not-names",
-        "estimators-empty", "estimators-duplicate", "covariates-duplicate", "verbose-a-string",
+        "estimators-empty", "estimators-duplicate", "covariates-duplicate", "interaction-duplicate",
+        "verbose-a-string",
         "gamma-a-bool", "gamma-a-string", "seed-a-float", "seed-a-bool", "partition-a-list", "blocks-a-string",
         "blocks-and-gamma", "partition-with-seed", "blocks-with-seed", "graph-path-and-sbm", "graph-sbm-with-format",
         "beta-a-string", "beta-a-bool", "sigma-a-string", "v-seed-a-float",
@@ -1102,6 +1105,18 @@ def test_cli_enumerate_refuses_large_cluster_counts(tmp_path, capsys):
     code = cli.main(["enumerate", "--graph", str(gpath), "--partition", str(ppath)])
     assert code == 2
     assert "enumeration guard" in capsys.readouterr().err
+
+
+def test_cli_enumerate_refuses_an_out_of_range_cluster_id(tmp_path, capsys):
+    from netgate.oracles import tri_ring
+
+    gpath = tmp_path / "tri.edges"
+    write_edge_list(tri_ring(), gpath)
+    ppath = tmp_path / "tri.part"
+    ppath.write_text("".join(f"{i} 0\n" for i in range(8)) + "8 99999999999999999999999\n", encoding="utf-8")
+    code = cli.main(["enumerate", "--graph", str(gpath), "--partition", str(ppath)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: line 9: cluster 99999999999999999999999 out of range")
 
 
 def test_cli_enumerate_reports_unbiasedness(tmp_path, capsys):

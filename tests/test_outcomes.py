@@ -13,6 +13,8 @@ from netgate.outcomes import (
     true_gate,
 )
 
+from conftest import expand
+
 
 def dense_interference(g, r1, r2):
     """Brute-force reference: (11^T - I) masked powers of D^-1 A."""
@@ -71,7 +73,8 @@ def test_potentials_have_the_bits_of_the_plain_expressions():
     part = decompose(g, labels)
     rng = np.random.default_rng(6)
     drawn = [rng.random(part.cluster_count) < q for q in (0.1, 0.5, 0.9)]
-    records = [design.Assignment(g, design.expand(part, t), part, t) for t in drawn]
+    block = design.DrawBlock(part, drawn)
+    records = [block.record(b) for b in range(len(drawn))]
     records += [design.Assignment(g, np.full(g.node_count, v)) for v in (0.0, 1.0)]
     for r2 in (0.0, 0.7):
         for interaction in ((), ("degree", "clusters")):

@@ -10,6 +10,8 @@ from netgate import design, harness, outcomes, predictor, sbm
 from netgate.graph import decompose, from_edges
 from netgate.predictor import FeatureBasis, FeatureMatrix, build_features, features_at_level, fit, predict
 
+from conftest import expand
+
 
 def toy_covariates(g, part):
     return {
@@ -31,7 +33,7 @@ def test_features_global_control_zeroes_treatment_columns(toy_graph, toy_partiti
 
 
 def test_features_tri_ring_partial_exposure(toy_graph, toy_partition):
-    z = design.expand(toy_partition, np.array([True, False, False]))  # A treated
+    z = expand(toy_partition, np.array([True, False, False]))  # A treated
     feats = build_features(toy_graph, z, toy_covariates(toy_graph, toy_partition))
     rho = feats.values[:, feats.names.index("nbr_z")]
     assert rho[1] == pytest.approx(1.0)
