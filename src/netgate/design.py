@@ -84,6 +84,8 @@ class Assignment:
     @property
     def t(self) -> np.ndarray:
         """Cluster bits: bit j is set iff cluster j is treated."""
+        if self._block is None:
+            raise ValueError("cluster bits need a partition: this record has none")
         return self._block.bits[self._column]
 
     @cached_property
@@ -139,18 +141,6 @@ def exposure_vector(g: Graph, z: np.ndarray | Assignment, level: int) -> np.ndar
     return (d1 if level == 1 else d0).astype(np.int8)
 
 
-def clean_weights(a: Assignment, p_part: Partition, p: float) -> tuple[np.ndarray, np.ndarray]:
-    """HT and Hajek weights (w1, w0) of one draw at treatment proportion p.
-
-    w1 = 1/p^c and w0 = 1/(1-p)^c are set on the clean nodes of their level
-    and are 0 elsewhere, so a probability that underflows to 0 on a node
-    that is not clean never enters a 0/0; on a clean node it gives an
-    infinite weight. Where every inverse at p is finite, inv * d has its bits.
-    """
-    inverses = zip(a.clean, p_part.inverse_clean_probability(p), p_part.inverses_finite(p))
-    return tuple(inv * d if finite else np.where(d, inv, 0.0) for d, inv, finite in inverses)
-
-
 def enumerate_assignments(p_part: Partition, p: float) -> Iterator[tuple[np.ndarray, float]]:
     """All 2^K cluster assignments as (cluster bits, design probability) pairs.
 
@@ -164,5 +154,4 @@ def enumerate_assignments(p_part: Partition, p: float) -> Iterator[tuple[np.ndar
     for code in range(2**k):
         bits = np.array([(code >> j) & 1 for j in range(k)], dtype=bool)
         treated = int(bits.sum())
-        prob = p**treated * (1.0 - p) ** (k - treated)
-        yield bits, prob
+        yield bits, p**treated * (1.0 - p) ** (k - treated)

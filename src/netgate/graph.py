@@ -176,8 +176,7 @@ def _parse_lines(lines: Iterable[str], fmt: str) -> tuple[list[int], list[int], 
         if stripped.startswith("%"):
             if line_no == 1 and stripped.lower().startswith("%%matrixmarket"):
                 saw_banner = True
-                lowered = stripped.lower()
-                if "coordinate" not in lowered:
+                if "coordinate" not in stripped.lower():
                     raise EdgeListFormatError(
                         "only MatrixMarket coordinate format is supported", line_no
                     )
@@ -356,38 +355,22 @@ class Partition:
         for arr in (self.cluster_of, self.interior_mask, self.interior_nodes, self.touch_counts,
                     neighbor_counts.data, neighbor_counts.indices, neighbor_counts.indptr):
             arr.setflags(write=False)
-        self._exposures: dict[float, tuple] = {}
+        self._inverses: dict[float, tuple[np.ndarray, np.ndarray]] = {}
 
-    def _exposure(self, p: float) -> tuple:
-        """(p^c, (1-p)^c, 1/p^c, 1/(1-p)^c) per node, read-only, and whether each
-        inverse is finite, computed once per p. An inverse is inf, without a RuntimeWarning,
-        where its probability underflowed to 0 or is so small that 1/q overflows."""
-        arrays = self._exposures.get(p)
-        if arrays is None:
+    def inverse_clean_probability(self, p: float) -> tuple[np.ndarray, np.ndarray]:
+        """(1/p^c, 1/(1-p)^c) per node, read-only and computed once per p; inf, without
+        a RuntimeWarning, where p^c or (1-p)^c underflowed to 0 or 1/q overflows."""
+        inverses = self._inverses.get(p)
+        if inverses is None:
             if not 0.0 < p < 1.0:
                 raise ValueError(f"treatment proportion must be in (0,1), got {p}")
             c = self.touch_counts.astype(np.float64)
-            q1, q0 = p**c, (1.0 - p) ** c
             with np.errstate(divide="ignore", over="ignore"):
-                arrays = (q1, q0, 1.0 / q1, 1.0 / q0)
-            for arr in arrays:
+                inverses = 1.0 / p**c, 1.0 / (1.0 - p) ** c
+            for arr in inverses:
                 arr.setflags(write=False)
-            arrays += (bool(np.isfinite(arrays[2]).all()), bool(np.isfinite(arrays[3]).all()))
-            self._exposures[p] = arrays
-        return arrays
-
-    def clean_probability(self, p: float) -> tuple[np.ndarray, np.ndarray]:
-        """Design probabilities of clean exposure at treatment proportion p:
-        (p^c, (1-p)^c) per node, read-only and computed once per p."""
-        return self._exposure(p)[:2]
-
-    def inverse_clean_probability(self, p: float) -> tuple[np.ndarray, np.ndarray]:
-        """(1/p^c, 1/(1-p)^c) per node, from the same cache."""
-        return self._exposure(p)[2:4]
-
-    def inverses_finite(self, p: float) -> tuple[bool, bool]:
-        """Whether every entry of 1/p^c, and of 1/(1-p)^c, is finite, from the same cache."""
-        return self._exposure(p)[4:]
+            self._inverses[p] = inverses
+        return inverses
 
 
 def decompose(g: Graph, cluster_of: np.ndarray) -> Partition:
@@ -436,7 +419,7 @@ def read_partition(g: Graph, path: str | Path) -> Partition:
     lines = Path(path).read_text(encoding="utf-8").split("\n")
     n = g.node_count
     cluster_of = np.zeros(n, dtype=np.int64)
-    seen = np.zeros(n, dtype=bool)
+    line_of = np.zeros(n, dtype=np.int64)  # 0 until the node is listed
     for line_no, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -452,10 +435,13 @@ def read_partition(g: Graph, path: str | Path) -> Partition:
             raise EdgeListFormatError(f"node {node} out of range", line_no)
         if not 0 <= cluster < n:
             raise EdgeListFormatError(f"cluster {cluster} out of range 0..{n - 1}", line_no)
-        if seen[node]:
+        if line_of[node]:
             raise EdgeListFormatError(f"node {node} listed twice", line_no)
         cluster_of[node] = cluster
-        seen[node] = True
-    if not seen.all():
+        line_of[node] = line_no
+    if not line_of.all():
         raise ValueError("partition file does not cover every node")
+    if not np.bincount(cluster_of).all():  # a gap below the largest id: name a line that lists it
+        top = cluster_of.argmax()
+        raise EdgeListFormatError(f"cluster ids must be dense 0..K-1, got {cluster_of[top]}", int(line_of[top]))
     return decompose(g, cluster_of)

@@ -154,7 +154,8 @@ def check_case(case: OracleCase) -> OracleResult:
         freq1 += prob * a.clean[0]
         freq0 += prob * a.clean[1]
         mass += prob
-    q1, q0 = part.clean_probability(p)
+    c = part.touch_counts.astype(np.float64)
+    q1, q0 = p**c, (1.0 - p) ** c  # the analytic p^c and (1-p)^c, not the partition's cache
     return OracleResult(
         name=case.name,
         ht_expectation_error=abs(ht_expect - tau),

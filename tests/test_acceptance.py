@@ -120,14 +120,17 @@ def test_criterion_3_bias_law():
     for alpha in (0.0, 1.0):
         for sigma in (0.0, 2.0):
             report = verify_theorem2(config(alpha, sigma))
-            for cell in report.cells:
-                assert abs(cell.empirical_mii_bias - report.alpha * report.interior_mean_gap) <= (
-                    3 * cell.mii_se
-                ), (alpha, sigma, cell)
+            cells = {(cell.estimator, cell.p): cell for cell in report.cells}
+            for p in {cell.p for cell in report.cells}:
+                mii, amii = cells["MII", p], cells["AMII", p]
+                assert abs(mii.empirical_bias - report.alpha * report.interior_mean_gap) <= (
+                    3 * mii.se
+                ), (alpha, sigma, mii)
                 if alpha == 1.0:
-                    assert abs(cell.empirical_amii_bias) < abs(cell.empirical_mii_bias) / 3, (
+                    assert abs(amii.empirical_bias) < abs(mii.empirical_bias) / 3, (
                         sigma,
-                        cell,
+                        mii,
+                        amii,
                     )
     assert time.time() - t0 < 120.0
 

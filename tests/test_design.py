@@ -126,21 +126,21 @@ def test_exposure_probability_matches_enumeration(toy_graph, toy_partition):
             )
 
 
-def test_clean_probability_is_computed_once_per_p(toy_partition):
-    q1, q0 = toy_partition.clean_probability(0.3)
-    again = toy_partition.clean_probability(0.3)
-    assert again[0] is q1 and again[1] is q0
-    assert not q1.flags.writeable and not q0.flags.writeable
+def test_inverse_clean_probability_is_computed_once_per_p(toy_partition):
+    inv1, inv0 = toy_partition.inverse_clean_probability(0.3)
+    again = toy_partition.inverse_clean_probability(0.3)
+    assert again[0] is inv1 and again[1] is inv0
+    assert not inv1.flags.writeable and not inv0.flags.writeable
     for i in range(9):
-        assert q1[i] == pytest.approx(exposure_probability(toy_partition, 0.3, i, 1), rel=1e-15)
-        assert q0[i] == pytest.approx(exposure_probability(toy_partition, 0.3, i, 0), rel=1e-15)
-    assert toy_partition.clean_probability(0.6)[0] is not q1
+        assert inv1[i] == pytest.approx(1.0 / exposure_probability(toy_partition, 0.3, i, 1), rel=1e-15)
+        assert inv0[i] == pytest.approx(1.0 / exposure_probability(toy_partition, 0.3, i, 0), rel=1e-15)
+    assert toy_partition.inverse_clean_probability(0.6)[0] is not inv1
 
 
-def test_clean_probability_rejects_bad_proportion(toy_partition):
+def test_inverse_clean_probability_rejects_bad_proportion(toy_partition):
     for p in (0.0, 1.0, -0.1, 1.5, float("nan")):
         with pytest.raises(ValueError):
-            toy_partition.clean_probability(p)
+            toy_partition.inverse_clean_probability(p)
 
 
 @st.composite
@@ -170,7 +170,8 @@ def test_enumerated_clean_frequencies_equal_clean_probability(gp, p):
         d1, d0 = design.Assignment(g, expand(part, bits)).clean
         freq1 += prob * d1
         freq0 += prob * d0
-    q1, q0 = part.clean_probability(p)
+    c = part.touch_counts.astype(np.float64)
+    q1, q0 = p**c, (1.0 - p) ** c
     np.testing.assert_allclose(freq1, q1, rtol=0, atol=1e-12)
     np.testing.assert_allclose(freq0, q0, rtol=0, atol=1e-12)
 
@@ -400,6 +401,12 @@ def test_a_vector_that_is_not_a_design_on_the_partition_is_refused(toy_graph, to
 def test_assignment_rejects_length_mismatch(toy_graph):
     with pytest.raises(ValueError, match="length mismatch"):
         design.Assignment(toy_graph, np.ones(toy_graph.node_count + 1))
+
+
+def test_cluster_bits_of_a_record_without_a_partition_are_a_value_error(toy_graph):
+    a = design.Assignment(toy_graph, np.ones(toy_graph.node_count))
+    with pytest.raises(ValueError, match="cluster bits need a partition"):
+        a.t
 
 
 def test_empirical_exposure_frequency_converges(toy_graph, toy_partition):

@@ -565,9 +565,8 @@ def test_estimate_all_equals_the_plain_formulas_bit_for_bit(case):
 def test_clean_node_with_underflowed_probability_makes_ht_degenerate():
     # every node its own cluster and all treated: the hub is clean, its p^401 is 0
     g, part = star_with_isolates(400, 400, 0)
-    q1, _ = part.clean_probability(0.1)
     inv1, _ = part.inverse_clean_probability(0.1)
-    assert q1[0] == 0.0 and inv1[0] == np.inf
+    assert part.touch_counts[0] == 401 and 0.1**401 == 0.0 and inv1[0] == np.inf
     y = np.random.default_rng(1).standard_normal(g.node_count)
     with np.errstate(invalid="ignore"):
         es = estimate_all(g, part, np.ones(g.node_count), y, 0.1, names=("HT",))
@@ -577,17 +576,23 @@ def test_clean_node_with_underflowed_probability_makes_ht_degenerate():
         ht(g, part, np.ones(g.node_count), y, 0.1)
 
 
-def test_weights_of_an_infinite_inverse_are_masked_not_multiplied():
-    """Where an inverse at p is inf, clean_weights masks it (inv * 0 would
-    be NaN on a node that is not clean); where every inverse is finite, it
-    multiplies. Both give the bits of np.where(d, inv, 0.0)."""
-    g, part = star_with_isolates(400, 400, 0)
+def test_weights_of_an_infinite_inverse_are_masked():
+    """HT and Hajek weight each level's clean nodes by its inverse and every
+    other node by 0, as np.where(d, inv, 0.0), so an inverse that is inf on a
+    node that is not clean gives no inf * 0 = NaN."""
+    g, part = star_with_isolates(400, 400, 1)
     z = np.ones(g.node_count)
     z[1] = 0  # one control leaf: the hub, whose 1/p^401 is inf, is not clean
+    z[-1] = 0  # the isolated node is clean control
+    y = np.random.default_rng(3).standard_normal(g.node_count)
     a = design.Assignment(g, z, part)
-    for p, finite in ((0.1, (False, True)), (0.5, (True, True))):
-        assert part.inverses_finite(p) == finite
-        weights = design.clean_weights(a, part, p)
-        for w, d, inv in zip(weights, a.clean, part.inverse_clean_probability(p)):
-            assert w.tobytes() == np.where(d, inv, 0.0).tobytes()
-        assert not np.isnan(weights[0]).any() and weights[0][0] == 0.0
+    for p, hub_inverse in ((0.1, np.inf), (0.5, 2.0**401)):
+        inv1, inv0 = part.inverse_clean_probability(p)
+        assert inv1[0] == hub_inverse
+        d1, d0 = a.clean
+        assert not d1[0] and not d0[0]
+        w1, w0 = np.where(d1, inv1, 0.0), np.where(d0, inv0, 0.0)
+        es = estimate_all(g, part, a, y, p, names=("HT", "HAJEK"))
+        assert es.estimates["HT"].hex() == float(np.mean((w1 - w0) * y)).hex()
+        assert es.estimates["HAJEK"].hex() == float((w1 @ y) / w1.sum() - (w0 @ y) / w0.sum()).hex()
+        assert not np.isnan(w1).any() and not np.isnan(w0).any()

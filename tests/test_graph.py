@@ -173,6 +173,13 @@ def test_read_partition_duplicate_node_reports_line_number(temp_file):
     assert err.value.line_number == 2
 
 
+def test_read_partition_non_dense_ids_report_the_line_of_the_largest(temp_file, toy_graph):
+    text = "".join(f"{i} {5 if i == 1 else 0}\n" for i in range(9))  # ids 0 and 5: 1..4 are unused
+    with pytest.raises(EdgeListFormatError, match="line 2: cluster ids must be dense 0..K-1, got 5") as err:
+        read_partition(toy_graph, temp_file(text.encode()))
+    assert err.value.line_number == 2
+
+
 @pytest.mark.parametrize(
     "sep, line_number",
     [(sep, 1) for sep in "\x0c\x0b\x1c\x1d\x1e\x85\u2028\u2029"] + [("\n", 2), ("\r", 2), ("\r\n", 2)],

@@ -286,7 +286,7 @@ def test_a_section_value_of_any_type_fails_in_from_dict_or_builds_and_runs(case)
     what they still refuse is a ValueError, such as a negative resolution."""
     section, key, spec = case
     data = {"graph": {"sbm": MIXED_SECTIONS[0][1]}, "clustering": {"gamma": 1.0}, "proportions": [0.5],
-            "repetitions": 2, "master_seed": 1}
+            "repetitions": 2, "master_seed": 1, "truth": "gate"}
     if section == "graph.sbm":
         data["graph"] = {"sbm": spec}
     else:
@@ -657,8 +657,9 @@ def test_verify_theorem2_alpha_zero_biases_vanish():
     report = verify_theorem2(theorem2_config(alpha=0.0, sigma=2.0))
     assert report.passed
     for cell in report.cells:
-        assert cell.predicted_mii_bias == 0.0
-        assert abs(cell.empirical_mii_bias) <= 3 * cell.mii_se
+        if cell.estimator == "MII":
+            assert cell.predicted_bias == 0.0
+            assert abs(cell.empirical_bias) <= 3 * cell.se
 
 
 def test_verify_theorem2_constant_u_is_harmless():
@@ -677,7 +678,8 @@ def test_verify_theorem2_bias_law_is_response_agnostic(h):
     report = verify_theorem2(cfg)
     assert report.passed
     cell = report.cells[0]
-    assert abs(cell.empirical_mii_bias - report.interior_mean_gap) <= 3 * cell.mii_se
+    assert cell.estimator == "MII"
+    assert abs(cell.empirical_bias - report.interior_mean_gap) <= 3 * cell.se
 
 
 def test_verify_theorem2_builds_the_model_once(monkeypatch):
@@ -944,6 +946,9 @@ SMALL_SBM = (
         (SMALL_SBM.replace("blocks: true", "gamma: -1"), [], "clustering.gamma must be a finite number > 0, got -1"),
         (SMALL_SBM.replace("blocks: true", "gamma: .nan"), [], "clustering.gamma must be a finite number > 0, got nan"),
         (SMALL_SBM.replace("blocks: true", "gamma: .inf"), [], "clustering.gamma must be a finite number > 0, got inf"),
+        (SMALL_SBM + "model: {kind: partial_linear, v: normal}\n", [],
+         "truth global_treatment_mean is the mean of Y(1), the GATE only where Y(0) is 0, "
+         "but model.v 'normal' adds v to Y(0): set truth: gate"),
     ],
     ids=[
         "missing-file", "unknown-key", "yaml-syntax", "p-out-of-range", "p-not-a-number", "p-duplicate",
@@ -961,6 +966,7 @@ SMALL_SBM = (
         "sbm-p-in-a-string", "sbm-p-out-a-bool", "sbm-edgeless",
         "master-seed-negative", "master-seed-flag-negative", "clustering-seed-negative", "sbm-seed-negative",
         "v-seed-negative", "sigma-negative", "gamma-negative", "gamma-nan", "gamma-inf",
+        "truth-mean-with-node-effects",
     ],
 )
 def test_cli_run_bad_config_is_a_usage_error(monkeypatch, tmp_path, capsys, config_text, flags, message):

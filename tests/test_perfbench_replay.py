@@ -28,6 +28,7 @@ def test_replay_finds_every_entry_point_and_repeats_the_run():
         estimators=["DIM", "HT", "HAJEK", "CAE", "MII", "GNN", "AMII"],
         repetitions=6,
         master_seed=8,
+        truth="gate",
         verbose=True,
     ))
     g = harness.build_graph(config)
@@ -56,6 +57,7 @@ def test_replay_takes_the_predictor_defaults_the_run_takes():
         estimators=["MII", "GNN", "AMII"],
         repetitions=6,
         master_seed=8,
+        truth="gate",
         verbose=True,
     ))
     g = harness.build_graph(config)
