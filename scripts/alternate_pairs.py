@@ -13,8 +13,9 @@ last line of its standard output. The end-to-end metrics and whether lower
 or higher is better come from the change checkout's BENCHMARK.json, which
 is only read. Per workload, the script prints every pair's metrics, then per
 metric each side's median, the parent's quartiles, the median over pairs of
-the ratio change / parent and in how many pairs the change is better and
-worse (an equal pair counts for neither). It flags each metric whose change
+the ratio change / parent, in how many pairs the change is better and
+worse (an equal pair counts for neither) and the exact two-sided sign-test
+p-value of those two counts. It flags each metric whose change
 median is worse than the parent median by more than the metric's `bound`, a
 fraction of the parent median, and exits 1 if it flagged any.
 """
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -95,6 +97,15 @@ def summarize(results: list[dict[str, dict[str, float]]], better: dict[str, str]
     return summary
 
 
+def sign_test_p(better: int, worse: int) -> float:
+    """Exact two-sided sign-test p-value of `better` against `worse` pairs
+    (ties left out): the chance that a fair coin splits better + worse pairs
+    at least this unevenly."""
+    n = better + worse
+    tail = sum(math.comb(n, i) for i in range(min(better, worse) + 1))
+    return min(1.0, 2 * tail / 2**n)
+
+
 def regressions(summary: dict[str, dict], better: dict[str, str], bounds: dict[str, float]) -> list[str]:
     """The metrics of `summary` with a bound whose change median is worse than
     the parent median by more than bound * |parent median|."""
@@ -148,7 +159,8 @@ def main(argv: list[str] | None = None) -> int:
             q1, q3 = s["parent_quartiles"]
             print(f"{name} ({better[name]} is better): median parent {s['parent']:.6g} (quartiles {q1:.6g}-"
                   f"{q3:.6g}, IQR {q3 - q1:.4g}), change {s['change']:.6g}; median pair ratio {s['ratio']:.4g}; "
-                  f"better in {s['better']} of {args.pairs} pairs, worse in {s['worse']}")
+                  f"better in {s['better']} of {args.pairs} pairs, worse in {s['worse']} "
+                  f"(two-sided sign-test p {sign_test_p(s['better'], s['worse']):.3g})")
         for name in regressions(summary, better, bounds):
             flagged = True
             print(f"FLAG {workload} {name}: change median is worse than the parent's by more than its bound "

@@ -7,7 +7,7 @@ index, and a local-move phase ends once a full pass gains < 1e-7.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import _count_elements  # Counter's C counting loop
 from dataclasses import astuple, dataclass
 from itertools import repeat
 
@@ -39,7 +39,8 @@ class ClusteringStats:
 def _cluster_degrees(g: Graph, p: Partition) -> tuple[np.ndarray, np.ndarray]:
     """(intra, tot) per cluster c off the neighbor counts N: intra_c sums column c
     over c's nodes (twice c's edges), tot_c sums c's degrees. Both are the exact
-    integer-valued floats that _LevelGraph.modularity_of builds from every CSR entry."""
+    integer-valued floats of a pass over every edge, and of the sums Louvain keeps
+    while it moves."""
     if g.edge_count == 0:
         raise ValueError("modularity undefined on an edgeless graph")
     n = p.neighbor_counts
@@ -93,15 +94,6 @@ class _LevelGraph:
         w = np.ones(len(g.indices))
         return cls(g.indptr, g.indices, w, np.zeros(g.node_count), 2.0 * g.edge_count)
 
-    def modularity_of(self, comm: np.ndarray, resolution: float) -> float:
-        comm_row = np.repeat(comm, self.row_len)  # comm of each entry's row
-        same = comm_row == comm[self.indices]
-        k = int(comm.max()) + 1
-        intra = np.bincount(comm_row[same], weights=self.weights[same], minlength=k).astype(np.float64)
-        intra += np.bincount(comm, weights=self.self_w, minlength=k)
-        tot = np.bincount(comm, weights=self.strength, minlength=k)
-        return _modularity(intra, tot, self.total_weight, resolution)
-
     def aggregate(self, comm: np.ndarray) -> "_LevelGraph":
         k = int(comm.max()) + 1
         row = np.repeat(comm, self.row_len)
@@ -126,37 +118,50 @@ def _one_level(
 ) -> np.ndarray:
     """Local-move phase; returns the community label per level node.
 
-    The first pass counts each node's neighbour communities afresh. Later
-    passes keep one link table per node (community -> summed edge weight,
-    no zero entries) and update the neighbours' tables when a node moves.
-    The weights are edge counts, so the tables hold exactly the sums a
-    fresh count would give and every move is the same.
+    The neighbour lists share one Python int per node id instead of holding
+    one per CSR entry. The first pass counts each node's neighbour
+    communities afresh into a plain dict. Later passes keep one such link
+    table per node (community -> summed edge weight, no zero entries) and
+    update the neighbours' tables when a node moves. Each pass's modularity
+    comes from running per-community sums, `intra` (twice the internal
+    weight) and `sigma_tot`, updated on every move. The weights are edge
+    counts, so the tables and sums hold exactly what a fresh count or an
+    edge pass would give, and every move and every trace value is the same.
     """
     # plain lists: the sequential move loop is much faster off numpy scalars
     n = level.n
     comm = list(range(n))
     sigma_tot = level.strength.tolist()
     strength = level.strength.tolist()
-    cuts = level.indptr[1:-1]
+    self_w = level.self_w.tolist()
+    intra = list(self_w)
+    ptr = level.indptr.tolist()
     # no self-loops at any level: Graph is simple and aggregate() drops the diagonal
-    nbrs = [a.tolist() for a in np.split(level.indices, cuts)]
+    labels = np.array(comm, dtype=object)[level.indices]
+    nbrs = [labels[s:e].tolist() for s, e in zip(ptr, ptr[1:])]
+    del labels
     if (level.weights == 1.0).all():
         wts = None  # integer counts equal the float sums of unit weights
     else:
-        wts = [a.tolist() for a in np.split(level.weights, cuts)]
+        wts = [level.weights[s:e].tolist() for s, e in zip(ptr, ptr[1:])]
     gamma_over_t = resolution / level.total_weight
 
     def count_links(i: int) -> dict[int, float]:
-        if wts is None:
-            return Counter(map(comm.__getitem__, nbrs[i]))
         link: dict[int, float] = {}
+        if wts is None:
+            _count_elements(link, map(comm.__getitem__, nbrs[i]))
+            return link
         for j, w in zip(nbrs[i], wts[i]):
             c = comm[j]
             link[c] = link.get(c, 0.0) + w
         return link
 
+    def q_of_comm() -> float:
+        k = max(comm) + 1
+        return _modularity(np.array(intra[:k]), np.array(sigma_tot[:k]), level.total_weight, resolution)
+
     links: list[dict[int, float]] | None = None  # built after the first pass
-    q_prev = level.modularity_of(np.asarray(comm), resolution)
+    q_prev = q_of_comm()
     while True:
         for i in rng.permutation(n).tolist():
             a = comm[i]
@@ -172,8 +177,12 @@ def _one_level(
                     if gain > best_gain or (gain == best_gain and c < best_c):
                         best_c, best_gain = c, gain
             sigma_tot[best_c] += ki
+            if best_c == a:
+                continue
             comm[i] = best_c
-            if links is not None and best_c != a:
+            intra[a] -= 2 * link.get(a, 0) + self_w[i]
+            intra[best_c] += 2 * link[best_c] + self_w[i]
+            if links is not None:
                 for j, w in zip(nbrs[i], repeat(1) if wts is None else wts[i]):
                     lj = links[j]
                     left = lj[a] - w
@@ -182,7 +191,7 @@ def _one_level(
                     else:
                         del lj[a]
                     lj[best_c] = lj.get(best_c, 0) + w
-        q_now = level.modularity_of(np.asarray(comm), resolution)
+        q_now = q_of_comm()
         q_trace.append(q_now)
         if q_now - q_prev < _PASS_GAIN_TOL:
             break

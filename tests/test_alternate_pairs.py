@@ -82,8 +82,15 @@ def test_main_runs_ten_pairs_and_prints_better_of_all_pairs(monkeypatch, tmp_pat
     assert len(runs) == 20
     out = capsys.readouterr().out
     assert "cells_per_s (higher is better): median parent 100 (quartiles 100-100, IQR 0)" in out
-    assert "better in 10 of 10 pairs, worse in 0" in out
-    assert "run_s (lower is better)" in out and "better in 0 of 10 pairs, worse in 10" in out
+    assert "better in 10 of 10 pairs, worse in 0 (two-sided sign-test p 0.00195)" in out
+    assert "run_s (lower is better)" in out and "better in 0 of 10 pairs, worse in 10 (two-sided" in out
+
+
+@pytest.mark.parametrize("better, worse, p", [
+    (10, 0, 2 / 1024), (0, 10, 2 / 1024), (9, 1, 22 / 1024), (7, 3, 352 / 1024), (3, 7, 352 / 1024),
+    (5, 5, 1.0), (1, 0, 1.0), (0, 0, 1.0), (6, 0, 2 / 64)])
+def test_sign_test_p_is_the_exact_two_sided_binomial_tail(better, worse, p):
+    assert alternate_pairs.sign_test_p(better, worse) == p
 
 
 def test_regressions_flag_a_metric_worse_than_its_bound_in_its_own_direction():
