@@ -51,12 +51,8 @@ def _cluster_degrees(g: Graph, p: Partition) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _modularity(intra: np.ndarray, tot: np.ndarray, t: float, resolution: float) -> float:
+    """Resolution-scaled modularity Q = sum_c [e_c/m - gamma (d_c/2m)^2] from (intra, tot) and t = 2m."""
     return float(np.sum(intra / t - resolution * (tot / t) ** 2))
-
-
-def modularity(g: Graph, p: Partition, resolution: float) -> float:
-    """Resolution-scaled modularity Q = sum_c [e_c/m - gamma (d_c/2m)^2]."""
-    return _modularity(*_cluster_degrees(g, p), 2.0 * g.edge_count, resolution)
 
 
 def stats(g: Graph, p: Partition, resolution: float) -> ClusteringStats:

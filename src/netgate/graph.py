@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import io
 import math
+import warnings
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Literal, get_args
@@ -148,16 +149,8 @@ def _sorted_unique(a: np.ndarray) -> np.ndarray:
 
 
 _INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
-_MAX_DIGITS = 18  # any run of at most 18 decimal digits fits in int64
 _MAX_NODES = math.isqrt(_INT64_MAX)  # edge keys src*n + dst must fit in int64
 EdgeFormat = Literal["auto", "plain-edge-list", "matrix-market"]  # the fmt values load_edge_list reads
-
-# byte classes of an edge-list body the bulk parser accepts; every other byte is 0
-_DIGIT, _SPACE, _NEWLINE = 1, 2, 3
-_BYTE_CLASS = np.zeros(256, dtype=np.uint8)
-_BYTE_CLASS[ord("0") : ord("9") + 1] = _DIGIT
-_BYTE_CLASS[[ord(" "), ord("\t"), ord("\r")]] = _SPACE
-_BYTE_CLASS[ord("\n")] = _NEWLINE
 
 
 def _parse_lines(lines: Iterable[str], fmt: str) -> tuple[list[int], list[int], tuple | None]:
@@ -229,26 +222,19 @@ def _parse_lines(lines: Iterable[str], fmt: str) -> tuple[list[int], list[int], 
 
 
 def _bulk_body(body: bytes) -> np.ndarray | None:
-    """Endpoints u0, v0, u1, v1, ... of an edge-list body in one numpy parse, or
-    None unless every line is blank or holds exactly two unsigned integers of at
-    most 18 digits between spaces and tabs. Lines end at '\\n'; the caller has
-    checked that every '\\r' comes right before one."""
-    cls = _BYTE_CLASS[np.frombuffer(body, dtype=np.uint8)]
-    if not cls.all():
-        return None
-    digit = np.zeros(len(cls) + 2, dtype=bool)
-    np.equal(cls, _DIGIT, out=digit[1:-1])
-    bounds = np.flatnonzero(digit[1:] != digit[:-1])
-    starts, ends = bounds[0::2], bounds[1::2]
-    if len(starts) % 2 or (len(starts) and (ends - starts).max() > _MAX_DIGITS):
-        return None
-    line = np.searchsorted(np.flatnonzero(cls == _NEWLINE), starts)
-    if (line[0::2] != line[1::2]).any() or (line[2::2] == line[1:-1:2]).any():
-        return None
-    if not len(starts):
-        return np.empty(0, dtype=np.int64)
-    values = np.fromstring(body, dtype=np.int64, sep=" ")
-    return values if len(values) == len(starts) else None
+    """The (k, 2) endpoints of an edge-list body in one np.loadtxt call, or None
+    unless every line is blank or holds exactly two 64-bit integers between
+    whitespace. Any warning refuses too, so numpy 1.x cannot read 1.0 as 1.
+    The caller has checked that every '\\r' comes right before a '\\n'."""
+    if not body.strip():  # loadtxt warns on an empty body
+        return np.empty((0, 2), dtype=np.int64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            pairs = np.loadtxt(io.BytesIO(body), dtype=np.int64, ndmin=2, comments=None)
+        except (ValueError, Warning):
+            return None
+    return pairs if pairs.shape[1] == 2 else None
 
 
 def _bulk_parse(data: bytes, fmt: str) -> tuple[np.ndarray, np.ndarray, tuple | None] | None:
@@ -271,8 +257,8 @@ def _bulk_parse(data: bytes, fmt: str) -> tuple[np.ndarray, np.ndarray, tuple | 
     body = _bulk_body(data[pos:])
     if body is None:
         return None
-    u = np.concatenate([np.asarray(raw_u, dtype=np.int64), body[0::2]])
-    v = np.concatenate([np.asarray(raw_v, dtype=np.int64), body[1::2]])
+    u = np.concatenate([np.asarray(raw_u, dtype=np.int64), body[:, 0]])
+    v = np.concatenate([np.asarray(raw_v, dtype=np.int64), body[:, 1]])
     return u, v, mm_size
 
 
@@ -292,8 +278,8 @@ def load_edge_list(path: str | Path, fmt: EdgeFormat = "auto") -> Graph:
     Self-loops and duplicate edges are dropped; counts are kept on the Graph.
 
     A file whose lines after the header are all blank or "u v" pairs of
-    unsigned integers is parsed in one numpy call; any other file goes
-    through the line loop, which also names the line of a malformed entry.
+    64-bit integers is parsed by np.loadtxt; any other file goes through
+    the line loop, which also names the line of a malformed entry.
     """
     if fmt not in get_args(EdgeFormat):
         raise ValueError(f"unknown format: {fmt!r}")

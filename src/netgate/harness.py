@@ -82,6 +82,9 @@ class ExperimentConfig:
         sigma = model_arguments["sigma"]
         if not 0 <= sigma < np.inf:
             raise ValueError(f"model.sigma must be a finite number >= 0, got {sigma!r}")
+        for key, value in model_arguments.items():  # beta, r1, r2, alpha, h_scale
+            if isinstance(value, float) and not np.isfinite(value):
+                raise ValueError(f"model.{key} must be a finite number, got {value!r}")
         gamma = self.clustering.get("gamma", 1.0)
         if not 0 < gamma < np.inf:
             raise ValueError(f"clustering.gamma must be a finite number > 0, got {gamma!r}")
@@ -441,7 +444,8 @@ def _simulate(
     state = _SimulationState(config, g, p_part, model)
     cells = range(config.repetitions * len(config.proportions))
     blocks = [cells[c : c + CELLS_PER_BLOCK] for c in cells[::CELLS_PER_BLOCK]]
-    workers = min(config.threads, len(blocks), len(os.sched_getaffinity(0)))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(config.threads, len(blocks), cpus)
     if workers == 1:
         parts = [_run_block(state, block) for block in blocks]
     else:
@@ -493,8 +497,11 @@ def run(
     if other is not g and not (np.array_equal(other.indptr, g.indptr) and np.array_equal(other.indices, g.indices)):
         raise ValueError(f"the partition belongs to another graph ({other.node_count} nodes, g has {g.node_count})")
     info = _clustering_info(config)
-    model = build_model(config, g, p_part)
-    truth = TRUTHS[config.truth](model)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves the truth non-finite: refused below
+        model = build_model(config, g, p_part)
+        truth = TRUTHS[config.truth](model)
+    if not np.isfinite(truth):
+        raise ValueError(f"truth {config.truth} is {truth}, not a finite number: the model's coefficients overflow")
 
     table, diagnostics = _simulate(config, g, p_part, model)
     ps = config.proportions

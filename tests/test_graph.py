@@ -354,9 +354,10 @@ BAD_LINES = [
 @st.composite
 def edge_files(draw):
     """A plain or MatrixMarket edge file with comments, blank lines, CRLF,
-    self-loops, reversed duplicates, sparse labels and isolated nodes, and at
-    times one comment or malformed line after the first data line; `clean`
-    when the bulk parse must take the file."""
+    self-loops, reversed duplicates, sparse signed 64-bit labels written with
+    leading zeros or a plus sign, and isolated nodes, and at times one comment
+    or malformed line after the first data line; `clean` when the bulk parse
+    must take the file."""
     mtx = draw(st.booleans())
     n = draw(st.integers(1, 12))
     pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=30))
@@ -365,9 +366,14 @@ def edge_files(draw):
         extra = draw(st.integers(0, 3))  # isolated nodes past the largest index
         label = [i + 1 for i in range(n)]
     else:
-        label = draw(st.lists(st.integers(0, 10**18 - 1), min_size=n, max_size=n, unique=True))
+        label = draw(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=n, max_size=n, unique=True))
     spaces = st.sampled_from(["", " ", "\t", "  "])
-    lines = [f"{draw(spaces)}{label[a]} {draw(spaces)}{label[b]}{draw(spaces)}" for a, b in pairs]
+
+    def text(x):
+        sign = "-" if x < 0 else draw(st.sampled_from(["", "", "+"]))
+        return f"{sign}{draw(st.sampled_from(['', '', '0', '00']))}{abs(x)}"
+
+    lines = [f"{draw(spaces)}{text(label[a])} {draw(spaces)}{text(label[b])}{draw(spaces)}" for a, b in pairs]
     head = [draw(st.sampled_from(["# comment", "% comment", ""])) for _ in range(draw(st.integers(0, 2)))]
     if mtx:
         declared = len(lines) + draw(st.sampled_from([0, 0, 0, 1]))
@@ -395,3 +401,32 @@ def test_bulk_parse_matches_line_loop(temp_file, case):
         assert _load_outcome(path, fmt) == outcome
     if clean:
         assert graph._bulk_parse(data, fmt) is not None
+
+
+@pytest.mark.parametrize(
+    "body, taken",
+    [
+        (b"", True),
+        (b" \t\r\n\n  ", True),
+        (b"-3 +4\n007 -0008\n", True),
+        (b"9223372036854775807 -9223372036854775808\n", True),
+        (b"5\v6\r\n7\f8\n", True),
+        (b"1.0 2\n", False),
+        (b"1e3 2\n", False),
+        (b"0x10 2\n", False),
+        (b"1_000 2\n", False),
+        ("\u0661 2\n".encode(), False),  # an Arabic-Indic digit, which int() reads
+        (b"1 2\r3 4\n", False),
+        (b"1 2 3\n4 5 6\n", False),
+        (b"1\n2\n", False),
+    ],
+)
+def test_bulk_parse_takes_a_body_only_as_the_line_loop_reads_it(temp_file, body, taken):
+    """np.loadtxt reads the body after the first edge or refuses it, and the
+    line loop then reads or names a bad line; the graph is the same either way."""
+    data = b"0 1\n" + body
+    path = temp_file(data)
+    outcome = _load_outcome(path, "auto")
+    with mock.patch.object(graph, "_bulk_parse", lambda data, fmt: None):
+        assert _load_outcome(path, "auto") == outcome
+    assert (graph._bulk_parse(data, "auto") is not None) == taken

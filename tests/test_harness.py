@@ -249,6 +249,39 @@ def test_model_and_sbm_sections_fail_before_anything_loads(monkeypatch, tmp_path
     assert clustered == []
 
 
+@pytest.mark.parametrize("value, shown", [(".nan", "nan"), (".inf", "inf"), ("-.inf", "-inf")])
+@pytest.mark.parametrize("key", ["beta", "alpha", "r1", "r2", "h_scale"])
+def test_non_finite_model_coefficient_fails_before_anything_loads(monkeypatch, tmp_path, capsys, key, value, shown):
+    """A NaN or infinite coefficient would make the truth and every cell
+    non-finite; from_dict and `netgate run` name it before Louvain."""
+    clustered = []
+    monkeypatch.setattr(community, "louvain", lambda *args: clustered.append(args))
+    kind = "partial_linear" if key in ("alpha", "h_scale") else "linear_two_hop"
+    text = f"{SMALL_SBM.replace('blocks: true', 'gamma: 1.0')}model: {{kind: {kind}, {key}: {value}}}\n"
+    message = f"model.{key} must be a finite number, got {shown}"
+    with pytest.raises(ValueError) as err:
+        ExperimentConfig.from_dict(yaml.safe_load(text))
+    assert str(err.value) == message
+    path = tmp_path / "cfg.yaml"
+    path.write_text(text, encoding="utf-8")
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert clustered == []
+
+
+@pytest.mark.parametrize(
+    "model, truth",
+    [({"r2": 1e308}, "global_treatment_mean"),
+     ({"kind": "partial_linear", "alpha": 1e308, "u": "degree"}, "gate")],
+)
+def test_non_finite_truth_fails_before_the_table(monkeypatch, model, truth):
+    """Finite coefficients whose truth overflows: the run names the truth
+    instead of printing inf biases and MSEs."""
+    monkeypatch.setattr(harness, "_simulate", lambda *args: pytest.fail("the table ran"))
+    with pytest.raises(ValueError, match=rf"^truth {truth} is (inf|-inf|nan), not a finite number"):
+        run(sbm_config(model=model, truth=truth, repetitions=2))
+
+
 # a section and a spec it accepts; the property below swaps one value (never kind) for one of mixed type
 MIXED_SECTIONS = [
     ("graph.sbm", {"communities": 3, "size": 8, "p_in": 0.5, "p_out": 0.1, "seed": 1}),
@@ -414,6 +447,16 @@ def test_one_worker_runs_the_table_in_process(monkeypatch):
     pooled = run(sbm_config(repetitions=10, threads=2)).to_csv()  # 30 cells, two blocks
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", None)
     assert run(sbm_config(repetitions=10)).to_csv() == pooled
+
+
+def test_workers_without_sched_getaffinity_use_cpu_count(monkeypatch):
+    """Where os.sched_getaffinity does not exist (macOS), the usable CPUs are
+    os.cpu_count(), and two workers give the one-worker report."""
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    one = run(sbm_config(repetitions=10)).to_csv()
+    assert run(sbm_config(repetitions=10, threads=2)).to_csv() == one
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize(
