@@ -68,7 +68,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     part = community.louvain(g, args.gamma, args.seed)
     print(f"nodes {g.node_count}")
     print(f"edges {g.edge_count}")
-    print(community.stats(g, part, args.gamma).text(), end="")
+    print(community.stats(part, args.gamma).text(), end="")
     if args.out:
         write_partition(part, args.out)
     return 0
@@ -127,7 +127,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     else:
         part = community.louvain(g, args.gamma, args.seed)
     model = outcomes.linear_two_hop(g, beta=args.beta, r1=args.r1, r2=0.0, sigma=0.0)
-    result = oracles.check_case(oracles.OracleCase(args.graph, g, part, model, args.p))
+    result = oracles.check_case(oracles.OracleCase(args.graph, part, model, args.p))
     print(f"clusters {part.cluster_count}")
     print(f"true_gate {outcomes.true_gate(model):.12g}")
     print(f"difference {result.ht_expectation_error:.3e}")

@@ -36,18 +36,18 @@ class ClusteringStats:
         return "".join(f"{name} {value}\n" for name, value in self.fields())
 
 
-def _cluster_degrees(g: Graph, p: Partition) -> tuple[np.ndarray, np.ndarray]:
+def _cluster_degrees(p: Partition) -> tuple[np.ndarray, np.ndarray]:
     """(intra, tot) per cluster c off the neighbor counts N: intra_c sums column c
     over c's nodes (twice c's edges), tot_c sums c's degrees. Both are the exact
     integer-valued floats of a pass over every edge, and of the sums Louvain keeps
     while it moves."""
-    if g.edge_count == 0:
+    if p.graph.edge_count == 0:
         raise ValueError("modularity undefined on an edgeless graph")
     n = p.neighbor_counts
     column = np.repeat(np.arange(p.cluster_count), np.diff(n.indptr))
     own = p.cluster_of[n.indices] == column
     intra = np.bincount(column[own], weights=n.data[own], minlength=p.cluster_count)
-    return intra, np.bincount(p.cluster_of, weights=g.degrees, minlength=p.cluster_count)
+    return intra, np.bincount(p.cluster_of, weights=p.graph.degrees, minlength=p.cluster_count)
 
 
 def _modularity(intra: np.ndarray, tot: np.ndarray, t: float, resolution: float) -> float:
@@ -55,14 +55,14 @@ def _modularity(intra: np.ndarray, tot: np.ndarray, t: float, resolution: float)
     return float(np.sum(intra / t - resolution * (tot / t) ** 2))
 
 
-def stats(g: Graph, p: Partition, resolution: float) -> ClusteringStats:
-    """Cluster count, interior and within-cluster edge fractions, modularity; no edge pass."""
-    intra, tot = _cluster_degrees(g, p)
+def stats(p: Partition, resolution: float) -> ClusteringStats:
+    """Cluster count, interior and within-cluster edge fractions, modularity on p's graph; no edge pass."""
+    intra, tot = _cluster_degrees(p)
     return ClusteringStats(
         cluster_count=p.cluster_count,
         interior_fraction=float(p.interior_mask.mean()),
-        within_edge_fraction=float(intra.sum() / 2 / g.edge_count),
-        modularity=_modularity(intra, tot, 2.0 * g.edge_count, resolution),
+        within_edge_fraction=float(intra.sum() / 2 / p.graph.edge_count),
+        modularity=_modularity(intra, tot, 2.0 * p.graph.edge_count, resolution),
     )
 
 

@@ -66,10 +66,11 @@ class Assignment:
     A record with a partition is a column of a DrawBlock, which holds its
     cluster bits t and its P z and P^2 z. Given z and a partition, it derives
     t, refuses a z that is not 0/1 and constant on every cluster, and is a
-    block of its own. Only a record without a partition computes P z.
+    block of its own. Only a record without a partition reads g or computes P z.
     """
 
     def __init__(self, g: Graph, z: np.ndarray, p_part: Partition | None = None):
+        g = g if p_part is None else p_part.graph
         z = np.asarray(z, dtype=np.float64)
         if z.shape != (g.node_count,):
             raise ValueError("treatment vector length mismatch")
@@ -123,9 +124,9 @@ class Assignment:
 
 
 def as_assignment(g: Graph, z: np.ndarray | Assignment, p_part: Partition | None = None) -> Assignment:
-    """The record of z on g with partition p_part: a bare vector gets a new
-    record, and so does a record without a partition when p_part is given;
-    a record of another partition is an error."""
+    """The record of z on p_part's graph, or on g without a partition: a bare
+    vector gets a new record, and so does a record without a partition when
+    p_part is given; a record of another partition is an error."""
     if isinstance(z, Assignment) and p_part is not None and z.partition is not p_part:
         if z.partition is not None:
             raise ValueError("the assignment record belongs to another partition")

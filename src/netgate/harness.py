@@ -44,6 +44,18 @@ SECTION_KINDS = {
 PREDICTOR_DEFAULTS = {"max_hop": 2, "ridge_lambda": None, "training_mask": "full", "covariates": ["degree"]}
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """yaml.SafeLoader that refuses a key repeated in one mapping, where safe_load keeps the last value."""
+
+    def construct_mapping(self, node, deep=False):
+        keys = [key for key, _ in node.value if key.tag != "tag:yaml.org,2002:merge"]  # before merges flatten
+        mapping = super().construct_mapping(node, deep)
+        for i, key in enumerate(keys):  # a config's mapping holds a few keys
+            if (value := self.construct_object(key)) in map(self.construct_object, keys[:i]):
+                raise ValueError(f"config file {self.name} repeats key {value!r} on line {key.start_mark.line + 1}")
+        return mapping
+
+
 @dataclass
 class ExperimentConfig:
     """Declarative description of one simulation experiment.
@@ -135,7 +147,7 @@ class ExperimentConfig:
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+            raise ValueError(f"unknown config keys: {sorted(unknown, key=str)}")
         cfg = cls(**data)
         cfg.validate()
         return cfg
@@ -143,7 +155,7 @@ class ExperimentConfig:
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
         with open(path, "r", encoding="utf-8") as fh:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, _UniqueKeyLoader)
         if not isinstance(data, dict):
             raise ValueError(f"config file {path} did not parse to a mapping")
         return cls.from_dict(data)
@@ -193,7 +205,7 @@ def _check_spec(section: str, kinds: dict, spec: dict) -> None:
     every value has its key's checked form there: the one type check of a config."""
     unknown = set(spec) - set(kinds)
     if unknown:
-        raise ValueError(f"unknown {section} keys: {sorted(unknown)}")
+        raise ValueError(f"unknown {section} keys: {sorted(unknown, key=str)}")
     for key, value in spec.items():
         if not _fits(value, kinds[key]):
             raise ValueError(f"{section}.{key}".lstrip(".") + f" must be {_describe(kinds[key])}, got {value!r}")
@@ -349,11 +361,10 @@ def emit_report(report: SimulationReport, path: str | Path) -> None:
 class _SimulationState:
     """Shared read-only inputs for the repetition loop."""
 
-    def __init__(self, config: ExperimentConfig, g: Graph, p_part: Partition, model: OutcomeModel):
+    def __init__(self, config: ExperimentConfig, p_part: Partition, model: OutcomeModel):
         self.proportions = list(config.proportions)
         self.master_seed = config.master_seed
         self.verbose = config.verbose
-        self.graph = g
         self.partition = p_part
         self.model = model
         self.names = tuple(n.upper() for n in config.estimators)
@@ -367,6 +378,7 @@ class _SimulationState:
         # the bias-law checks, only for a table that fits the predictor
         self.basis = self.f1 = self.f0 = self.tracked_column = None
         if self.needs_predictor:
+            g = p_part.graph
             covariates = {name: outcomes.covariate_vector(name, g, p_part) for name in pspec["covariates"]}
             self.basis = predictor.FeatureBasis(g, covariates, pspec["max_hop"])
             self.f1 = self.basis.at(np.ones(g.node_count))
@@ -388,7 +400,7 @@ class _SimulationState:
             pred0 = predictor.predict(fitted, self.f0)
             if self.tracked_column is not None:
                 alpha_hat = fitted.coefficient(self.tracked_column)
-        est = estimators.estimate_all(self.graph, self.partition, a, y, p, pred1, pred0, self.names)
+        est = estimators.estimate_all(self.partition.graph, self.partition, a, y, p, pred1, pred0, self.names)
         return est, alpha_hat
 
 
@@ -434,14 +446,12 @@ def _run_block(state: _SimulationState, cells: range):
     return rows, diagnostics
 
 
-def _simulate(
-    config: ExperimentConfig, g: Graph, p_part: Partition, model: OutcomeModel
-) -> tuple[np.ndarray, list | None]:
+def _simulate(config: ExperimentConfig, p_part: Partition, model: OutcomeModel) -> tuple[np.ndarray, list | None]:
     """`_run_block`'s rows for all R * n_p cells as one (R, n_p, len(names) + 1)
     array, and their diagnostics. The blocks run on min(threads, blocks, usable
     CPUs) forked worker processes, which inherit the state instead of
     unpickling it; one worker runs them inline."""
-    state = _SimulationState(config, g, p_part, model)
+    state = _SimulationState(config, p_part, model)
     cells = range(config.repetitions * len(config.proportions))
     blocks = [cells[c : c + CELLS_PER_BLOCK] for c in cells[::CELLS_PER_BLOCK]]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -485,17 +495,15 @@ def run(
 ) -> SimulationReport:
     """Execute the full experiment described by config.
 
-    A preloaded graph/partition may be supplied to skip reloading; they must
-    match what the config describes, whose clustering the report names.
+    A preloaded graph, or a partition with its graph as g or alone, skips
+    reloading; it must match the config, whose clustering the report names.
     """
     config.validate()
-    if g is None:
-        g = build_graph(config)
     if p_part is None:
-        p_part, _ = build_partition(config, g)
-    other = p_part.graph
-    if other is not g and not (np.array_equal(other.indptr, g.indptr) and np.array_equal(other.indices, g.indices)):
-        raise ValueError(f"the partition belongs to another graph ({other.node_count} nodes, g has {g.node_count})")
+        p_part, _ = build_partition(config, build_graph(config) if g is None else g)
+    given, g = g, p_part.graph
+    if given is not None and given is not g:
+        raise ValueError(f"the partition belongs to another graph ({g.node_count} nodes, g has {given.node_count})")
     info = _clustering_info(config)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves the truth non-finite: refused below
         model = build_model(config, g, p_part)
@@ -503,7 +511,7 @@ def run(
     if not np.isfinite(truth):
         raise ValueError(f"truth {config.truth} is {truth}, not a finite number: the model's coefficients overflow")
 
-    table, diagnostics = _simulate(config, g, p_part, model)
+    table, diagnostics = _simulate(config, p_part, model)
     ps = config.proportions
     names = [n.upper() for n in config.estimators]
     keys = [f"{p:.12g}" for p in ps]
@@ -519,7 +527,7 @@ def run(
         cells=cells,
         truth_kind=config.truth,
         truth_value=truth,
-        clustering=community.stats(g, p_part, info.get("gamma", 1.0)),
+        clustering=community.stats(p_part, info.get("gamma", 1.0)),
         clustering_info=info,
         config_digest=config.digest(),
         master_seed=config.master_seed,

@@ -37,8 +37,7 @@ def tri_ring_partition() -> Partition:
 @dataclass(frozen=True)
 class OracleCase:
     name: str
-    graph: Graph
-    partition: Partition
+    partition: Partition  # and its graph, on which the model is built
     model: outcomes.OutcomeModel
     p: float
 
@@ -53,7 +52,6 @@ def default_oracle_cases() -> list[OracleCase]:
     cases.append(
         OracleCase(
             "tri-ring plain",
-            g,
             part,
             outcomes.linear_two_hop(g, beta=1.0, r1=1.0, r2=0.0, sigma=0.0),
             0.3,
@@ -62,7 +60,6 @@ def default_oracle_cases() -> list[OracleCase]:
     cases.append(
         OracleCase(
             "tri-ring interacted",
-            g,
             part,
             outcomes.linear_two_hop(
                 g, beta=1.0, r1=1.0, r2=0.0, sigma=0.0,
@@ -77,7 +74,6 @@ def default_oracle_cases() -> list[OracleCase]:
     cases.append(
         OracleCase(
             "path-12",
-            g,
             part,
             outcomes.linear_two_hop(g, beta=2.0, r1=0.5, r2=0.0, sigma=0.0),
             0.2,
@@ -91,14 +87,13 @@ def default_oracle_cases() -> list[OracleCase]:
     model = outcomes.partial_linear(
         g, beta=1.5, alpha=0.7, sigma=0.0, h="sqrt", h_scale=2.0, v="normal", v_seed=11
     )
-    cases.append(OracleCase("triangles+isolate", g, part, model, 0.4))
+    cases.append(OracleCase("triangles+isolate", part, model, 0.4))
 
     g = from_edges(np.zeros(6, dtype=np.int64), np.arange(1, 7), 7)
     part = decompose(g, np.array([0, 0, 0, 1, 1, 2, 2]))
     cases.append(
         OracleCase(
             "star-7",
-            g,
             part,
             outcomes.linear_two_hop(
                 g, beta=1.0, r1=1.0, r2=0.0, sigma=0.0, interaction=("clusters",), p_part=part
@@ -112,7 +107,6 @@ def default_oracle_cases() -> list[OracleCase]:
     cases.append(
         OracleCase(
             "sbm-5x8",
-            g,
             part,
             outcomes.linear_two_hop(
                 g, beta=1.0, r1=1.0, r2=0.0, sigma=0.0, interaction=("degree",), p_part=part
@@ -141,7 +135,7 @@ class OracleResult:
 def check_case(case: OracleCase) -> OracleResult:
     """Enumerate the design and compare exact expectations against the
     analytic quantities they must equal under 1-hop interference."""
-    g, part, model, p = case.graph, case.partition, case.model, case.p
+    g, part, model, p = case.partition.graph, case.partition, case.model, case.p
     n = g.node_count
     tau = outcomes.true_gate(model)
     ht_expect = 0.0
@@ -150,7 +144,7 @@ def check_case(case: OracleCase) -> OracleResult:
     mass = 0.0
     for bits, prob in design.enumerate_assignments(part, p):
         a = design.DrawBlock(part, bits).record(0)
-        ht_expect += prob * estimators.ht(g, part, a, model.potential(a), p)
+        ht_expect += prob * estimators.estimate_all(g, part, a, model.potential(a), p, names=("HT",)).estimates["HT"]
         freq1 += prob * a.clean[0]
         freq0 += prob * a.clean[1]
         mass += prob

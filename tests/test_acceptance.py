@@ -50,7 +50,7 @@ def test_criterion_1_exact_oracle_unbiasedness():
     cases = oracles.default_oracle_cases()
     assert len(cases) >= 5
     assert all(c.partition.cluster_count <= 10 for c in cases)
-    assert all(c.graph.node_count <= 60 for c in cases)
+    assert all(c.partition.graph.node_count <= 60 for c in cases)
     for result in oracles.run_oracle_suite(cases):
         assert result.ht_expectation_error <= 1e-12, result
         assert result.exposure_probability_error <= 1e-12, result
@@ -228,7 +228,7 @@ def test_criterion_6_two_hop_stress(stanford_gamma5):
 @criterion(7, "clustering statistics within the published bands")
 def test_criterion_7_clustering_statistics(stanford3, stanford3_partitions):
     st = {
-        gamma: community.stats(stanford3, part, gamma)
+        gamma: community.stats(part, gamma)
         for gamma, part in stanford3_partitions.items()
     }
     s5 = st[5.0]

@@ -40,7 +40,7 @@ def test_two_triangles_is_the_exhaustive_modularity_maximum():
     count = 0
     for blocks in all_set_partitions(list(range(6))):
         count += 1
-        q = stats(g, decompose(g, labels_of(blocks, 6)), 1.0).modularity
+        q = stats(decompose(g, labels_of(blocks, 6)), 1.0).modularity
         if q > best_q:
             best_q, best_blocks = q, blocks
     assert count == 203  # Bell(6)
@@ -48,20 +48,20 @@ def test_two_triangles_is_the_exhaustive_modularity_maximum():
 
     part = louvain(g, 1.0, seed=123)
     assert part.cluster_count == 2
-    assert stats(g, part, 1.0).modularity == pytest.approx(best_q, abs=1e-12)
+    assert stats(part, 1.0).modularity == pytest.approx(best_q, abs=1e-12)
     assert best_q == pytest.approx(0.5, abs=1e-12)
 
 
 @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0, 5.0])
 def test_modularity_single_cluster_is_one_minus_gamma(toy_graph, gamma):
     part = decompose(toy_graph, np.zeros(9, dtype=int))
-    assert stats(toy_graph, part, gamma).modularity == pytest.approx(1.0 - gamma, abs=1e-12)
+    assert stats(part, gamma).modularity == pytest.approx(1.0 - gamma, abs=1e-12)
 
 
 def test_modularity_singletons(toy_graph):
     part = decompose(toy_graph, np.arange(9))
     expected = -sum((d / 24.0) ** 2 for d in toy_graph.degrees)
-    q = stats(toy_graph, part, 1.0).modularity
+    q = stats(part, 1.0).modularity
     assert q == pytest.approx(expected, abs=1e-12)
     assert q <= 0
 
@@ -69,13 +69,13 @@ def test_modularity_singletons(toy_graph):
 def test_modularity_edgeless_graph_is_an_error():
     g = from_edges(np.array([], dtype=int), np.array([], dtype=int), 3)
     with pytest.raises(ValueError):
-        stats(g, decompose(g, np.zeros(3, dtype=int)), 1.0)
+        stats(decompose(g, np.zeros(3, dtype=int)), 1.0)
 
 
 def test_modularity_within_bounds(toy_graph, toy_clusters):
     part = decompose(toy_graph, toy_clusters)
     for gamma in (0.5, 1.0, 3.0):
-        assert -gamma <= stats(toy_graph, part, gamma).modularity <= 1.0
+        assert -gamma <= stats(part, gamma).modularity <= 1.0
 
 
 def test_louvain_pass_trace_is_monotone():
@@ -90,7 +90,7 @@ def test_louvain_beats_singletons():
     g, _ = sbm.generate(communities=5, size=30, p_in=0.25, p_out=0.01, seed=4)
     part = louvain(g, 1.0, seed=9)
     singletons = decompose(g, np.arange(g.node_count))
-    assert stats(g, part, 1.0).modularity >= stats(g, singletons, 1.0).modularity
+    assert stats(part, 1.0).modularity >= stats(singletons, 1.0).modularity
 
 
 def test_louvain_fixed_seed_is_bit_identical():
@@ -211,7 +211,7 @@ def test_louvain_matches_networkx_quality():
         G = nx.Graph()
         G.add_nodes_from(range(g.node_count))
         G.add_edges_from(map(tuple, g.edge_array()))
-        mine = stats(g, louvain(g, gamma, seed=1), gamma).modularity
+        mine = stats(louvain(g, gamma, seed=1), gamma).modularity
         theirs = nxc.modularity(G, nxc.louvain_communities(G, resolution=gamma, seed=1), resolution=gamma)
         assert mine >= theirs - 0.01, (gamma, mine, theirs)
 
@@ -228,7 +228,7 @@ def test_modularity_matches_networkx_formula():
     part = decompose(g, dense)
     comms = [set(np.flatnonzero(dense == k)) for k in range(int(dense.max()) + 1)]
     for gamma in (0.5, 1.0, 3.0):
-        mine = stats(g, part, gamma).modularity
+        mine = stats(part, gamma).modularity
         theirs = nx.algorithms.community.modularity(G, comms, resolution=gamma)
         assert mine == pytest.approx(theirs, abs=1e-12)
 
@@ -268,14 +268,14 @@ def test_resolution_controls_granularity():
 
 def test_stats_single_cluster(toy_graph):
     part = decompose(toy_graph, np.zeros(9, dtype=int))
-    s = stats(toy_graph, part, 1.0)
+    s = stats(part, 1.0)
     assert s.interior_fraction == 1.0
     assert s.within_edge_fraction == 1.0
 
 
 def test_stats_tri_ring(toy_graph, toy_clusters):
     part = decompose(toy_graph, toy_clusters)
-    s = stats(toy_graph, part, 1.0)
+    s = stats(part, 1.0)
     assert s.cluster_count == 3
     assert s.interior_fraction == pytest.approx(3 / 9)
     assert s.within_edge_fraction == pytest.approx(9 / 12)
@@ -315,12 +315,12 @@ def test_stats_from_cluster_counts_equal_the_edge_pass_bit_for_bit(case):
     g, part, gamma = case
     if g.edge_count == 0:
         with pytest.raises(ValueError, match="edgeless"):
-            stats(g, part, gamma)
+            stats(part, gamma)
         return
     q = edge_pass_modularity(_LevelGraph.from_graph(g), part.cluster_of, gamma)
     e = g.edge_array()
     within = float((part.cluster_of[e[:, 0]] == part.cluster_of[e[:, 1]]).mean())
-    s = stats(g, part, gamma)
+    s = stats(part, gamma)
     assert s.modularity.hex() == q.hex()
     assert s.within_edge_fraction.hex() == within.hex()
     assert s.interior_fraction.hex() == float(part.interior_mask.mean()).hex()

@@ -433,6 +433,24 @@ def test_estimate_all_rejects_unknown_names(toy_graph, toy_partition):
         estimate_all(toy_graph, toy_partition, np.ones(9), np.ones(9), 0.5, names=("BOGUS",))
 
 
+def test_a_bare_vector_is_read_on_the_partition_graph():
+    """A bare design vector given with a partition is read on the partition's
+    graph: another graph of the same size gives the same bits, where its own
+    P z would give other clean masks."""
+    g, labels = sbm.generate(communities=4, size=12, p_in=0.5, p_out=0.05, seed=2)
+    other, _ = sbm.generate(communities=4, size=12, p_in=0.5, p_out=0.05, seed=3)
+    part = decompose(g, labels)
+    rng = np.random.default_rng(7)
+    z = expand(part, np.array([True, False, True, False])).astype(float)
+    y, pred1, pred0 = (rng.standard_normal(g.node_count) for _ in range(3))
+    assert design.Assignment(other, z, part).graph is g
+    mine = estimate_all(g, part, z, y, 0.5, pred1, pred0)
+    theirs = estimate_all(other, part, z, y, 0.5, pred1, pred0)
+    assert {k: None if v is None else v.hex() for k, v in theirs.estimates.items()} == {
+        k: None if v is None else v.hex() for k, v in mine.estimates.items()}
+    assert theirs.diagnostics == mine.diagnostics
+
+
 def reference_estimates(g, part, t, y, p, pred1, pred0):
     """Every estimate and diagnostic of estimate_all, from the plain formulas:
     clean masks from adjacency counts, weights np.divide(1, q, where=clean)

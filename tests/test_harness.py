@@ -84,7 +84,7 @@ def test_run_cell_multiplies_by_each_sparse_matrix_once(monkeypatch, r2):
         monkeypatch.setattr(g, "row_normalized", Counting("P", g.row_normalized))
         monkeypatch.setattr(part, "neighbor_counts", Counting("N", part.neighbor_counts))
         monkeypatch.setattr(g, "adjacency", lambda: calls.append("adjacency") or adjacency)
-        state = _SimulationState(cfg, g, part, build_model(cfg, g, part))
+        state = _SimulationState(cfg, part, build_model(cfg, g, part))
         assert "adjacency" not in calls
         calls.clear()
         cells = range(reps * 3)
@@ -136,7 +136,7 @@ def test_a_block_run_twice_on_one_state_gives_the_same_bits():
     cfg = sbm_config(repetitions=9, verbose=True)
     g = build_graph(cfg)
     part, _ = build_partition(cfg, g)
-    state = _SimulationState(cfg, g, part, build_model(cfg, g, part))
+    state = _SimulationState(cfg, part, build_model(cfg, g, part))
     first, again = harness._run_block(state, range(5, 27)), harness._run_block(state, range(5, 27))
     assert first[0].tobytes() == again[0].tobytes()
     assert first[1] == again[1]
@@ -229,6 +229,7 @@ def test_config_rejects_unknown_section_keys(section, spec, typo):
          "graph.format must be one of ('auto', 'plain-edge-list', 'matrix-market'), got 'mtx'"),
         ("truth", "gate_", "truth must be one of ('gate', 'global_treatment_mean'), got 'gate_'"),
         ("model", {"p_part": None}, "unknown model keys: ['p_part']"),
+        ("graph", {1: "x", "foo": "y"}, "unknown graph keys: [1, 'foo']"),
     ],
 )
 def test_model_and_sbm_sections_fail_before_anything_loads(monkeypatch, tmp_path, capsys, section, spec, message):
@@ -356,7 +357,7 @@ def test_shipped_configs_build_their_model_and_predictor(path):
     cfg = ExperimentConfig.from_file(path)
     g, labels = sbm.generate(communities=4, size=12, p_in=0.5, p_out=0.05, seed=2)
     part = decompose(g, labels)
-    state = _SimulationState(cfg, g, part, build_model(cfg, g, part))
+    state = _SimulationState(cfg, part, build_model(cfg, g, part))
     harness._run_block(state, range(len(cfg.proportions)))  # one repetition
 
 
@@ -917,11 +918,26 @@ SMALL_SBM = (
 )
 
 
+def test_config_file_lets_a_key_override_a_yaml_merge(tmp_path):
+    """Only a key written twice in one mapping is refused: one that overrides
+    an entry of a YAML merge key (<<) is not a repeat."""
+    merged = tmp_path / "merged.yaml"
+    merged.write_text(SMALL_SBM.replace("{communities: 4,", "{<<: {communities: 3, seed: 5}, communities: 4,"),
+                      encoding="utf-8")
+    plain = tmp_path / "plain.yaml"
+    plain.write_text(SMALL_SBM, encoding="utf-8")
+    assert ExperimentConfig.from_file(merged).to_dict() == ExperimentConfig.from_file(plain).to_dict()
+
+
 @pytest.mark.parametrize(
     "config_text, flags, message",
     [
         (None, [], "missing.yaml"),
         ("bogus_key: 1\n", [], "unknown config keys"),
+        ("1: a\nfoo: b\n", [], "unknown config keys: [1, 'foo']"),
+        (SMALL_SBM + "repetitions: 10\n", [], "repeats key 'repetitions' on line 4"),
+        (SMALL_SBM + "model: {beta: 2.0}\nmodel: {kind: partial_linear}\n", [], "repeats key 'model' on line 5"),
+        (SMALL_SBM.replace("seed: 2}", "seed: 2, p_in: 0.4}"), [], "repeats key 'p_in' on line 1"),
         ("graph: {path: [unclosed\n", [], "error: "),
         ("repetitions: 5\n", ["--p", "1.5"], "outside (0,1)"),
         ("repetitions: 5\n", ["--p", "half"], "half"),
@@ -994,7 +1010,8 @@ SMALL_SBM = (
          "but model.v 'normal' adds v to Y(0): set truth: gate"),
     ],
     ids=[
-        "missing-file", "unknown-key", "yaml-syntax", "p-out-of-range", "p-not-a-number", "p-duplicate",
+        "missing-file", "unknown-key", "keys-of-mixed-types", "key-repeated", "section-repeated",
+        "section-key-repeated", "yaml-syntax", "p-out-of-range", "p-not-a-number", "p-duplicate",
         "proportions-not-a-list", "repetitions-not-an-int", "model-key-typo", "predictor-key-typo",
         "model-v-unknown", "graph-key-typo", "clustering-key-typo", "sbm-key-typo",
         "ridge-lambda-not-a-number", "ridge-lambda-negative", "ridge-lambda-nan", "ridge-lambda-bool",
@@ -1054,18 +1071,21 @@ def test_boundary_training_mask_without_boundary_nodes_fails_before_the_table(mo
 
 
 def test_run_refuses_a_partition_of_another_graph():
-    """A partition keeps the graph it was decomposed on: run takes it with that
-    graph or one of equal CSR arrays, and otherwise names both node counts,
-    also for another draw of the same size, whose interior and touch counts
-    would silently be wrong."""
+    """A partition keeps the graph it was decomposed on: run takes it alone or
+    with that graph object, and otherwise names both node counts, also for a
+    graph of equal CSR arrays, which would be a second P, and for another
+    draw of the same size, whose interior and touch counts would silently be
+    wrong."""
     cfg = sbm_config(
         graph={"sbm": {"communities": 4, "size": 12, "p_in": 0.5, "p_out": 0.05, "seed": 2}},
         repetitions=3, estimators=["DIM", "HT", "MII"],
     )
     g = build_graph(cfg)
     part, _ = build_partition(cfg, g)
+    assert run(cfg, p_part=part).to_csv() == run(cfg, g, part).to_csv()
     twin = Graph(g.indptr.copy(), g.indices.copy())
-    assert run(cfg, twin, part).to_csv() == run(cfg, g, part).to_csv()
+    with pytest.raises(ValueError, match=re.escape("another graph (48 nodes, g has 48)")):
+        run(cfg, twin, part)
     other, labels = sbm.generate(communities=4, size=12, p_in=0.5, p_out=0.05, seed=3)
     with pytest.raises(ValueError, match=re.escape("another graph (48 nodes, g has 48)")):
         run(cfg, g, decompose(other, labels))

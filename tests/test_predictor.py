@@ -338,7 +338,7 @@ def test_table_cells_fit_on_the_feature_buffer_as_on_stacked_columns(monkeypatch
         "clustering": {"blocks": True}, "estimators": ["GNN", "AMII"], "repetitions": 6,
         "predictor": {"covariates": ["degree", "clusters"], "training_mask": training_mask},
     })
-    state = harness._SimulationState(cfg, g, part, harness.build_model(cfg, g, part))
+    state = harness._SimulationState(cfg, part, harness.build_model(cfg, g, part))
     covs = toy_covariates(g, part)
     drawn, cells = [], []
     real_draw, real_fit = design.draw, predictor.fit
