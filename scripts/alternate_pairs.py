@@ -15,19 +15,31 @@ is only read. Per workload, the script prints every pair's metrics, then per
 metric each side's median, the parent's quartiles, the median over pairs of
 the ratio change / parent, in how many pairs the change is better and
 worse (an equal pair counts for neither) and the exact two-sided sign-test
-p-value of those two counts. It flags each metric whose change
-median is worse than the parent median by more than the metric's `bound`, a
-fraction of the parent median, and exits 1 if it flagged any.
+p-value of those two counts. It marks a metric "unresolved" when the
+parent's interquartile range is wider than the metric's `bound` times the
+parent median, unless every change run beats every parent run: such runs
+spread too widely to tell a change of that size. It flags each metric whose
+change median is worse than the parent median by more than the metric's
+`bound`, a fraction of the parent median, and exits 1 if it flagged any.
+
+Each checkout's runs write and read their bytecode in a fresh directory of
+their own (PYTHONPYCACHEPREFIX), made once per script run, so that a
+`__pycache__` left in one checkout does not favour that side.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
+import functools
 import json
 import math
+import os
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from typing import Callable
 
@@ -117,11 +129,38 @@ def regressions(summary: dict[str, dict], better: dict[str, str], bounds: dict[s
     return flagged
 
 
+def unresolved(summary: dict[str, dict], results: list[dict[str, dict[str, float]]], better: dict[str, str],
+               bounds: dict[str, float]) -> list[str]:
+    """The metrics of `summary` with a bound whose parent interquartile range
+    is wider than bound * |parent median|, unless every change run beats
+    every parent run."""
+    marked = []
+    for name, s in summary.items():
+        q1, q3 = s["parent_quartiles"]
+        parent = [pair["parent"][name] for pair in results]
+        change = [pair["change"][name] for pair in results]
+        beats_all = min(change) > max(parent) if better[name] == "higher" else max(change) < min(parent)
+        if name in bounds and q3 - q1 > bounds[name] * abs(s["parent"]) and not beats_all:
+            marked.append(name)
+    return marked
+
+
+@functools.cache
+def bytecode_dir(root: Path) -> Path:
+    """The bytecode directory of the checkout at root: made fresh on this
+    script run's first run of root, kept for its later runs and removed at exit."""
+    path = Path(tempfile.mkdtemp(prefix="alternate-pairs-pycache-"))
+    atexit.register(shutil.rmtree, path, ignore_errors=True)
+    return path
+
+
 def run_checkout(root: Path, workload: str, seed: int, seconds: float) -> dict[str, float]:
-    """One untraced benchmark run of the checkout at root: {metric: value}."""
+    """One untraced benchmark run of the checkout at root: {metric: value}. Its
+    bytecode goes to bytecode_dir(root), never to a __pycache__ in the checkout."""
     cmd = [sys.executable, str(root / "perfbench" / "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    done = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+    env = {**os.environ, "PYTHONPYCACHEPREFIX": str(bytecode_dir(root))}
+    done = subprocess.run(cmd, cwd=root, capture_output=True, text=True, env=env)
     if done.returncode:
         raise SystemExit(f"error: {' '.join(cmd)} exited {done.returncode}:\n{done.stderr}")
     result = json.loads(done.stdout.strip().splitlines()[-1])
@@ -154,13 +193,16 @@ def main(argv: list[str] | None = None) -> int:
         def run_side(side: str) -> dict[str, float]:
             return run_checkout(roots[side], workload, args.seed, args.seconds)
 
-        summary = summarize(run_pairs(args.pairs, run_side, show), better)
+        results = run_pairs(args.pairs, run_side, show)
+        summary = summarize(results, better)
+        marked = unresolved(summary, results, better, bounds)
         for name, s in summary.items():
             q1, q3 = s["parent_quartiles"]
+            mark = f"; unresolved: parent IQR > bound {bounds[name]:g} x parent median" if name in marked else ""
             print(f"{name} ({better[name]} is better): median parent {s['parent']:.6g} (quartiles {q1:.6g}-"
                   f"{q3:.6g}, IQR {q3 - q1:.4g}), change {s['change']:.6g}; median pair ratio {s['ratio']:.4g}; "
                   f"better in {s['better']} of {args.pairs} pairs, worse in {s['worse']} "
-                  f"(two-sided sign-test p {sign_test_p(s['better'], s['worse']):.3g})")
+                  f"(two-sided sign-test p {sign_test_p(s['better'], s['worse']):.3g}){mark}")
         for name in regressions(summary, better, bounds):
             flagged = True
             print(f"FLAG {workload} {name}: change median is worse than the parent's by more than its bound "

@@ -15,7 +15,7 @@ import yaml
 
 from . import __version__, community, oracles, outcomes
 from .graph import load_edge_list, read_partition, write_partition
-from .harness import ExperimentConfig, build_graph, build_partition, emit_report, run, verify_theorem2
+from .harness import ExperimentConfig, emit_report, run, verify_theorem2
 
 
 def _apply_overrides(config: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
@@ -35,16 +35,12 @@ def _apply_overrides(config: ExperimentConfig, args: argparse.Namespace) -> Expe
         config.estimators = [tok.strip() for tok in args.estimators.split(",") if tok.strip()]
     if args.threads is not None:
         config.threads = args.threads
-    config.validate()
-    return config
+    return config  # run validates it before anything loads
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     config = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
-    config = _apply_overrides(config, args)
-    g = build_graph(config)
-    p_part, _ = build_partition(config, g)
-    report = run(config, g=g, p_part=p_part)
+    report = run(_apply_overrides(config, args))
     if report.all_absent():
         print("error: every (estimator, p) cell degenerate", file=sys.stderr)
         return 3
@@ -54,7 +50,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         emit_report(report, out_dir / "report.csv")
         (out_dir / "report.json").write_text(report.to_json(), encoding="utf-8")
-        write_partition(p_part, out_dir / "partition.txt")
+        write_partition(report.partition, out_dir / "partition.txt")
         (out_dir / "clustering_stats.txt").write_text(report.clustering.text(), encoding="utf-8")
     except OSError as exc:
         print(f"error: cannot write outputs: {exc}", file=sys.stderr)

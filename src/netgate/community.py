@@ -225,7 +225,8 @@ def louvain_with_history(
         if k == level.n:
             break
         level = level.aggregate(comm)
-    return decompose(g, _dense_first_appearance(node_to_comm)), q_trace
+    record = {"method": "louvain", "gamma": float(resolution), "seed": int(seed)}
+    return decompose(g, _dense_first_appearance(node_to_comm), record), q_trace
 
 
 def louvain(g: Graph, resolution: float, seed: int) -> Partition:

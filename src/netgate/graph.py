@@ -321,17 +321,19 @@ def load_edge_list(path: str | Path, fmt: EdgeFormat = "auto") -> Graph:
 class Partition:
     """Node-to-cluster assignment with the induced interior/boundary split.
 
-    touch_counts[i] is the number of distinct clusters met by the closed
-    neighborhood {i} union N(i,1); interior_mask[i] (touch count 1) is True
-    iff every neighbor of i shares i's cluster, and interior_nodes lists those
-    nodes in increasing order (read-only). neighbor_counts is the sparse
-    node-by-cluster matrix N whose entry (i, j) counts i's neighbors in
-    cluster j (CSC, read-only), so N t counts each node's treated neighbors
-    under cluster bits t. graph is the Graph it was decomposed on.
+    touch_counts[i] is the number of distinct clusters met by the closed neighborhood
+    {i} union N(i,1); interior_mask[i] (touch count 1) is True iff every neighbor of
+    i shares i's cluster, and interior_nodes lists those nodes in increasing order
+    (read-only). neighbor_counts is the sparse node-by-cluster matrix N whose entry
+    (i, j) counts i's neighbors in cluster j (CSC, read-only), so N t counts each
+    node's treated neighbors under cluster bits t. graph is the Graph it was
+    decomposed on, and clustering records the method that made it (None: by hand).
     """
 
-    def __init__(self, cluster_of: np.ndarray, touch_counts: np.ndarray, neighbor_counts: sp.csc_matrix, graph: Graph):
+    def __init__(self, cluster_of: np.ndarray, touch_counts: np.ndarray, neighbor_counts: sp.csc_matrix, graph: Graph,
+                 clustering: dict | None = None):
         self.graph = graph
+        self.clustering = clustering
         self.cluster_of = np.asarray(cluster_of, dtype=np.int64)
         self.touch_counts = np.asarray(touch_counts, dtype=np.int64)
         self.interior_mask = self.touch_counts == 1
@@ -359,8 +361,8 @@ class Partition:
         return inverses
 
 
-def decompose(g: Graph, cluster_of: np.ndarray) -> Partition:
-    """Build the Partition induced on g by a dense cluster assignment.
+def decompose(g: Graph, cluster_of: np.ndarray, clustering: dict | None = None) -> Partition:
+    """Build the Partition induced on g by a dense cluster assignment and its clustering record.
 
     cluster indices must be exactly 0..K-1 with every index used.
     """
@@ -390,7 +392,7 @@ def decompose(g: Graph, cluster_of: np.ndarray) -> Partition:
     indptr = np.zeros(k + 1, dtype=np.int64)
     np.cumsum(np.bincount(cluster[linked], minlength=k), out=indptr[1:])
     neighbor_counts = sp.csc_matrix((counts[linked], node[linked], indptr), shape=(n, k))
-    return Partition(cluster_of, touch, neighbor_counts, g)
+    return Partition(cluster_of, touch, neighbor_counts, g, clustering)
 
 
 def write_partition(p: Partition, path: str | Path) -> None:
@@ -430,4 +432,4 @@ def read_partition(g: Graph, path: str | Path) -> Partition:
     if not np.bincount(cluster_of).all():  # a gap below the largest id: name a line that lists it
         top = cluster_of.argmax()
         raise EdgeListFormatError(f"cluster ids must be dense 0..K-1, got {cluster_of[top]}", int(line_of[top]))
-    return decompose(g, cluster_of)
+    return decompose(g, cluster_of, {"method": "file", "path": str(path)})

@@ -268,7 +268,7 @@ def build_partition(config: ExperimentConfig, g: Graph) -> tuple[Partition, dict
     if info["method"] == "file":
         return read_partition(g, config.clustering["partition"]), info
     spec = config.graph["sbm"]
-    return decompose(g, sbm.block_labels(spec["communities"], spec["size"])), info
+    return decompose(g, sbm.block_labels(spec["communities"], spec["size"]), info), info
 
 
 def _model_arguments(config: ExperimentConfig, g: Graph | None = None, p_part: Partition | None = None):
@@ -309,6 +309,7 @@ class SimulationReport:
     config_digest: str
     master_seed: int
     version: str
+    partition: Partition  # the partition the table ran on, in neither report.csv nor report.json
     raw_estimates: dict | None = None
     raw_diagnostics: dict | None = None
     alpha_hat_mean: dict | None = None
@@ -493,10 +494,10 @@ def run(
     g: Graph | None = None,
     p_part: Partition | None = None,
 ) -> SimulationReport:
-    """Execute the full experiment described by config.
+    """Execute the full experiment described by config; the report carries the partition.
 
-    A preloaded graph, or a partition with its graph as g or alone, skips
-    reloading; it must match the config, whose clustering the report names.
+    A preloaded graph, or a partition with its graph as g or alone, skips reloading; it must
+    match the config, whose clustering the report names and a partition's record, unless None, equals.
     """
     config.validate()
     if p_part is None:
@@ -505,6 +506,8 @@ def run(
     if given is not None and given is not g:
         raise ValueError(f"the partition belongs to another graph ({g.node_count} nodes, g has {given.node_count})")
     info = _clustering_info(config)
+    if p_part.clustering not in (None, info):
+        raise ValueError(f"the partition was made by {p_part.clustering}, not by the config's clustering {info}")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves the truth non-finite: refused below
         model = build_model(config, g, p_part)
         truth = TRUTHS[config.truth](model)
@@ -532,6 +535,7 @@ def run(
         config_digest=config.digest(),
         master_seed=config.master_seed,
         version=__version__,
+        partition=p_part,
         raw_estimates=raw,
         raw_diagnostics=raw_diag,
         alpha_hat_mean=alpha_mean,
@@ -594,10 +598,9 @@ def verify_theorem2(config: ExperimentConfig) -> Theorem2Report:
     if u_name not in {**PREDICTOR_DEFAULTS, **config.predictor}["covariates"]:
         raise ValueError(f"predictor covariates must include {u_name!r} for the u*z column")
 
-    g = build_graph(config)
-    p_part, _ = build_partition(config, g)
-    report = run(config, g, p_part)
-    gap = outcomes.interior_mean_gap(outcomes.covariate_vector(u_name, g, p_part), p_part)
+    report = run(config)
+    part = report.partition
+    gap = outcomes.interior_mean_gap(outcomes.covariate_vector(u_name, part.graph, part), part)
     alpha = float(arguments["alpha"])
 
     agg = {(c.estimator, c.p): c for c in report.cells}

@@ -160,7 +160,5 @@ def check_case(case: OracleCase) -> OracleResult:
     )
 
 
-def run_oracle_suite(cases: list[OracleCase] | None = None) -> list[OracleResult]:
-    if cases is None:
-        cases = default_oracle_cases()
-    return [check_case(c) for c in cases]
+def run_oracle_suite() -> list[OracleResult]:
+    return [check_case(c) for c in default_oracle_cases()]

@@ -4,6 +4,7 @@ stand-in for the benchmark runs (no benchmark starts)."""
 import importlib.util
 import json
 import math
+import py_compile
 from pathlib import Path
 
 import pytest
@@ -132,3 +133,73 @@ def test_main_runs_every_workload_by_default_and_flags_each_regression(monkeypat
     assert alternate_pairs.main([parent, change, "--pairs", "1", "--workload", "c", "--workload", "a"]) == 0
     assert runs == [("c", "parent"), ("c", "change"), ("a", "parent"), ("a", "change")]
     assert "FLAG" not in capsys.readouterr().out
+
+
+def test_unresolved_marks_a_parent_spread_wider_than_the_bound_unless_every_change_run_wins():
+    # a bimodal parent setup_s: median 0.664, IQR 0.227 against a bound of 0.25 * 0.664 = 0.166
+    parent = [0.58, 0.60, 0.62, 0.65, 0.66, 0.668, 0.84, 0.87, 0.92, 0.96]
+    slower = [0.86] * 10
+    faster = [0.55] * 10  # every change run beats every parent run
+    bounds = {"setup_s": 0.25, "cells_per_s": 0.25}
+    for change, marked in ((slower, ["setup_s"]), (faster, [])):
+        results = [{"parent": {"setup_s": p, "cells_per_s": 100.0 + i},
+                    "change": {"setup_s": c, "cells_per_s": 90.0}}
+                   for i, (p, c) in enumerate(zip(parent, change))]
+        summary = alternate_pairs.summarize(results, BETTER)
+        q1, q3 = summary["setup_s"]["parent_quartiles"]
+        assert q3 - q1 > 0.25 * summary["setup_s"]["parent"]
+        # cells_per_s: a narrow parent spread resolves a 10% change either way
+        assert alternate_pairs.unresolved(summary, results, BETTER, bounds) == marked
+    # a metric without a bound is never marked
+    assert alternate_pairs.unresolved(summary, results, BETTER, {}) == []
+
+
+def test_main_marks_an_unresolved_metric_and_keeps_its_flags_and_exit_code(monkeypatch, tmp_path, capsys):
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({
+        "workloads": [{"name": "w"}],
+        "end_to_end": [{"name": "setup_s", "better": "lower", "bound": 0.25},
+                       {"name": "run_s", "better": "lower", "bound": 0.25}]}))
+    parent_setup = iter([0.6, 0.95, 0.6, 0.95])
+
+    def run_checkout(root, workload, seed, seconds):
+        if root.name == "parent":
+            return {"setup_s": next(parent_setup), "run_s": 1.0}
+        return {"setup_s": 1.5, "run_s": 1.0}
+
+    monkeypatch.setattr(alternate_pairs, "run_checkout", run_checkout)
+    assert alternate_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"), "--pairs", "4"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    setup = next(line for line in lines if line.startswith("setup_s"))
+    assert setup.endswith("; unresolved: parent IQR > bound 0.25 x parent median")
+    assert "unresolved" not in next(line for line in lines if line.startswith("run_s"))
+    assert [line for line in lines if line.startswith("FLAG")] == [
+        "FLAG w setup_s: change median is worse than the parent's by more than its bound 0.25"]
+
+
+def test_each_checkout_keeps_its_bytecode_in_a_fresh_directory_of_its_own(monkeypatch, tmp_path):
+    """A __pycache__ already in a checkout is neither read nor written: here it
+    holds bytecode of an older helper.py that Python would load unchecked."""
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    roots = [tmp_path / "parent", tmp_path / "change"]
+    for root in roots:
+        (root / "perfbench").mkdir(parents=True)
+        (root / "perfbench" / "run.py").write_text(
+            "import json, helper\nprint(json.dumps({'metrics': {'run_s': {'value': helper.VALUE}}}))\n")
+    helper = roots[0] / "perfbench" / "helper.py"
+    helper.write_text("VALUE = 9.5\n")
+    stale = Path(importlib.util.cache_from_source(str(helper)))
+    py_compile.compile(str(helper), str(stale), invalidation_mode=py_compile.PycInvalidationMode.UNCHECKED_HASH)
+    stale_bytes = stale.read_bytes()
+    for root in roots:
+        (root / "perfbench" / "helper.py").write_text("VALUE = 2.5\n")
+    for root in (roots[0], roots[1], roots[0]):
+        assert alternate_pairs.run_checkout(root, "w", 1, 1.0) == {"run_s": 2.5}
+    dirs = [alternate_pairs.bytecode_dir(root) for root in roots]
+    assert dirs[0] != dirs[1]
+    for root, cache in zip(roots, dirs):  # the cache mirrors the source's absolute path
+        assert not cache.is_relative_to(tmp_path)
+        assert [p.parent for p in cache.rglob("helper.*.pyc")] == [cache / (root / "perfbench").relative_to("/")]
+    assert [p for root in roots for p in root.rglob("__pycache__")] == [stale.parent]
+    assert list(stale.parent.iterdir()) == [stale] and stale.read_bytes() == stale_bytes

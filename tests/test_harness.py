@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import netgate
 from netgate import cli, community, harness, outcomes, predictor, sbm
 from netgate.estimators import ESTIMATOR_NAMES
-from netgate.graph import Graph, decompose
+from netgate.graph import Graph, decompose, read_partition
 from netgate.harness import (
     ExperimentConfig,
     _SimulationState,
@@ -1213,3 +1213,118 @@ def test_readme_library_example_names_resolve_on_the_package_root():
     names = [name.strip() for name in block.group(1).split(",") if name.strip()]
     assert names
     assert [name for name in names if not hasattr(netgate, name)] == []
+
+
+def _counting(module, name, calls, monkeypatch):
+    """Replace module.name with a wrapper, keeping its signature, that appends name to calls."""
+    original = getattr(module, name)
+
+    @functools.wraps(original)
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+
+
+def test_run_returns_its_partition_on_the_report_and_writes_it_to_neither_report():
+    cfg = sbm_config(clustering={"gamma": 1.0, "seed": 2}, repetitions=4)
+    report = run(cfg)
+    built, info = build_partition(cfg, build_graph(cfg))
+    np.testing.assert_array_equal(report.partition.cluster_of, built.cluster_of)
+    assert report.partition.clustering == info == report.clustering_info
+    preloaded = run(cfg, built.graph, built)
+    assert preloaded.partition is built
+    assert report.to_csv() == preloaded.to_csv() and report.to_json() == preloaded.to_json()
+    assert set(json.loads(report.to_json())) == {"version", "config_sha256", "master_seed", "truth_kind",
+                                                 "truth_value", "clustering_info", "clustering_stats", "cells"}
+
+
+def test_cli_run_builds_the_graph_once_and_clusters_once(monkeypatch, tmp_path):
+    calls = []
+    _counting(sbm, "generate", calls, monkeypatch)
+    _counting(community, "louvain_with_history", calls, monkeypatch)
+    cfg_path = tmp_path / "gamma.yaml"
+    cfg_path.write_text(SMALL_SBM.replace("blocks: true", "gamma: 1.0"), encoding="utf-8")
+    out = tmp_path / "o"
+    assert cli.main(["run", "--config", str(cfg_path), "--estimators", "DIM,MII", "--out", str(out)]) == 0
+    assert calls == ["generate", "louvain_with_history"]
+    cfg = ExperimentConfig.from_file(cfg_path)
+    part, _ = build_partition(cfg, build_graph(cfg))
+    assert (out / "partition.txt").read_text() == "".join(f"{i} {c}\n" for i, c in enumerate(part.cluster_of))
+
+
+def test_verify_theorem2_builds_its_sbm_once(monkeypatch):
+    calls = []
+    _counting(sbm, "generate", calls, monkeypatch)
+    cfg = theorem2_config(alpha=1.0, sigma=2.0, reps=20)
+    report = verify_theorem2(cfg)
+    assert calls == ["generate"]
+    g = build_graph(cfg)
+    part, _ = build_partition(cfg, g)
+    assert report.interior_mean_gap == outcomes.interior_mean_gap(outcomes.covariate_vector("degree", g, part), part)
+
+
+def test_cli_run_bad_override_exits_2_before_the_graph_loads(monkeypatch, tmp_path, capsys):
+    def load(*args):
+        raise AssertionError("the graph loaded")
+
+    monkeypatch.setattr(harness, "build_graph", load)
+    monkeypatch.setattr(harness, "load_edge_list", load)
+    cfg_path = tmp_path / "sbm.yaml"
+    cfg_path.write_text(SMALL_SBM, encoding="utf-8")
+    for flags in (["--config", str(cfg_path)], ["--graph", str(tmp_path / "net.edges"), "--gamma", "1.0"]):
+        assert cli.main(["run", *flags, "--p", "1.5", "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "error: treatment proportion 1.5 outside (0,1)\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_partitions_record_the_clustering_that_made_them(tmp_path):
+    cfg = sbm_config(graph={"sbm": {"communities": 4, "size": 12, "p_in": 0.5, "p_out": 0.05, "seed": 2}})
+    g = build_graph(cfg)
+    assert community.louvain(g, 3, np.int64(7)).clustering == {"method": "louvain", "gamma": 3.0, "seed": 7}
+    path = tmp_path / "blocks.txt"
+    path.write_text("".join(f"{i} {i // 12}\n" for i in range(48)), encoding="utf-8")
+    assert read_partition(g, path).clustering == {"method": "file", "path": str(path)}
+    assert build_partition(cfg, g)[0].clustering == {"method": "sbm-blocks"}
+    assert decompose(g, np.arange(48) // 12).clustering is None
+
+
+SMALL_SBM_SPEC = {"communities": 4, "size": 12, "p_in": 0.5, "p_out": 0.05, "seed": 2}
+
+
+def small_sbm_config(**overrides):
+    return sbm_config(graph={"sbm": SMALL_SBM_SPEC}, repetitions=3, estimators=["DIM", "MII"], **overrides)
+
+
+def test_run_refuses_a_louvain_partition_for_a_blocks_config():
+    """The report names the config's clustering, so a partition that records
+    another method is refused, naming both records; one made by hand with
+    decompose records none and runs."""
+    cfg = small_sbm_config()
+    g = build_graph(cfg)
+    message = ("the partition was made by {'method': 'louvain', 'gamma': 0.3, 'seed': 1}, "
+               "not by the config's clustering {'method': 'sbm-blocks'}")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run(cfg, g, community.louvain(g, 0.3, 1))
+    assert run(cfg, g, decompose(g, sbm.block_labels(4, 12))).to_csv() == run(cfg).to_csv()
+
+
+def test_run_refuses_a_louvain_partition_at_another_seed():
+    cfg = small_sbm_config(clustering={"gamma": 1.0, "seed": 1})
+    g = build_graph(cfg)
+    message = "{'method': 'louvain', 'gamma': 1.0, 'seed': 2}, not by the config's clustering {'method': 'louvain', "
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run(cfg, g, community.louvain(g, 1.0, 2))
+    assert run(cfg, g, community.louvain(g, 1.0, 1)).to_csv() == run(cfg).to_csv()
+
+
+def test_run_refuses_a_partition_file_read_from_another_path(tmp_path):
+    here, there = tmp_path / "here.txt", tmp_path / "there.txt"
+    for path in (here, there):  # the same clusters
+        path.write_text("".join(f"{i} {i // 12}\n" for i in range(48)), encoding="utf-8")
+    cfg = small_sbm_config(clustering={"partition": str(here)})
+    g = build_graph(cfg)
+    with pytest.raises(ValueError, match=re.escape(f"made by {{'method': 'file', 'path': '{there}'}}, not by")):
+        run(cfg, g, read_partition(g, there))
+    assert run(cfg, g, read_partition(g, here)).to_csv() == run(cfg).to_csv()
