@@ -14,7 +14,7 @@ from pathlib import Path
 import yaml
 
 from . import __version__, community, oracles, outcomes
-from .graph import load_edge_list, read_partition, write_partition
+from .graph import Graph, load_edge_list, read_partition, write_partition
 from .harness import ExperimentConfig, emit_report, run, verify_theorem2
 
 
@@ -38,9 +38,18 @@ def _apply_overrides(config: ExperimentConfig, args: argparse.Namespace) -> Expe
     return config  # run validates it before anything loads
 
 
+def _note_dropped(g: Graph) -> None:
+    """One stderr line naming the self-loops and duplicate edges the network load dropped, if any."""
+    loops, duplicates = g.dropped_self_loops, g.dropped_duplicates
+    if loops or duplicates:
+        print(f"note: the network load dropped {loops} self-loop{'s' * (loops != 1)} and "
+              f"{duplicates} duplicate edge{'s' * (duplicates != 1)}", file=sys.stderr)
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     config = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
     report = run(_apply_overrides(config, args))
+    _note_dropped(report.partition.graph)
     if report.all_absent():
         print("error: every (estimator, p) cell degenerate", file=sys.stderr)
         return 3
@@ -61,6 +70,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     g = load_edge_list(args.graph)
+    _note_dropped(g)
     part = community.louvain(g, args.gamma, args.seed)
     print(f"nodes {g.node_count}")
     print(f"edges {g.edge_count}")
@@ -118,6 +128,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     g = load_edge_list(args.graph)
+    _note_dropped(g)
     if args.partition:
         part = read_partition(g, args.partition)
     else:

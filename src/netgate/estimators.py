@@ -2,16 +2,17 @@
 cluster-randomized assignment.
 
 All estimators are pure functions of (graph, partition, assignment, outcomes).
-estimate_all is the one implementation of HT, Hajek, CAE, MII and AMII:
-it records a degenerate draw as an absent entry with diagnostics instead of a
-silent zero. ht, hajek, cae, mii and amii are views of it that return one
+estimate_all is the one implementation of HT, Hajek, CAE, MII and AMII: it
+records a degenerate draw as an absent entry with a reason code, not a silent
+zero, and the draw's counts as integers in the fixed layout that diagnostics
+alone decodes. ht, hajek, cae, mii and amii are views of it that return one
 estimate or raise DegenerateArmError with the reason it recorded.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,9 +26,20 @@ class DegenerateArmError(ValueError):
     """An arm required by the estimator has no usable units this draw."""
 
 
-_NO_CLUSTER_ARM = "an arm has no cluster with clean nodes"
-_NO_INTERIOR_ARM = "interior set lacks a treated or control node"
-_DEGENERATE = "degenerate: "  # the flag of a degenerate draw, before its reason
+# a draw's counts, in the order they follow the reason codes in EstimateSet.codes
+COUNTS = ("clean_treated", "clean_control", "s1", "s0", "clusters_used_treated", "clusters_used_control",
+          "clusters_skipped_treated", "clusters_skipped_control")
+# the counts each estimator's diagnostics name
+READS = {"HT": COUNTS[:2], "HAJEK": COUNTS[:2], "CAE": COUNTS[4:], "MII": COUNTS[2:4], "AMII": COUNTS[2:4]}
+# reason code 1 of each estimator that needs an arm populated; code 0 is a value and code 2 a non-finite one
+REASONS = {"DIM": "difference-in-means needs both arms populated", "HAJEK": "an arm has no cleanly exposed nodes",
+           "CAE": "an arm has no cluster with clean nodes",
+           **dict.fromkeys(("MII", "AMII"), "interior set lacks a treated or control node")}
+
+
+def _reason(key: str, code: int) -> str:
+    """The DegenerateArmError message of estimator key's reason code 1 or 2."""
+    return REASONS[key] if code == 1 else f"{key} produced a non-finite value"
 
 
 def _mean(v: np.ndarray) -> np.float64:
@@ -48,7 +60,7 @@ def dim(z: np.ndarray, y: np.ndarray) -> float:
     """Difference in mean outcomes between treated and control units."""
     treated = np.asarray(z) == 1
     y = np.asarray(y, dtype=np.float64)
-    return _gap(y, treated, ~treated, "difference-in-means needs both arms populated")
+    return _gap(y, treated, ~treated, REASONS["DIM"])
 
 
 def _interior_arms(p_part: Partition, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -89,11 +101,25 @@ def amii_ppi_form(
 
 @dataclass
 class EstimateSet:
-    """Estimates keyed by name (None marks a degenerate draw) plus per-
-    estimator diagnostics (counts and flags)."""
+    """Estimates keyed by name (None marks a degenerate draw) plus codes, which diagnostics decodes:
+    a reason code per requested name, then the draw's COUNTS (0 unless one of them reads it)."""
 
-    estimates: dict[str, float | None] = field(default_factory=dict)
-    diagnostics: dict[str, dict] = field(default_factory=dict)
+    estimates: dict[str, float | None]
+    codes: list[int]
+
+
+def diagnostics(names: tuple[str, ...], codes) -> dict[str, dict]:
+    """Each estimator's report.json diagnostics from estimate_all's codes (a list or a
+    float row) for names, its upper-case keys: its flags (HT's no_clean_* from the
+    counts, then a degenerate draw's reason) and the counts it reads."""
+    counts = dict(zip(COUNTS, map(int, codes[len(names):])))
+    result = {}
+    for key, code in zip(names, codes):
+        flags = [f"no_{c}" for c in COUNTS[:2] if counts[c] == 0] if key == "HT" else []
+        if code:
+            flags.append(f"degenerate: {_reason(key, code)}")
+        result[key] = {"flags": flags, **{c: counts[c] for c in READS.get(key, ())}}
+    return result
 
 
 def estimate_all(
@@ -108,9 +134,9 @@ def estimate_all(
 ) -> EstimateSet:
     """Compute the requested estimators from one realized draw.
 
-    GNN and AMII need the counterfactual prediction vectors. Each
-    estimator's counts go into its diagnostics before it runs, so a
-    degenerate draw keeps them. A non-finite value is a degenerate draw.
+    GNN and AMII need the counterfactual prediction vectors. Each count is
+    written once, before an estimator that reads it runs, so a degenerate
+    draw keeps it. A non-finite value is a degenerate draw (code 2).
     """
     a = as_assignment(g, z, p_part)
     y = np.asarray(y, dtype=np.float64)
@@ -120,7 +146,7 @@ def estimate_all(
             raise ValueError(f"unknown estimator {name!r}")
         if key in ("GNN", "AMII") and (pred1 is None or pred0 is None):
             raise ValueError(f"{key} estimator needs prediction vectors")
-    result = EstimateSet()
+    estimates, reasons, counts = {}, [], dict.fromkeys(COUNTS, 0)
     # each quantity that two estimators share is computed once, and only when one is asked for
     if {"HT", "HAJEK"} & set(keys):
         # each level's weight is np.where(d, inv, 0.0) in every bit: 1/p^c or 1/(1-p)^c on its clean nodes and
@@ -129,28 +155,24 @@ def estimate_all(
         d1, d0 = a.clean
         inverses = p_part.inverse_clean_probability(p)
         w1, w0 = ((inv.view(np.int64) * d).view(np.float64) for d, inv in zip((d1, d0), inverses))
-        clean = {"clean_treated": int(np.count_nonzero(d1)), "clean_control": int(np.count_nonzero(d0))}
+        counts.update(clean_treated=int(np.count_nonzero(d1)), clean_control=int(np.count_nonzero(d0)))
     if {"MII", "AMII"} & set(keys):
         it, ic = _interior_arms(p_part, a.z)
-        arms = {"s1": len(it), "s0": len(ic)}
+        counts.update(s1=len(it), s0=len(ic))
     if {"GNN", "AMII"} & set(keys):
         pred1, pred0, mean1, mean0, gnn = _predictions(pred1, pred0)
     gap = None  # MII, and the first term of AMII
 
     for key in keys:
-        diag: dict = {"flags": []}
         try:
             if key == "DIM":
                 value = dim(a.z, y)
             elif key == "HT":
-                diag.update(clean)
-                diag["flags"] += [f"no_{arm}" for arm in clean if clean[arm] == 0]
                 value = float(_mean((w1 - w0) * y))
             elif key == "HAJEK":
-                diag.update(clean)
                 s1, s0 = w1.sum(), w0.sum()
                 if s1 == 0 or s0 == 0:
-                    raise DegenerateArmError("an arm has no cleanly exposed nodes")
+                    raise DegenerateArmError(REASONS[key])
                 value = float((w1 @ y) / s1 - (w0 @ y) / s0)
             elif key == "CAE":
                 # per cluster, the mean outcome of its nodes that are clean at its own
@@ -158,34 +180,27 @@ def estimate_all(
                 k, t = p_part.cluster_count, a.t
                 nodes = np.flatnonzero(a.clean[0] | a.clean[1])  # an index gathers faster than a mask here
                 cluster = p_part.cluster_of[nodes]
-                counts = np.bincount(cluster, minlength=k)
+                sizes = np.bincount(cluster, minlength=k)
                 sums = np.bincount(cluster, weights=y[nodes], minlength=k)
-                usable = counts > 0
+                usable = sizes > 0
                 means = np.zeros(k)
-                means[usable] = sums[usable] / counts[usable]
-                diag.update(
-                    clusters_used_treated=int(np.count_nonzero(t & usable)),
-                    clusters_used_control=int(np.count_nonzero(~t & usable)),
-                    clusters_skipped_treated=int(np.count_nonzero(t & ~usable)),
-                    clusters_skipped_control=int(np.count_nonzero(~t & ~usable)),
-                )
-                value = _gap(means, t & usable, ~t & usable, _NO_CLUSTER_ARM)
+                means[usable] = sums[usable] / sizes[usable]
+                used = (t & usable, ~t & usable, t & ~usable, ~t & ~usable)  # treated, control used, then skipped
+                counts.update(zip(COUNTS[4:], (int(np.count_nonzero(arm)) for arm in used)))
+                value = _gap(means, used[0], used[1], REASONS[key])
             elif key == "GNN":
                 value = gnn
             else:  # MII or AMII: AMII adds to MII each arm's prediction mean over all
                 # nodes minus its mean over that arm's interior nodes
-                diag.update(arms)
-                gap = _gap(y, it, ic, _NO_INTERIOR_ARM) if gap is None else gap
+                gap = _gap(y, it, ic, REASONS[key]) if gap is None else gap
                 value = gap if key == "MII" else float(
                     gap + (mean1 - _mean(pred1[it])) - (mean0 - _mean(pred0[ic])))
-            if not math.isfinite(value):
-                raise DegenerateArmError(f"{key} produced a non-finite value")
-            result.estimates[key] = value
-        except DegenerateArmError as exc:
-            result.estimates[key] = None
-            diag["flags"].append(f"{_DEGENERATE}{exc}")
-        result.diagnostics[key] = diag
-    return result
+            code = 0 if math.isfinite(value) else 2
+        except DegenerateArmError:
+            code = 1
+        estimates[key] = None if code else value
+        reasons.append(code)
+    return EstimateSet(estimates, reasons + list(counts.values()))
 
 
 def _view(key: str, g: Graph, p_part: Partition, z: np.ndarray | Assignment, y: np.ndarray,
@@ -193,7 +208,7 @@ def _view(key: str, g: Graph, p_part: Partition, z: np.ndarray | Assignment, y: 
     """The estimate `key` of estimate_all alone, or DegenerateArmError with the reason it recorded."""
     result = estimate_all(g, p_part, z, y, p, pred1, pred0, (key,))
     if result.estimates[key] is None:
-        raise DegenerateArmError(result.diagnostics[key]["flags"][-1].removeprefix(_DEGENERATE))
+        raise DegenerateArmError(_reason(key, result.codes[0]))
     return result.estimates[key]
 
 

@@ -365,7 +365,6 @@ class _SimulationState:
     def __init__(self, config: ExperimentConfig, p_part: Partition, model: OutcomeModel):
         self.proportions = list(config.proportions)
         self.master_seed = config.master_seed
-        self.verbose = config.verbose
         self.partition = p_part
         self.model = model
         self.names = tuple(n.upper() for n in config.estimators)
@@ -388,9 +387,10 @@ class _SimulationState:
             if column in self.basis.names:
                 self.tracked_column = column
 
-    def run_cell(self, a: design.Assignment, rng: np.random.Generator, p: float):
-        """The estimates and fitted alpha_hat of the cell whose draw is `a`,
-        its noise taken from `rng`, the generator that drew it."""
+    def run_cell(self, a: design.Assignment, rng: np.random.Generator, p: float) -> list:
+        """The table row of the cell whose draw is `a`, its noise taken from `rng`, the
+        generator that drew it: each estimate in `names` order (None on a degenerate
+        draw), then estimate_all's codes (exact in float64), then the fitted alpha_hat."""
         y = self.model.realize(a, rng)
         pred1 = pred0 = None
         alpha_hat = np.nan
@@ -402,7 +402,7 @@ class _SimulationState:
             if self.tracked_column is not None:
                 alpha_hat = fitted.coefficient(self.tracked_column)
         est = estimators.estimate_all(self.partition.graph, self.partition, a, y, p, pred1, pred0, self.names)
-        return est, alpha_hat
+        return [est.estimates[name] for name in self.names] + est.codes + [alpha_hat]
 
 
 def cell_seed(master_seed: int, r: int, pi: int) -> np.random.SeedSequence:
@@ -424,11 +424,9 @@ def _worker_block(cells: range):
     return _run_block(_worker_state, cells)
 
 
-def _run_block(state: _SimulationState, cells: range):
+def _run_block(state: _SimulationState, cells: range) -> np.ndarray:
     """The cells c = r * n_p + pi in `cells`, each on its generator seeded by
-    cell_seed, as one (len(cells), len(names) + 1) array: each estimator's
-    value (NaN on a degenerate draw) in `state.names` order, then the fitted
-    alpha_hat; plus, when verbose, the cells' diagnostics in cell order.
+    cell_seed, as one float64 array of their run_cell rows (None cast to NaN).
 
     The draws share one DrawBlock, and each cell runs on from its draw on the
     same generator. A state and cells give the same bits on every call."""
@@ -437,21 +435,14 @@ def _run_block(state: _SimulationState, cells: range):
     ps = [state.proportions[c % n_p] for c in cells]
     bits = [design.draw(state.partition, p, rng).t for p, rng in zip(ps, rngs)]
     block = design.DrawBlock(state.partition, bits)
-    rows = np.empty((len(cells), len(state.names) + 1))
-    diagnostics = [] if state.verbose else None
-    for b, (p, rng) in enumerate(zip(ps, rngs)):
-        est, rows[b, -1] = state.run_cell(block.record(b), rng, p)
-        rows[b, :-1] = [est.estimates[name] for name in state.names]  # None casts to NaN
-        if diagnostics is not None:
-            diagnostics.append(est.diagnostics)
-    return rows, diagnostics
+    return np.array([state.run_cell(block.record(b), rng, p) for b, (p, rng) in enumerate(zip(ps, rngs))], np.float64)
 
 
-def _simulate(config: ExperimentConfig, p_part: Partition, model: OutcomeModel) -> tuple[np.ndarray, list | None]:
-    """`_run_block`'s rows for all R * n_p cells as one (R, n_p, len(names) + 1)
-    array, and their diagnostics. The blocks run on min(threads, blocks, usable
-    CPUs) forked worker processes, which inherit the state instead of
-    unpickling it; one worker runs them inline."""
+def _simulate(config: ExperimentConfig, p_part: Partition, model: OutcomeModel) -> np.ndarray:
+    """`_run_block`'s rows for all R * n_p cells as one (R, n_p, row width)
+    array. The blocks run on min(threads, blocks, usable CPUs) forked worker
+    processes, which inherit the state instead of unpickling it; one worker
+    runs them inline."""
     state = _SimulationState(config, p_part, model)
     cells = range(config.repetitions * len(config.proportions))
     blocks = [cells[c : c + CELLS_PER_BLOCK] for c in cells[::CELLS_PER_BLOCK]]
@@ -472,9 +463,7 @@ def _simulate(config: ExperimentConfig, p_part: Partition, model: OutcomeModel) 
             parts = list(pool.map(_worker_block, blocks))
         finally:
             pool.shutdown(cancel_futures=True)
-    diagnostics = [d for _, part in parts for d in part] if config.verbose else None
-    table = np.concatenate([rows for rows, _ in parts])
-    return table.reshape(config.repetitions, len(config.proportions), -1), diagnostics
+    return np.concatenate(parts).reshape(config.repetitions, len(config.proportions), -1)
 
 
 def _cell_stats(name: str, p: float, values: np.ndarray, truth: float) -> CellStats:
@@ -514,7 +503,7 @@ def run(
     if not np.isfinite(truth):
         raise ValueError(f"truth {config.truth} is {truth}, not a finite number: the model's coefficients overflow")
 
-    table, diagnostics = _simulate(config, p_part, model)
+    table = _simulate(config, p_part, model)
     ps = config.proportions
     names = [n.upper() for n in config.estimators]
     keys = [f"{p:.12g}" for p in ps]
@@ -522,7 +511,8 @@ def run(
     raw = raw_diag = alpha_mean = None
     if config.verbose:
         raw = {name: {key: table[:, pi, k].tolist() for pi, key in enumerate(keys)} for k, name in enumerate(names)}
-        raw_diag = {key: diagnostics[pi :: len(ps)] for pi, key in enumerate(keys)}
+        raw_diag = {key: [estimators.diagnostics(names, row[len(names):-1]) for row in table[:, pi]]
+                    for pi, key in enumerate(keys)}
     if np.isfinite(table[:, :, -1]).any():
         alpha_mean = {key: float(np.nanmean(table[:, pi, -1])) for pi, key in enumerate(keys)}
 

@@ -24,6 +24,11 @@ from netgate.oracles import tri_ring_partition
 from conftest import expand
 
 
+def decoded(es):
+    """The diagnostics decoded from es's codes, for the estimators es holds, in their order."""
+    return estimators.diagnostics(tuple(es.estimates), es.codes)
+
+
 def a_treated(part):
     """Tri-ring draw: cluster A treated, B and C control."""
     return expand(part, np.array([True, False, False])).astype(float)
@@ -82,7 +87,7 @@ def test_ht_all_treated_draw_flags_missing_control(toy_graph, toy_partition):
     value = ht(toy_graph, toy_partition, z, y, 0.5)
     assert value >= 0.0
     es = estimate_all(toy_graph, toy_partition, z, y, 0.5, names=("HT",))
-    assert "no_clean_control" in es.diagnostics["HT"]["flags"]
+    assert "no_clean_control" in decoded(es)["HT"]["flags"]
     assert es.estimates["HT"] is not None
 
 
@@ -132,7 +137,7 @@ def test_unreachable_hub_exposure_is_not_a_degenerate_draw():
         assert es.estimates["HT"] is not None
         # a star never has clean nodes at both levels: Hajek is degenerate
         # for that reason, not for a non-finite value
-        assert es.diagnostics["HAJEK"]["flags"] == [
+        assert decoded(es)["HAJEK"]["flags"] == [
             "degenerate: an arm has no cleanly exposed nodes"
         ]
 
@@ -236,7 +241,7 @@ def test_cae_skips_clusters_without_clean_nodes():
     z = expand(part, np.array([True, False, True, False])).astype(float)
     y = np.arange(8, dtype=float)
     es = estimate_all(g, part, z, y, 0.5, names=("CAE",))
-    diag = es.diagnostics["CAE"]
+    diag = decoded(es)["CAE"]
     assert diag["clusters_skipped_treated"] + diag["clusters_skipped_control"] > 0
 
 
@@ -378,7 +383,7 @@ def test_estimate_all_marks_degenerate_without_silent_zero(toy_graph, toy_partit
     y = np.arange(9, dtype=float)
     es = estimate_all(toy_graph, toy_partition, z, y, 0.5, np.ones(9), np.ones(9))
     assert es.estimates["MII"] is None
-    assert any("degenerate" in f for f in es.diagnostics["MII"]["flags"])
+    assert any("degenerate" in f for f in decoded(es)["MII"]["flags"])
     assert es.estimates["HT"] is not None
 
 
@@ -386,10 +391,10 @@ def test_estimate_all_records_counts(toy_graph, toy_partition):
     z = a_treated(toy_partition)
     y = np.arange(9, dtype=float)
     es = estimate_all(toy_graph, toy_partition, z, y, 0.3, np.ones(9), np.zeros(9))
-    assert es.diagnostics["MII"]["s1"] == 1
-    assert es.diagnostics["MII"]["s0"] == 2
-    assert es.diagnostics["HT"]["clean_treated"] == 1
-    assert es.diagnostics["HT"]["clean_control"] == 4
+    assert decoded(es)["MII"]["s1"] == 1
+    assert decoded(es)["MII"]["s0"] == 2
+    assert decoded(es)["HT"]["clean_treated"] == 1
+    assert decoded(es)["HT"]["clean_control"] == 4
     assert set(es.estimates) == set(estimators.ESTIMATOR_NAMES)
 
 
@@ -401,14 +406,14 @@ def test_estimate_all_keeps_counts_of_degenerate_draws(toy_graph, toy_partition)
     es = estimate_all(toy_graph, toy_partition, z, y, 0.5, np.ones(9), np.ones(9))
     for key in ("HAJEK", "CAE", "MII", "AMII"):
         assert es.estimates[key] is None, key
-        assert any(f.startswith("degenerate") for f in es.diagnostics[key]["flags"]), key
-    assert es.diagnostics["HAJEK"]["clean_treated"] == 9
-    assert es.diagnostics["HAJEK"]["clean_control"] == 0
-    cae_diag = es.diagnostics["CAE"]
+        assert any(f.startswith("degenerate") for f in decoded(es)[key]["flags"]), key
+    assert decoded(es)["HAJEK"]["clean_treated"] == 9
+    assert decoded(es)["HAJEK"]["clean_control"] == 0
+    cae_diag = decoded(es)["CAE"]
     assert (cae_diag["clusters_used_treated"], cae_diag["clusters_used_control"]) == (3, 0)
     assert (cae_diag["clusters_skipped_treated"], cae_diag["clusters_skipped_control"]) == (0, 0)
     for key in ("MII", "AMII"):
-        assert (es.diagnostics[key]["s1"], es.diagnostics[key]["s0"]) == (3, 0), key
+        assert (decoded(es)[key]["s1"], decoded(es)[key]["s0"]) == (3, 0), key
 
 
 def test_estimate_all_skips_exposure_when_no_estimator_reads_it(
@@ -448,7 +453,7 @@ def test_a_bare_vector_is_read_on_the_partition_graph():
     theirs = estimate_all(other, part, z, y, 0.5, pred1, pred0)
     assert {k: None if v is None else v.hex() for k, v in theirs.estimates.items()} == {
         k: None if v is None else v.hex() for k, v in mine.estimates.items()}
-    assert theirs.diagnostics == mine.diagnostics
+    assert theirs.codes == mine.codes
 
 
 def reference_estimates(g, part, t, y, p, pred1, pred0):
@@ -553,10 +558,10 @@ def test_estimate_all_equals_the_plain_formulas_bit_for_bit(case):
         values, diagnostics = reference_estimates(g, part, t, y, p, pred1, pred0)
     hexed = {k: None if v is None else v.hex() for k, v in es.estimates.items()}
     assert hexed == {k: None if v is None else v.hex() for k, v in values.items()}
-    assert es.diagnostics == diagnostics
+    assert decoded(es) == diagnostics
     # a bare design vector is read as the drawn record, bit for bit
     assert {k: None if v is None else v.hex() for k, v in es_bare.estimates.items()} == hexed
-    assert es_bare.diagnostics == diagnostics
+    assert decoded(es_bare) == diagnostics
     b = design.Assignment(g, bare, part)
     assert b.pz.tobytes() == a.pz.tobytes() and b.p2z.tobytes() == a.p2z.tobytes()
     # each entry point gives the bits of estimate_all, and raises exactly where it records None
@@ -575,9 +580,32 @@ def test_estimate_all_equals_the_plain_formulas_bit_for_bit(case):
             if es.estimates[key] is None:
                 with pytest.raises(DegenerateArmError) as exc:
                     call()
-                assert es.diagnostics[key]["flags"][-1] == f"degenerate: {exc.value}"
+                assert decoded(es)[key]["flags"][-1] == f"degenerate: {exc.value}"
             else:
                 assert call().hex() == hexed[key]
+
+
+@given(sbm_with_hub_draws(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_codes_decode_alike_under_any_estimator_subset_and_order(case, data):
+    """Any subset of the estimators, in any order, decodes to the diagnostics
+    of all of them restricted to it, with the same estimate bits: each count
+    has one place in the codes whatever the names."""
+    g, part, t, y, p, pred1, pred0 = case
+    names = data.draw(st.permutations(estimators.ESTIMATOR_NAMES))[: data.draw(st.integers(1, 7))]
+    part.inverse_clean_probability(p)  # cached here, where a RuntimeWarning is an error
+    a = design.DrawBlock(part, t).record(0)
+    with np.errstate(invalid="ignore", over="ignore"):
+        every = estimate_all(g, part, a, y, p, pred1, pred0)
+        some = estimate_all(g, part, a, y, p, pred1, pred0, tuple(names))
+    assert list(some.estimates) == names and len(some.codes) == len(names) + len(estimators.COUNTS)
+    full = estimators.diagnostics(estimators.ESTIMATOR_NAMES, every.codes)
+    assert estimators.diagnostics(tuple(names), some.codes) == {key: full[key] for key in names}
+
+    def hexed(es):
+        return [None if es.estimates[key] is None else es.estimates[key].hex() for key in names]
+
+    assert hexed(some) == hexed(every)
 
 
 def test_clean_node_with_underflowed_probability_makes_ht_degenerate():
@@ -589,7 +617,7 @@ def test_clean_node_with_underflowed_probability_makes_ht_degenerate():
     with np.errstate(invalid="ignore"):
         es = estimate_all(g, part, np.ones(g.node_count), y, 0.1, names=("HT",))
     assert es.estimates["HT"] is None
-    assert es.diagnostics["HT"]["flags"] == ["no_clean_control", "degenerate: HT produced a non-finite value"]
+    assert decoded(es)["HT"]["flags"] == ["no_clean_control", "degenerate: HT produced a non-finite value"]
     with np.errstate(invalid="ignore"), pytest.raises(DegenerateArmError, match="HT produced a non-finite value"):
         ht(g, part, np.ones(g.node_count), y, 0.1)
 

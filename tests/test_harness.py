@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import netgate
 from netgate import cli, community, harness, outcomes, predictor, sbm
-from netgate.estimators import ESTIMATOR_NAMES
+from netgate.estimators import COUNTS, ESTIMATOR_NAMES
 from netgate.graph import Graph, decompose, read_partition
 from netgate.harness import (
     ExperimentConfig,
@@ -132,14 +132,26 @@ def test_cell_seed_draws_as_the_spawn_chain(master_seed, r, pi, extra):
 
 def test_a_block_run_twice_on_one_state_gives_the_same_bits():
     """Cells hold no seed state, so a second run of the same block on the
-    same state repeats every value and diagnostic."""
+    same state repeats every value and code."""
     cfg = sbm_config(repetitions=9, verbose=True)
     g = build_graph(cfg)
     part, _ = build_partition(cfg, g)
     state = _SimulationState(cfg, part, build_model(cfg, g, part))
     first, again = harness._run_block(state, range(5, 27)), harness._run_block(state, range(5, 27))
-    assert first[0].tobytes() == again[0].tobytes()
-    assert first[1] == again[1]
+    assert isinstance(first, np.ndarray) and first.shape == (22, 2 * len(ESTIMATOR_NAMES) + len(COUNTS) + 1)
+    assert first.tobytes() == again.tobytes()
+
+
+def test_verbose_reaches_no_worker():
+    """A block runs alike on the state of a verbose config and of the same
+    config without verbose: the diagnostics are decoded from the table in run."""
+    verbose = sbm_config(repetitions=9, verbose=True)
+    plain = sbm_config(repetitions=9, verbose=False)
+    g = build_graph(verbose)
+    part, _ = build_partition(verbose, g)
+    blocks = [harness._run_block(_SimulationState(cfg, part, build_model(cfg, g, part)), range(5, 27))
+              for cfg in (verbose, plain)]
+    assert blocks[0].tobytes() == blocks[1].tobytes()
 
 
 def test_config_file_roundtrip(tmp_path):
@@ -1158,6 +1170,35 @@ def test_cli_stats_prints_the_clustering_stats_sidecar(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines(keepends=True)
     assert lines[0].startswith("nodes ") and lines[1].startswith("edges ")
     assert "".join(lines[2:]) == (out_dir / "clustering_stats.txt").read_text()
+
+
+@pytest.mark.parametrize("command", ["run", "stats", "enumerate"])
+def test_cli_notes_what_the_network_load_dropped(tmp_path, capsys, command):
+    """run, stats and enumerate print one stderr line when the edge list held a
+    self-loop or a repeated edge and none when it held neither; stdout and the
+    reports are those of the clean file."""
+    from netgate.graph import from_edges, write_partition
+
+    n = 40
+    g = from_edges(np.arange(n), (np.arange(n) + 1) % n, n)  # a ring
+    gpath, ppath = tmp_path / "ring.edges", tmp_path / "ring.part"
+    write_partition(decompose(g, np.repeat(np.arange(4), 10)), ppath)
+    args = {"run": ["--gamma", "1.0", "--p", "0.5", "--reps", "3", "--estimators", "DIM,HT"],
+            "stats": [], "enumerate": ["--partition", str(ppath)]}[command]
+    captured = {}
+    for name, extra in (("clean", ""), ("dirty", "7 7\n0 1\n1 0\n2 1\n")):
+        write_edge_list(g, gpath)
+        with gpath.open("a", encoding="utf-8") as fh:
+            fh.write(extra)
+        out = ["--out", str(tmp_path / name)] if command == "run" else []
+        assert cli.main([command, "--graph", str(gpath), *args, *out]) == 0
+        captured[name] = capsys.readouterr()
+    assert captured["clean"].err == ""
+    assert captured["dirty"].err == "note: the network load dropped 1 self-loop and 3 duplicate edges\n"
+    assert captured["dirty"].out == captured["clean"].out
+    if command == "run":
+        for report in ("report.csv", "report.json"):
+            assert (tmp_path / "dirty" / report).read_bytes() == (tmp_path / "clean" / report).read_bytes()
 
 
 def test_cli_enumerate_refuses_large_cluster_counts(tmp_path, capsys):
