@@ -121,10 +121,13 @@ class Graph:
         return diag
 
 
-def from_edges(u: np.ndarray, v: np.ndarray, node_count: int, labels: np.ndarray | None = None) -> Graph:
+def from_edges(
+    u: np.ndarray, v: np.ndarray, node_count: int, labels: np.ndarray | None = None, general: bool = False
+) -> Graph:
     """Build a simple Graph from parallel endpoint arrays already relabeled to
     0..n-1. Self-loops and edges repeated in either direction are dropped, and
-    the Graph counts both."""
+    the Graph counts both; with general=True (the entries of a MatrixMarket general
+    file, which lists each edge's mirror entry too) a duplicate is an entry repeated as it is."""
     if node_count <= 0:
         raise EdgeListFormatError("empty graph")
     u = np.asarray(u, dtype=np.int64)
@@ -133,11 +136,13 @@ def from_edges(u: np.ndarray, v: np.ndarray, node_count: int, labels: np.ndarray
     u, v = u[~loops], v[~loops]
     # one sort of the directed keys src*n + dst puts both halves in CSR order; an
     # edge repeated in either direction repeats both of its keys
-    keys = _sorted_unique(np.concatenate([u * node_count + v, v * node_count + u]))
+    forward = u * node_count + v
+    keys = _sorted_unique(np.concatenate([forward, v * node_count + u]))
     src, dst = np.divmod(keys, node_count)
     indptr = np.zeros(node_count + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=node_count), out=indptr[1:])
-    return Graph(indptr, dst, labels, int(loops.sum()), len(u) - len(keys) // 2)
+    distinct = len(_sorted_unique(forward)) if general else len(keys) // 2
+    return Graph(indptr, dst, labels, int(loops.sum()), len(u) - distinct)
 
 
 def _sorted_unique(a: np.ndarray) -> np.ndarray:
@@ -155,11 +160,12 @@ EdgeFormat = Literal["auto", "plain-edge-list", "matrix-market"]  # the fmt valu
 
 def _parse_lines(lines: Iterable[str], fmt: str) -> tuple[list[int], list[int], tuple | None]:
     """The line loop: endpoints of every edge line and the MatrixMarket size
-    (nodes, entries, header line), or an EdgeListFormatError with the line number."""
+    (nodes, entries, header line, whether the banner says general), or an
+    EdgeListFormatError with the line number."""
     raw_u: list[int] = []
     raw_v: list[int] = []
-    mm_size: tuple[int, int, int] | None = None  # (nodes, entries, header line)
-    saw_banner = False
+    mm_size: tuple[int, int, int, bool] | None = None  # (nodes, entries, header line, general)
+    saw_banner = general = False
     first_data = True
 
     for line_no, line in enumerate(lines, start=1):
@@ -169,6 +175,7 @@ def _parse_lines(lines: Iterable[str], fmt: str) -> tuple[list[int], list[int], 
         if stripped.startswith("%"):
             if line_no == 1 and stripped.lower().startswith("%%matrixmarket"):
                 saw_banner = True
+                general = stripped.lower().split()[-1] == "general"
                 if "coordinate" not in stripped.lower():
                     raise EdgeListFormatError(
                         "only MatrixMarket coordinate format is supported", line_no
@@ -201,7 +208,7 @@ def _parse_lines(lines: Iterable[str], fmt: str) -> tuple[list[int], list[int], 
                     )
                 if rows > _MAX_NODES:
                     raise EdgeListFormatError(f"{rows} nodes exceed the limit of {_MAX_NODES}", line_no)
-                mm_size = (rows, nnz, line_no)
+                mm_size = (rows, nnz, line_no, general)
                 continue
         if not 2 <= len(parts) <= 3:
             raise EdgeListFormatError(f"expected 'u v' or 'u v weight', got {stripped!r}", line_no)
@@ -275,7 +282,9 @@ def load_edge_list(path: str | Path, fmt: EdgeFormat = "auto") -> Graph:
     fmt: "auto" | "plain-edge-list" | "matrix-market". Auto sniffs the
     %%MatrixMarket banner, falling back to a size-header heuristic.
 
-    Self-loops and duplicate edges are dropped; counts are kept on the Graph.
+    Self-loops and duplicate edges are dropped (in a MatrixMarket general
+    file, which lists each edge's mirror entry, a duplicate is an entry
+    repeated as it is); counts are kept on the Graph.
 
     A file whose lines after the header are all blank or "u v" pairs of
     64-bit integers is parsed by np.loadtxt; any other file goes through
@@ -312,7 +321,7 @@ def load_edge_list(path: str | Path, fmt: EdgeFormat = "auto") -> Graph:
         u = np.searchsorted(labels, u)
         v = np.searchsorted(labels, v)
 
-    g = from_edges(u, v, n, labels)
+    g = from_edges(u, v, n, labels, general=mm_size is not None and mm_size[3])
     if g.edge_count == 0:
         raise EdgeListFormatError("empty graph: all edges were self-loops")
     return g

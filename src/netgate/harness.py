@@ -28,20 +28,17 @@ import yaml
 
 from . import __version__, community, design, estimators, outcomes, predictor, sbm
 from .graph import EdgeFormat, Graph, Partition, decompose, load_edge_list, read_partition
-from .outcomes import Covariate, OutcomeModel, PartialLinearModel
+from .outcomes import OutcomeModel, PartialLinearModel
 
 # a table runs its cells in blocks of this many consecutive ones, which share one
 # product of each sparse matrix (design.DrawBlock)
 CELLS_PER_BLOCK = 24
 TRUTHS = {"gate": outcomes.true_gate, "global_treatment_mean": outcomes.global_treatment_mean}
-# what each key of the graph, clustering and predictor sections may be (see _fits)
+# what each key of the sections naming one of several methods may be (see _fits)
 SECTION_KINDS = {
     "graph": {"path": str, "format": EdgeFormat, "sbm": dict},
     "clustering": {"gamma": float, "seed": int, "partition": str, "blocks": bool},
-    "predictor": {"max_hop": Literal[1, 2], "ridge_lambda": float | None,
-                  "training_mask": Literal["full", "boundary"], "covariates": list[Covariate]},
 }
-PREDICTOR_DEFAULTS = {"max_hop": 2, "ridge_lambda": None, "training_mask": "full", "covariates": ["degree"]}
 
 
 class _UniqueKeyLoader(yaml.SafeLoader):
@@ -91,6 +88,7 @@ class ExperimentConfig:
         if "sbm" in self.graph:
             _arguments("graph.sbm", sbm.generate, self.graph["sbm"])
         model_arguments = _model_arguments(self)[1]
+        predictor_arguments = _arguments("predictor", predictor.Counterfactuals, self.predictor, None, p_part=None)
         sigma = model_arguments["sigma"]
         if not 0 <= sigma < np.inf:
             raise ValueError(f"model.sigma must be a finite number >= 0, got {sigma!r}")
@@ -109,7 +107,7 @@ class ExperimentConfig:
         if self.truth == "global_treatment_mean" and model_arguments.get("v") == "normal":
             raise ValueError("truth global_treatment_mean is the mean of Y(1), the GATE only where Y(0) is 0, "
                              "but model.v 'normal' adds v to Y(0): set truth: gate")
-        lam = {**PREDICTOR_DEFAULTS, **self.predictor}["ridge_lambda"]
+        lam = predictor_arguments["ridge_lambda"]
         if lam is not None and not 0 <= lam < np.inf:
             raise ValueError(f"predictor.ridge_lambda must be null or a finite number >= 0, got {lam!r}")
         if self.repetitions < 1:
@@ -133,7 +131,7 @@ class ExperimentConfig:
                 raise ValueError(f"unknown estimator {name!r}")
             if keys[i] in keys[:i]:
                 raise ValueError(f"duplicate estimator {name!r}")
-        name_lists = {"predictor.covariates": {**PREDICTOR_DEFAULTS, **self.predictor}["covariates"],
+        name_lists = {"predictor.covariates": predictor_arguments["covariates"],
                       "model.interaction": model_arguments.get("interaction", ())}
         for key, names in name_lists.items():
             for i, name in enumerate(names):
@@ -360,7 +358,7 @@ def emit_report(report: SimulationReport, path: str | Path) -> None:
 
 
 class _SimulationState:
-    """Shared read-only inputs for the repetition loop."""
+    """Shared inputs for the repetition loop, read-only but the predictor's one feature buffer."""
 
     def __init__(self, config: ExperimentConfig, p_part: Partition, model: OutcomeModel):
         self.proportions = list(config.proportions)
@@ -368,23 +366,13 @@ class _SimulationState:
         self.partition = p_part
         self.model = model
         self.names = tuple(n.upper() for n in config.estimators)
-        self.needs_predictor = bool({"GNN", "AMII"} & set(self.names))
-        pspec = {**PREDICTOR_DEFAULTS, **config.predictor}
-        self.ridge_lambda = pspec["ridge_lambda"]
-        self.mask = ~p_part.interior_mask if pspec["training_mask"] == "boundary" else None
-        if self.needs_predictor and self.mask is not None and not self.mask.any():
-            raise ValueError("predictor.training_mask 'boundary': the partition has no boundary node")
-        # the predictor's parts, and the fitted interaction coefficient tracked for
-        # the bias-law checks, only for a table that fits the predictor
-        self.basis = self.f1 = self.f0 = self.tracked_column = None
-        if self.needs_predictor:
-            g = p_part.graph
-            covariates = {name: outcomes.covariate_vector(name, g, p_part) for name in pspec["covariates"]}
-            self.basis = predictor.FeatureBasis(g, covariates, pspec["max_hop"])
-            self.f1 = self.basis.at(np.ones(g.node_count))
-            self.f0 = self.basis.at(np.zeros(g.node_count))
+        # the predictor, and the fitted interaction coefficient tracked for the
+        # bias-law checks, only for a table that fits the predictor
+        self.predictor = self.tracked_column = None
+        if {"GNN", "AMII"} & set(self.names):
+            self.predictor = predictor.Counterfactuals(p_part.graph, p_part=p_part, **config.predictor)
             column = f"{_model_arguments(config)[1]['u']}*z" if isinstance(model, PartialLinearModel) else None
-            if column in self.basis.names:
+            if column in self.predictor.basis.names:
                 self.tracked_column = column
 
     def run_cell(self, a: design.Assignment, rng: np.random.Generator, p: float) -> list:
@@ -394,11 +382,8 @@ class _SimulationState:
         y = self.model.realize(a, rng)
         pred1 = pred0 = None
         alpha_hat = np.nan
-        if self.needs_predictor:
-            feats = self.basis.write(a)  # this worker's one feature buffer
-            fitted = predictor.fit(feats, y, self.ridge_lambda, self.mask)
-            pred1 = predictor.predict(fitted, self.f1)
-            pred0 = predictor.predict(fitted, self.f0)
+        if self.predictor is not None:
+            fitted, pred1, pred0 = self.predictor(a, y)  # fitted on this worker's one feature buffer
             if self.tracked_column is not None:
                 alpha_hat = fitted.coefficient(self.tracked_column)
         est = estimators.estimate_all(self.partition.graph, self.partition, a, y, p, pred1, pred0, self.names)
@@ -585,7 +570,7 @@ def verify_theorem2(config: ExperimentConfig) -> Theorem2Report:
         raise ValueError("theorem verification needs MII and AMII estimators")
     _, arguments = _model_arguments(config)
     u_name = arguments["u"]
-    if u_name not in {**PREDICTOR_DEFAULTS, **config.predictor}["covariates"]:
+    if u_name not in _arguments("predictor", predictor.Counterfactuals, config.predictor, None)["covariates"]:
         raise ValueError(f"predictor covariates must include {u_name!r} for the u*z column")
 
     report = run(config)

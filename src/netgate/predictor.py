@@ -5,17 +5,21 @@ The feature basis stacks hop-0 columns (intercept, z, covariates, and
 covariate-treatment interactions) with neighbor means of z and of each
 covariate, optionally repeated at hop 2 (mean of neighbor means). A fitted
 predictor can then be evaluated under global treatment or global control.
+Counterfactuals does both for each draw of a table; its keyword arguments are
+the config's predictor section, checked and defaulted by its signature.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Literal
 
 import numpy as np
 from scipy.linalg import lapack
 
 from .design import Assignment, as_assignment
-from .graph import Graph
+from .graph import Graph, Partition
+from .outcomes import Covariate, covariate_vector
 
 _FALLBACK_LAMBDA = 1e-8
 _NORMAL_EQ_RTOL = 1e-8
@@ -179,3 +183,23 @@ def predict(pred: LinearPredictor, features: FeatureMatrix) -> np.ndarray:
         raise ValueError("feature columns do not match the fitted predictor")
     return features.values @ pred.coefficients
 
+
+class Counterfactuals:
+    """A table's predictor: a ridge fit on each draw's features in basis (on every node, or on the
+    boundary nodes when mask is set), predicted at f1 and f0, under global treatment and control."""
+
+    def __init__(self, g: Graph, max_hop: Literal[1, 2] = 2, ridge_lambda: float | None = None,
+                 training_mask: Literal["full", "boundary"] = "full", covariates: list[Covariate] = ("degree",),
+                 p_part: Partition | None = None):
+        self.ridge_lambda = ridge_lambda
+        self.mask = ~p_part.interior_mask if training_mask == "boundary" else None
+        if self.mask is not None and not self.mask.any():
+            raise ValueError("predictor.training_mask 'boundary': the partition has no boundary node")
+        self.basis = FeatureBasis(g, {name: covariate_vector(name, g, p_part) for name in covariates}, max_hop)
+        self.f1 = self.basis.at(np.ones(g.node_count))
+        self.f0 = self.basis.at(np.zeros(g.node_count))
+
+    def __call__(self, a: Assignment, y: np.ndarray) -> tuple[LinearPredictor, np.ndarray, np.ndarray]:
+        """The fit of y on the features under draw a (the basis's one buffer), and its f1 and f0 predictions."""
+        fitted = fit(self.basis.write(a), y, self.ridge_lambda, self.mask)
+        return fitted, predict(fitted, self.f1), predict(fitted, self.f0)

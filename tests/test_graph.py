@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netgate import graph
+from netgate import cli, graph
 from netgate.graph import (
     EdgeListFormatError,
     decompose,
@@ -62,6 +62,34 @@ def test_load_matrix_market_banner_keeps_isolated_nodes(temp_file):
     assert g.node_count == 4
     assert g.edge_count == 2
     assert g.degrees.tolist() == [1, 2, 1, 0]
+
+
+GENERAL = "%%MatrixMarket matrix coordinate pattern general\n"
+SYMMETRIC = "%%MatrixMarket matrix coordinate pattern symmetric\n"
+
+
+@pytest.mark.parametrize("comment", ["", "% a comment among the edges: the line loop\n"])
+@pytest.mark.parametrize(
+    "text, dropped",
+    [
+        (GENERAL + "3 3 4\n1 2\n{}2 1\n2 3\n3 2\n", 0),  # each edge and its mirror entry
+        (GENERAL + "3 3 5\n1 2\n{}2 1\n2 3\n3 2\n1 2\n", 1),  # (1, 2) listed twice
+        (SYMMETRIC + "3 3 2\n2 1\n{}3 2\n", 0),
+        ("1 2\n{}2 1\n2 3\n", 1),  # a plain list's reversed line repeats its edge
+    ],
+    ids=["general", "general-repeated", "symmetric", "plain-reversed"],
+)
+def test_a_general_matrix_markets_mirror_entries_are_not_duplicates(temp_file, capsys, text, dropped, comment):
+    """A MatrixMarket general file lists each edge twice, once per direction, so
+    only an entry repeated as it is counts as a dropped duplicate, on the bulk
+    path and in the line loop; a plain list's reversed line still counts."""
+    path = temp_file(text.format(comment).encode())
+    g = load_edge_list(path)
+    assert (g.edge_count, g.dropped_duplicates, g.dropped_self_loops) == (2, dropped, 0)
+    assert g.degrees.tolist() == [1, 2, 1]
+    assert cli.main(["stats", "--graph", str(path), "--gamma", "1.0"]) == 0
+    note = f"note: the network load dropped 0 self-loops and {dropped} duplicate edge\n" if dropped else ""
+    assert capsys.readouterr().err == note
 
 
 def test_load_matrix_market_headerless_size_line(temp_file):

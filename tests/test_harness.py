@@ -90,7 +90,7 @@ def test_run_cell_multiplies_by_each_sparse_matrix_once(monkeypatch, r2):
         cells = range(reps * 3)
         for start in cells[:: harness.CELLS_PER_BLOCK]:
             harness._run_block(state, cells[start : start + harness.CELLS_PER_BLOCK])
-        reads_p2z = state.needs_predictor or r2 != 0.0
+        reads_p2z = state.predictor is not None or r2 != 0.0
         assert calls == (["N", "P"] if reads_p2z else ["N"]) * blocks, names
 
 
@@ -242,6 +242,11 @@ def test_config_rejects_unknown_section_keys(section, spec, typo):
         ("truth", "gate_", "truth must be one of ('gate', 'global_treatment_mean'), got 'gate_'"),
         ("model", {"p_part": None}, "unknown model keys: ['p_part']"),
         ("graph", {1: "x", "foo": "y"}, "unknown graph keys: [1, 'foo']"),
+        ("model", {"g": None}, "model: linear_two_hop() multiple values for argument 'g'"),
+        ("predictor", {"ridge_lamda": 5},
+         "predictor: Counterfactuals() got an unexpected keyword argument 'ridge_lamda'"),
+        ("predictor", {"p_part": None}, "unknown predictor keys: ['p_part']"),
+        ("predictor", {"g": None}, "predictor: Counterfactuals() multiple values for argument 'g'"),
     ],
 )
 def test_model_and_sbm_sections_fail_before_anything_loads(monkeypatch, tmp_path, capsys, section, spec, message):
@@ -351,9 +356,13 @@ def test_a_section_value_of_any_type_fails_in_from_dict_or_builds_and_runs(case)
         pass
 
 
-def test_predictor_defaults_are_values_the_section_takes():
-    assert set(harness.PREDICTOR_DEFAULTS) == set(harness.SECTION_KINDS["predictor"])
-    harness._check_spec("predictor", harness.SECTION_KINDS["predictor"], harness.PREDICTOR_DEFAULTS)
+def test_an_empty_predictor_section_runs_as_the_defaults_written_out():
+    """The predictor's defaults are predictor.Counterfactuals's: `predictor: {}`
+    and the README's defaults spelt out give the same rows and raw estimates."""
+    spelt = {"max_hop": 2, "ridge_lambda": None, "training_mask": "full", "covariates": ["degree"]}
+    empty, written = (run(sbm_config(predictor=spec, repetitions=20, verbose=True)) for spec in ({}, spelt))
+    assert empty.cells == written.cells
+    assert json.dumps(empty.raw_estimates) == json.dumps(written.raw_estimates)
 
 
 @pytest.mark.parametrize("proportions", [[0.3, 0.3], [0.3, 0.3 + 1e-15], [0.1, 0.5, 0.1]])

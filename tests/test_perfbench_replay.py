@@ -46,8 +46,9 @@ def test_replay_finds_every_entry_point_and_repeats_the_run():
 
 def test_replay_takes_the_predictor_defaults_the_run_takes():
     """An empty predictor section: every predictor setting is a default, read
-    by `harness.run` from `PREDICTOR_DEFAULTS` and by the replay from its own
-    spelling, so a default changed on one side only fails here."""
+    by `harness.run` from the signature of `predictor.Counterfactuals` and by
+    the replay from its own spelling, so a default changed on one side only
+    fails here."""
     config = harness.ExperimentConfig.from_dict(dict(
         graph={"sbm": {"communities": 6, "size": 20, "p_in": 0.3, "p_out": 0.01, "seed": 4}},
         clustering={"blocks": True},

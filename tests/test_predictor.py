@@ -349,13 +349,13 @@ def test_table_cells_fit_on_the_feature_buffer_as_on_stacked_columns(monkeypatch
         fm, fresh = features.values[rows], reference_features(g, drawn[len(cells)].unit_bits, covs, 2)[rows]
         assert (fm.T @ fm).tobytes() == (fresh.T @ fresh).tobytes()
         assert (fm.T @ y[rows]).tobytes() == (fresh.T @ y[rows]).tobytes()
-        assert not np.shares_memory(features.values, state.f1.values)
-        assert not np.shares_memory(features.values, state.f0.values)
+        assert not np.shares_memory(features.values, state.predictor.f1.values)
+        assert not np.shares_memory(features.values, state.predictor.f0.values)
         cells.append(mask is not None)
         return real_fit(features, y, ridge_lambda, mask)
 
     monkeypatch.setattr(predictor, "fit", checked_fit)
     harness._run_block(state, range(cfg.repetitions * len(cfg.proportions)))
     assert cells == [training_mask == "boundary"] * (cfg.repetitions * len(cfg.proportions))
-    for level, f in ((1, state.f1), (0, state.f0)):
+    for level, f in ((1, state.predictor.f1), (0, state.predictor.f0)):
         assert f.values.tobytes() == features_at_level(g, covs, level).values.tobytes()
