@@ -11,31 +11,12 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 from . import __version__, community, oracles, outcomes
-from .graph import Graph, load_edge_list, read_partition, write_partition
-from .harness import ExperimentConfig, emit_report, run, verify_theorem2
-
-
-def _apply_overrides(config: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
-    if args.graph is not None:
-        config.graph = {"path": args.graph}
-    if args.gamma is not None:
-        # without an explicit clustering seed, Louvain takes the master seed (after --seed)
-        kept = {"seed": config.clustering["seed"]} if "seed" in config.clustering else {}
-        config.clustering = {"gamma": args.gamma, **kept}
-    if args.p is not None:
-        config.proportions = [float(tok) for tok in args.p.replace(",", " ").split()]
-    if args.reps is not None:
-        config.repetitions = args.reps
-    if args.seed is not None:
-        config.master_seed = args.seed
-    if args.estimators is not None:
-        config.estimators = [tok.strip() for tok in args.estimators.split(",") if tok.strip()]
-    if args.threads is not None:
-        config.threads = args.threads
-    return config  # run validates it before anything loads
+from .graph import Graph, Partition, write_partition
+from .harness import ExperimentConfig, build_graph, build_model, build_partition, emit_report, run, verify_theorem2
 
 
 def _note_dropped(g: Graph) -> None:
@@ -46,10 +27,35 @@ def _note_dropped(g: Graph) -> None:
               f"{duplicates} duplicate edge{'s' * (duplicates != 1)}", file=sys.stderr)
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
+def _inputs(args: argparse.Namespace) -> tuple[ExperimentConfig, Partition, dict]:
+    """The config (--config or the defaults) with the command's overrides, validated,
+    and the partition it describes with its provenance: every command's one input path."""
     config = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
-    report = run(_apply_overrides(config, args))
-    _note_dropped(report.partition.graph)
+    if args.graph is not None:
+        config.graph = {"path": args.graph}
+    if args.gamma is not None:
+        # without an explicit clustering seed, Louvain takes the master seed (after --seed)
+        kept = {"seed": config.clustering["seed"]} if "seed" in config.clustering else {}
+        config.clustering = {"gamma": args.gamma, **kept}
+    if getattr(args, "p", None) is not None:
+        config.proportions = [float(tok) for tok in args.p.replace(",", " ").split()]
+    if getattr(args, "reps", None) is not None:
+        config.repetitions = args.reps
+    if args.seed is not None:
+        config.master_seed = args.seed
+    if getattr(args, "estimators", None) is not None:
+        config.estimators = [tok.strip() for tok in args.estimators.split(",") if tok.strip()]
+    if getattr(args, "threads", None) is not None:
+        config.threads = args.threads
+    config.validate()
+    g = build_graph(config)
+    _note_dropped(g)
+    return config, *build_partition(config, g)
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    config, part, _ = _inputs(args)
+    report = run(config, p_part=part)
     if report.all_absent():
         print("error: every (estimator, p) cell degenerate", file=sys.stderr)
         return 3
@@ -69,12 +75,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    g = load_edge_list(args.graph)
-    _note_dropped(g)
-    part = community.louvain(g, args.gamma, args.seed)
-    print(f"nodes {g.node_count}")
-    print(f"edges {g.edge_count}")
-    print(community.stats(part, args.gamma).text(), end="")
+    _, part, info = _inputs(args)
+    print(f"nodes {part.graph.node_count}")
+    print(f"edges {part.graph.edge_count}")
+    print(community.stats(part, info.get("gamma", 1.0)).text(), end="")
     if args.out:
         write_partition(part, args.out)
     return 0
@@ -127,19 +131,18 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    g = load_edge_list(args.graph)
-    _note_dropped(g)
-    if args.partition:
-        part = read_partition(g, args.partition)
-    else:
-        part = community.louvain(g, args.gamma, args.seed)
-    model = outcomes.linear_two_hop(g, beta=args.beta, r1=args.r1, r2=0.0, sigma=0.0)
-    result = oracles.check_case(oracles.OracleCase(args.graph, part, model, args.p))
+    config, part, _ = _inputs(args)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves HT non-finite: check_case refuses it
+        model = build_model(config, part.graph, part)
+        results = [oracles.check_case(oracles.OracleCase(f"p={p:.12g}", part, model, p)) for p in config.proportions]
+        gate = outcomes.true_gate(model)
     print(f"clusters {part.cluster_count}")
-    print(f"true_gate {outcomes.true_gate(model):.12g}")
-    print(f"difference {result.ht_expectation_error:.3e}")
-    print(f"exposure_probability_error {result.exposure_probability_error:.3e}")
-    print(f"probability_mass_error {result.probability_mass_error:.3e}")
+    print(f"true_gate {gate:.12g}")
+    for p, result in zip(config.proportions, results):
+        print(f"p {p:.12g}")
+        print(f"difference {result.ht_expectation_error:.3e}")
+        print(f"exposure_probability_error {result.exposure_probability_error:.3e}")
+        print(f"probability_mass_error {result.probability_mass_error:.3e}")
     return 0
 
 
@@ -151,22 +154,23 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--version", action="version", version=f"netgate {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run a Monte Carlo experiment and emit reports")
-    p_run.add_argument("--config", help="YAML experiment config")
-    p_run.add_argument("--graph", help="override: network file (edge list or MatrixMarket)")
-    p_run.add_argument("--gamma", type=float, help="override: Louvain resolution")
-    p_run.add_argument("--p", help="override: treatment proportions, e.g. '0.1,0.3,0.5'")
+    # the inputs every command but verify reads: the config and the overrides they share
+    inputs = argparse.ArgumentParser(add_help=False)
+    inputs.add_argument("--config", help="YAML experiment config")
+    inputs.add_argument("--graph", help="override: network file (edge list or MatrixMarket)")
+    inputs.add_argument("--gamma", type=float, help="override: Louvain resolution")
+    inputs.add_argument("--seed", type=int, help="override: master seed")
+    proportions = argparse.ArgumentParser(add_help=False)
+    proportions.add_argument("--p", help="override: treatment proportions, e.g. '0.1,0.3,0.5'")
+
+    p_run = sub.add_parser("run", parents=[inputs, proportions], help="run a Monte Carlo experiment and emit reports")
     p_run.add_argument("--reps", type=int, help="override: Monte Carlo repetitions")
-    p_run.add_argument("--seed", type=int, help="override: master seed")
     p_run.add_argument("--estimators", help="override: comma-separated estimator names")
     p_run.add_argument("--threads", type=int, help="override: worker processes (fork), capped at the usable CPUs")
     p_run.add_argument("--out", help="output directory (default netgate-out)")
     p_run.set_defaults(func=_cmd_run)
 
-    p_stats = sub.add_parser("stats", help="clustering statistics for a network")
-    p_stats.add_argument("--graph", required=True)
-    p_stats.add_argument("--gamma", type=float, default=5.0)
-    p_stats.add_argument("--seed", type=int, default=0)
+    p_stats = sub.add_parser("stats", parents=[inputs], help="clustering statistics for a network")
     p_stats.add_argument("--out", help="also write the partition file here")
     p_stats.set_defaults(func=_cmd_stats)
 
@@ -175,14 +179,8 @@ def main(argv: list[str] | None = None) -> int:
     p_verify.add_argument("--seed", type=int, default=20240501)
     p_verify.set_defaults(func=_cmd_verify)
 
-    p_enum = sub.add_parser("enumerate", help="exact design expectations on a small instance")
-    p_enum.add_argument("--graph", required=True)
-    p_enum.add_argument("--partition", help="partition file (otherwise Louvain)")
-    p_enum.add_argument("--gamma", type=float, default=1.0)
-    p_enum.add_argument("--seed", type=int, default=0)
-    p_enum.add_argument("--p", type=float, default=0.5)
-    p_enum.add_argument("--beta", type=float, default=1.0)
-    p_enum.add_argument("--r1", type=float, default=1.0)
+    p_enum = sub.add_parser("enumerate", parents=[inputs, proportions],
+                            help="exact design expectations on a small instance, one block per proportion")
     p_enum.set_defaults(func=_cmd_enumerate)
 
     args = parser.parse_args(argv)

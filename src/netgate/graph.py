@@ -127,7 +127,8 @@ def from_edges(
     """Build a simple Graph from parallel endpoint arrays already relabeled to
     0..n-1. Self-loops and edges repeated in either direction are dropped, and
     the Graph counts both; with general=True (the entries of a MatrixMarket general
-    file, which lists each edge's mirror entry too) a duplicate is an entry repeated as it is."""
+    file, which lists each edge's mirror entry too) a duplicate is an entry repeated as it is,
+    and an entry without its mirror, a directed edge, is an EdgeListFormatError."""
     if node_count <= 0:
         raise EdgeListFormatError("empty graph")
     u = np.asarray(u, dtype=np.int64)
@@ -142,6 +143,9 @@ def from_edges(
     indptr = np.zeros(node_count + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=node_count), out=indptr[1:])
     distinct = len(_sorted_unique(forward)) if general else len(keys) // 2
+    if general and distinct != len(keys):  # the keys also hold the mirror of every entry
+        raise EdgeListFormatError(f"MatrixMarket general file: no mirror entry for {len(keys) - distinct} of its "
+                                  "distinct entries (list each edge in both directions)")
     return Graph(indptr, dst, labels, int(loops.sum()), len(u) - distinct)
 
 

@@ -19,6 +19,7 @@ import io
 import json
 import numbers
 import os
+import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Literal, get_args, get_origin, get_type_hints
@@ -90,25 +91,16 @@ class ExperimentConfig:
         model_arguments = _model_arguments(self)[1]
         predictor_arguments = _arguments("predictor", predictor.Counterfactuals, self.predictor, None, p_part=None)
         sigma = model_arguments["sigma"]
-        if not 0 <= sigma < np.inf:
+        if sigma < 0:
             raise ValueError(f"model.sigma must be a finite number >= 0, got {sigma!r}")
-        for key, value in model_arguments.items():  # beta, r1, r2, alpha, h_scale
-            if isinstance(value, float) and not np.isfinite(value):
-                raise ValueError(f"model.{key} must be a finite number, got {value!r}")
         gamma = self.clustering.get("gamma", 1.0)
-        if not 0 < gamma < np.inf:
+        if gamma <= 0:
             raise ValueError(f"clustering.gamma must be a finite number > 0, got {gamma!r}")
-        seeds = {"master_seed": self.master_seed, "clustering.seed": self.clustering.get("seed", 0),
-                 "graph.sbm.seed": self.graph.get("sbm", {}).get("seed", 0),
-                 "model.v_seed": self.model.get("v_seed", 0)}
-        for key, seed in seeds.items():
-            if seed < 0:
-                raise ValueError(f"{key} must be a non-negative integer, got {seed!r}")
         if self.truth == "global_treatment_mean" and model_arguments.get("v") == "normal":
             raise ValueError("truth global_treatment_mean is the mean of Y(1), the GATE only where Y(0) is 0, "
                              "but model.v 'normal' adds v to Y(0): set truth: gate")
         lam = predictor_arguments["ridge_lambda"]
-        if lam is not None and not 0 <= lam < np.inf:
+        if lam is not None and lam < 0:
             raise ValueError(f"predictor.ridge_lambda must be null or a finite number >= 0, got {lam!r}")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
@@ -170,14 +162,14 @@ class ExperimentConfig:
 
 _FIELD_KINDS = get_type_hints(ExperimentConfig)
 # the plain checked forms: the types each admits and its name in a message
-_PLAIN_KINDS = {float: (numbers.Real, "a number"), int: (numbers.Integral, "an integer"), bool: (bool, "a boolean"),
-                str: (str, "a string"), dict: (dict, "a mapping")}
+_PLAIN_KINDS = {float: (numbers.Real, "a finite number"), int: (numbers.Integral, "a non-negative integer"),
+                bool: (bool, "a boolean"), str: (str, "a string"), dict: (dict, "a mapping")}
 _signature = functools.cache(functools.partial(inspect.signature, eval_str=True))  # annotations resolved once
 
 
 def _fits(value, kind) -> bool:
     """Whether value has the checked form kind: a key of _PLAIN_KINDS, list[X],
-    Literal[...] or X | None. A bool is neither a number nor an integer."""
+    Literal[...] or X | None. A bool is neither a number nor an integer; a number is finite, an integer >= 0."""
     origin, args = get_origin(kind), get_args(kind)
     if origin is Literal:
         return any(_fits(value, type(a)) and value == a for a in args)
@@ -185,7 +177,10 @@ def _fits(value, kind) -> bool:
         return isinstance(value, list) and all(_fits(x, args[0]) for x in value)
     if args:  # X | None
         return value is None or _fits(value, args[0])
-    return isinstance(value, _PLAIN_KINDS[kind][0]) and (kind is bool or not isinstance(value, bool))
+    fits = isinstance(value, _PLAIN_KINDS[kind][0]) and (kind is bool or not isinstance(value, bool))
+    if kind is float:  # one comparison refuses NaN, +-inf and an integer beyond the float range
+        return fits and abs(value) <= sys.float_info.max
+    return fits and (kind is not int or value >= 0)
 
 
 def _describe(kind) -> str:
@@ -194,7 +189,7 @@ def _describe(kind) -> str:
         return f"one of {args}"
     if origin is list:
         names = get_args(args[0])  # a Literal's values
-        return "a list of numbers" if args[0] is float else "a list of names" + (f" in {names}" if names else "")
+        return "a list of finite numbers" if args[0] is float else "a list of names" + (f" in {names}" if names else "")
     return f"null or {_describe(args[0])}" if args else _PLAIN_KINDS[kind][1]
 
 

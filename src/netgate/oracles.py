@@ -144,7 +144,10 @@ def check_case(case: OracleCase) -> OracleResult:
     mass = 0.0
     for bits, prob in design.enumerate_assignments(part, p):
         a = design.DrawBlock(part, bits).record(0)
-        ht_expect += prob * estimators.estimate_all(g, part, a, model.potential(a), p, names=("HT",)).estimates["HT"]
+        ht = estimators.estimate_all(g, part, a, model.potential(a), p, names=("HT",)).estimates["HT"]
+        if ht is None:  # a non-finite estimate, as of a model whose potential overflows
+            raise ValueError(f"oracle case {case.name}: HT is not finite on cluster bits {bits.astype(int).tolist()}")
+        ht_expect += prob * ht
         freq1 += prob * a.clean[0]
         freq0 += prob * a.clean[1]
         mass += prob

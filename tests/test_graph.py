@@ -92,6 +92,19 @@ def test_a_general_matrix_markets_mirror_entries_are_not_duplicates(temp_file, c
     assert capsys.readouterr().err == note
 
 
+@pytest.mark.parametrize("comment", ["", "% a comment among the edges: the line loop\n"])
+def test_a_general_matrix_market_without_mirror_entries_is_refused(temp_file, capsys, comment):
+    """A general file that lists (1, 2) and (2, 3) but not their mirrors is a
+    directed network, not the path 1-2-3: it is refused on the bulk path and
+    in the line loop, with the count of entries that lack a mirror."""
+    path = temp_file(f"{GENERAL}3 3 3\n1 2\n{comment}2 3\n3 2\n".encode())
+    message = "MatrixMarket general file: no mirror entry for 1 of its distinct entries"
+    with pytest.raises(EdgeListFormatError, match=message):
+        load_edge_list(path)
+    assert cli.main(["stats", "--graph", str(path), "--gamma", "1.0"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
 def test_load_matrix_market_headerless_size_line(temp_file):
     # networkrepository .mtx files sometimes ship without the banner
     g = load_edge_list(temp_file(b"5 5 3\n1 2\n2 3\n4 5\n"))

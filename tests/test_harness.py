@@ -220,12 +220,12 @@ def test_config_rejects_unknown_section_keys(section, spec, typo):
         ("model", {"betaa": 1.0}, "model: linear_two_hop() got an unexpected keyword argument 'betaa'"),
         ("model", {"kind": "nope"}, "unknown model kind 'nope'"),
         ("model", {"kind": ["partial_linear"]}, "unknown model kind ['partial_linear']"),
-        ("model", {"beta": "1"}, "model.beta must be a number, got '1'"),
-        ("model", {"kind": "partial_linear", "v_seed": 2.5}, "model.v_seed must be an integer, got 2.5"),
+        ("model", {"beta": "1"}, "model.beta must be a finite number, got '1'"),
+        ("model", {"kind": "partial_linear", "v_seed": 2.5}, "model.v_seed must be a non-negative integer, got 2.5"),
         ("graph", {"sbm": {**sbm_config().graph["sbm"], "sed": 2}},
          "graph.sbm: generate() got an unexpected keyword argument 'sed'"),
         ("graph", {"sbm": {**sbm_config().graph["sbm"], "communities": "4"}},
-         "graph.sbm.communities must be an integer, got '4'"),
+         "graph.sbm.communities must be a non-negative integer, got '4'"),
         ("graph", {"sbm": 5}, "graph.sbm must be a mapping, got 5"),
         ("model", {"kind": "partial_linear", "h": "sqrtt"},
          "model.h must be one of ('linear', 'sqrt', 'quadratic'), got 'sqrtt'"),
@@ -937,6 +937,7 @@ SMALL_SBM = (
     "graph: {sbm: {communities: 4, size: 12, p_in: 0.5, p_out: 0.05, seed: 2}}\n"
     "clustering: {blocks: true}\nrepetitions: 2\n"
 )
+BIG = "9" * 400  # an integer beyond the float range, which float() cannot convert
 
 
 def test_config_file_lets_a_key_override_a_yaml_merge(tmp_path):
@@ -964,7 +965,7 @@ def test_config_file_lets_a_key_override_a_yaml_merge(tmp_path):
         ("repetitions: 5\n", ["--p", "half"], "half"),
         ("repetitions: 5\n", ["--p", "0.3,0.3"], "duplicate treatment proportion 0.3"),
         ("proportions: 0.5\n", [], "proportions must be a list"),
-        ("repetitions: ten\n", [], "repetitions must be an integer"),
+        ("repetitions: ten\n", [], "repetitions must be a non-negative integer"),
         (SMALL_SBM + "model: {r_2: 1.0}\n", [], "r_2"),
         (SMALL_SBM + "predictor: {ridge_lamda: 5}\n", [], "ridge_lamda"),
         (SMALL_SBM + "model: {kind: partial_linear, v: gaussian}\n", [], "gaussian"),
@@ -985,10 +986,12 @@ def test_config_file_lets_a_key_override_a_yaml_merge(tmp_path):
         (SMALL_SBM + "model: {interaction: [degree, clusters, degree]}\n", [],
          "duplicate model.interaction name 'degree'"),
         (SMALL_SBM + "verbose: 'no'\n", [], "verbose must be a boolean"),
-        (SMALL_SBM.replace("blocks: true", "gamma: true"), [], "clustering.gamma must be a number"),
-        (SMALL_SBM.replace("blocks: true", "gamma: '1.0'"), [], "clustering.gamma must be a number"),
-        (SMALL_SBM.replace("blocks: true", "gamma: 1.0, seed: 9.7"), [], "clustering.seed must be an integer"),
-        (SMALL_SBM.replace("blocks: true", "gamma: 1.0, seed: true"), [], "clustering.seed must be an integer"),
+        (SMALL_SBM.replace("blocks: true", "gamma: true"), [], "clustering.gamma must be a finite number"),
+        (SMALL_SBM.replace("blocks: true", "gamma: '1.0'"), [], "clustering.gamma must be a finite number"),
+        (SMALL_SBM.replace("blocks: true", "gamma: 1.0, seed: 9.7"), [],
+         "clustering.seed must be a non-negative integer"),
+        (SMALL_SBM.replace("blocks: true", "gamma: 1.0, seed: true"), [],
+         "clustering.seed must be a non-negative integer"),
         (SMALL_SBM.replace("blocks: true", "partition: [p.txt]"), [],
          "clustering.partition must be a string, got ['p.txt']"),
         (SMALL_SBM.replace("blocks: true", "blocks: 'no'"), [], "clustering.blocks must be a boolean"),
@@ -997,22 +1000,22 @@ def test_config_file_lets_a_key_override_a_yaml_merge(tmp_path):
         (SMALL_SBM.replace("blocks: true", "blocks: true, seed: 3"), [], "got ['blocks', 'seed']"),
         (SMALL_SBM.replace("{sbm:", "{path: g.edges, sbm:"), [], "got ['path', 'sbm']"),
         (SMALL_SBM.replace("seed: 2}", "seed: 2}, format: matrix-market"), [], "got ['format', 'sbm']"),
-        (SMALL_SBM + "model: {beta: '1'}\n", [], "model.beta must be a number, got '1'"),
-        (SMALL_SBM + "model: {beta: true}\n", [], "model.beta must be a number, got True"),
-        (SMALL_SBM + "model: {sigma: abc}\n", [], "model.sigma must be a number, got 'abc'"),
+        (SMALL_SBM + "model: {beta: '1'}\n", [], "model.beta must be a finite number, got '1'"),
+        (SMALL_SBM + "model: {beta: true}\n", [], "model.beta must be a finite number, got True"),
+        (SMALL_SBM + "model: {sigma: abc}\n", [], "model.sigma must be a finite number, got 'abc'"),
         (SMALL_SBM + "model: {kind: partial_linear, v: normal, v_seed: 2.5}\n", [],
-         "model.v_seed must be an integer, got 2.5"),
+         "model.v_seed must be a non-negative integer, got 2.5"),
         (SMALL_SBM + "predictor: {max_hop: true}\n", [], "predictor.max_hop must be one of (1, 2), got True"),
         (SMALL_SBM + "predictor: {max_hop: 2.9}\n", [], "predictor.max_hop must be one of (1, 2), got 2.9"),
         (SMALL_SBM + "predictor: {max_hop: '2'}\n", [], "predictor.max_hop must be one of (1, 2), got '2'"),
         (SMALL_SBM.replace("communities: 4,", "communities: '4',"), [],
-         "graph.sbm.communities must be an integer, got '4'"),
+         "graph.sbm.communities must be a non-negative integer, got '4'"),
         (SMALL_SBM.replace("communities: 4,", "communities: 4.0,"), [],
-         "graph.sbm.communities must be an integer, got 4.0"),
-        (SMALL_SBM.replace("size: 12", "size: true"), [], "graph.sbm.size must be an integer, got True"),
-        (SMALL_SBM.replace("seed: 2}", "seed: 2.5}"), [], "graph.sbm.seed must be an integer, got 2.5"),
-        (SMALL_SBM.replace("p_in: 0.5", "p_in: high"), [], "graph.sbm.p_in must be a number, got 'high'"),
-        (SMALL_SBM.replace("p_out: 0.05", "p_out: true"), [], "graph.sbm.p_out must be a number, got True"),
+         "graph.sbm.communities must be a non-negative integer, got 4.0"),
+        (SMALL_SBM.replace("size: 12", "size: true"), [], "graph.sbm.size must be a non-negative integer, got True"),
+        (SMALL_SBM.replace("seed: 2}", "seed: 2.5}"), [], "graph.sbm.seed must be a non-negative integer, got 2.5"),
+        (SMALL_SBM.replace("p_in: 0.5", "p_in: high"), [], "graph.sbm.p_in must be a finite number, got 'high'"),
+        (SMALL_SBM.replace("p_out: 0.05", "p_out: true"), [], "graph.sbm.p_out must be a finite number, got True"),
         (SMALL_SBM.replace("p_in: 0.5, p_out: 0.05", "p_in: 0.0, p_out: 0.0"), [], "graph.sbm drew no edges"),
         (SMALL_SBM + "master_seed: -1\n", [], "master_seed must be a non-negative integer, got -1"),
         ("repetitions: 5\n", ["--seed", "-1"], "master_seed must be a non-negative integer, got -1"),
@@ -1024,11 +1027,19 @@ def test_config_file_lets_a_key_override_a_yaml_merge(tmp_path):
         (SMALL_SBM.replace("blocks: true", "gamma: 1.0") + "model: {sigma: -1}\n", [],
          "model.sigma must be a finite number >= 0, got -1"),
         (SMALL_SBM.replace("blocks: true", "gamma: -1"), [], "clustering.gamma must be a finite number > 0, got -1"),
-        (SMALL_SBM.replace("blocks: true", "gamma: .nan"), [], "clustering.gamma must be a finite number > 0, got nan"),
-        (SMALL_SBM.replace("blocks: true", "gamma: .inf"), [], "clustering.gamma must be a finite number > 0, got inf"),
+        (SMALL_SBM.replace("blocks: true", "gamma: .nan"), [], "clustering.gamma must be a finite number, got nan"),
+        (SMALL_SBM.replace("blocks: true", "gamma: .inf"), [], "clustering.gamma must be a finite number, got inf"),
         (SMALL_SBM + "model: {kind: partial_linear, v: normal}\n", [],
          "truth global_treatment_mean is the mean of Y(1), the GATE only where Y(0) is 0, "
          "but model.v 'normal' adds v to Y(0): set truth: gate"),
+        (SMALL_SBM + f"model: {{beta: {BIG}}}\n", [], f"model.beta must be a finite number, got {BIG}"),
+        (SMALL_SBM.replace("blocks: true", f"gamma: {BIG}"), [],
+         f"clustering.gamma must be a finite number, got {BIG}"),
+        (SMALL_SBM + f"predictor: {{ridge_lambda: {BIG}}}\n", [],
+         f"predictor.ridge_lambda must be null or a finite number, got {BIG}"),
+        (SMALL_SBM.replace("p_in: 0.5", "p_in: .nan"), [], "graph.sbm.p_in must be a finite number, got nan"),
+        (SMALL_SBM.replace("communities: 4,", "communities: -2,"), [],
+         "graph.sbm.communities must be a non-negative integer, got -2"),
     ],
     ids=[
         "missing-file", "unknown-key", "keys-of-mixed-types", "key-repeated", "section-repeated",
@@ -1047,7 +1058,8 @@ def test_config_file_lets_a_key_override_a_yaml_merge(tmp_path):
         "sbm-p-in-a-string", "sbm-p-out-a-bool", "sbm-edgeless",
         "master-seed-negative", "master-seed-flag-negative", "clustering-seed-negative", "sbm-seed-negative",
         "v-seed-negative", "sigma-negative", "gamma-negative", "gamma-nan", "gamma-inf",
-        "truth-mean-with-node-effects",
+        "truth-mean-with-node-effects", "beta-beyond-float", "gamma-beyond-float", "ridge-lambda-beyond-float",
+        "sbm-p-in-nan", "sbm-communities-negative",
     ],
 )
 def test_cli_run_bad_config_is_a_usage_error(monkeypatch, tmp_path, capsys, config_text, flags, message):
@@ -1138,27 +1150,46 @@ def test_cli_stats_bad_gamma_is_a_usage_error(tmp_path, capsys):
     path, _ = write_sbm_edge_file(tmp_path)
     code = cli.main(["stats", "--graph", str(path), "--gamma", "0"])
     assert code == 2
-    assert capsys.readouterr().err.startswith("error: resolution must be positive")
+    assert capsys.readouterr().err == "error: clustering.gamma must be a finite number > 0, got 0.0\n"
 
 
 @pytest.mark.parametrize("gamma", ["nan", "inf"])
-def test_cli_stats_non_finite_gamma_is_a_usage_error(tmp_path, capsys, gamma):
-    """A NaN modularity would never meet Louvain's pass-stop test."""
+def test_cli_stats_non_finite_gamma_is_a_usage_error(monkeypatch, tmp_path, capsys, gamma):
+    """A NaN modularity would never meet Louvain's pass-stop test: the config
+    refuses the resolution before the network loads."""
+    monkeypatch.setattr(harness, "load_edge_list", lambda *args: pytest.fail("the network loaded"))
     path, _ = write_sbm_edge_file(tmp_path)
     code = cli.main(["stats", "--graph", str(path), "--gamma", gamma])
     assert code == 2
-    assert capsys.readouterr().err.startswith("error: resolution must be positive")
+    assert capsys.readouterr().err == f"error: clustering.gamma must be a finite number, got {gamma}\n"
+
+
+def write_tri_ring(tmp_path, partition=None):
+    """The path of a config whose graph is the tri-ring, written as an edge file, and
+    whose clustering reads the partition file text `partition` (the tri-ring's own
+    clusters when None)."""
+    from netgate.graph import write_partition
+    from netgate.oracles import tri_ring, tri_ring_partition
+
+    gpath, ppath, cpath = tmp_path / "tri.edges", tmp_path / "tri.part", tmp_path / "tri.yaml"
+    write_edge_list(tri_ring(), gpath)
+    if partition is None:
+        write_partition(tri_ring_partition(), ppath)
+    else:
+        ppath.write_text(partition, encoding="utf-8")
+    cpath.write_text(yaml.safe_dump({"graph": {"path": str(gpath)}, "clustering": {"partition": str(ppath)}}),
+                     encoding="utf-8")
+    return cpath
 
 
 @pytest.mark.parametrize("p", ["1.5", "0", "nan"])
 def test_cli_enumerate_bad_p_is_a_usage_error(tmp_path, capsys, p):
-    from netgate.oracles import tri_ring
-
-    gpath = tmp_path / "tri.edges"
-    write_edge_list(tri_ring(), gpath)
-    code = cli.main(["enumerate", "--graph", str(gpath), "--p", p])
+    cpath = write_tri_ring(tmp_path)
+    code = cli.main(["enumerate", "--config", str(cpath), "--p", p])
     assert code == 2
-    assert capsys.readouterr().err.startswith("error: treatment proportion must be in (0,1)")
+    message = {"1.5": "treatment proportion 1.5 outside (0,1)", "0": "treatment proportion 0.0 outside (0,1)",
+               "nan": "proportions must be a list of finite numbers, got [nan]"}[p]
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_cli_stats(tmp_path, capsys):
@@ -1181,6 +1212,19 @@ def test_cli_stats_prints_the_clustering_stats_sidecar(tmp_path, capsys):
     assert "".join(lines[2:]) == (out_dir / "clustering_stats.txt").read_text()
 
 
+def test_cli_stats_reads_the_config_as_run_does(tmp_path, capsys):
+    """`netgate stats --config` builds the config's graph and partition as
+    `netgate run` does, here an SBM draw clustered by its blocks."""
+    cpath, out_dir = tmp_path / "sbm.yaml", tmp_path / "out"
+    cpath.write_text(SMALL_SBM + "estimators: [DIM]\n", encoding="utf-8")
+    assert cli.main(["run", "--config", str(cpath), "--out", str(out_dir)]) == 0
+    capsys.readouterr()
+    assert cli.main(["stats", "--config", str(cpath)]) == 0
+    lines = capsys.readouterr().out.splitlines(keepends=True)
+    assert lines[:2] == ["nodes 48\n", f"edges {build_graph(ExperimentConfig.from_file(cpath)).edge_count}\n"]
+    assert "".join(lines[2:]) == (out_dir / "clustering_stats.txt").read_text()
+
+
 @pytest.mark.parametrize("command", ["run", "stats", "enumerate"])
 def test_cli_notes_what_the_network_load_dropped(tmp_path, capsys, command):
     """run, stats and enumerate print one stderr line when the edge list held a
@@ -1190,10 +1234,11 @@ def test_cli_notes_what_the_network_load_dropped(tmp_path, capsys, command):
 
     n = 40
     g = from_edges(np.arange(n), (np.arange(n) + 1) % n, n)  # a ring
-    gpath, ppath = tmp_path / "ring.edges", tmp_path / "ring.part"
+    gpath, ppath, cpath = tmp_path / "ring.edges", tmp_path / "ring.part", tmp_path / "ring.yaml"
     write_partition(decompose(g, np.repeat(np.arange(4), 10)), ppath)
+    cpath.write_text(yaml.safe_dump({"clustering": {"partition": str(ppath)}}), encoding="utf-8")
     args = {"run": ["--gamma", "1.0", "--p", "0.5", "--reps", "3", "--estimators", "DIM,HT"],
-            "stats": [], "enumerate": ["--partition", str(ppath)]}[command]
+            "stats": ["--gamma", "5.0"], "enumerate": ["--config", str(cpath)]}[command]
     captured = {}
     for name, extra in (("clean", ""), ("dirty", "7 7\n0 1\n1 0\n2 1\n")):
         write_edge_list(g, gpath)
@@ -1221,39 +1266,51 @@ def test_cli_enumerate_refuses_large_cluster_counts(tmp_path, capsys):
     write_edge_list(g, gpath)
     ppath = tmp_path / "path.part"
     write_partition(decompose(g, np.arange(n)), ppath)
-    code = cli.main(["enumerate", "--graph", str(gpath), "--partition", str(ppath)])
+    cpath = tmp_path / "path.yaml"
+    cpath.write_text(yaml.safe_dump({"clustering": {"partition": str(ppath)}}), encoding="utf-8")
+    code = cli.main(["enumerate", "--config", str(cpath), "--graph", str(gpath)])
     assert code == 2
     assert "enumeration guard" in capsys.readouterr().err
 
 
 def test_cli_enumerate_refuses_an_out_of_range_cluster_id(tmp_path, capsys):
-    from netgate.oracles import tri_ring
-
-    gpath = tmp_path / "tri.edges"
-    write_edge_list(tri_ring(), gpath)
-    ppath = tmp_path / "tri.part"
-    ppath.write_text("".join(f"{i} 0\n" for i in range(8)) + "8 99999999999999999999999\n", encoding="utf-8")
-    code = cli.main(["enumerate", "--graph", str(gpath), "--partition", str(ppath)])
+    cpath = write_tri_ring(tmp_path, "".join(f"{i} 0\n" for i in range(8)) + "8 99999999999999999999999\n")
+    code = cli.main(["enumerate", "--config", str(cpath)])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: line 9: cluster 99999999999999999999999 out of range")
 
 
 def test_cli_enumerate_reports_unbiasedness(tmp_path, capsys):
-    from netgate.graph import write_partition
-    from netgate.oracles import tri_ring, tri_ring_partition
-
-    g = tri_ring()
-    gpath = tmp_path / "tri.edges"
-    write_edge_list(g, gpath)
-    ppath = tmp_path / "tri.part"
-    write_partition(tri_ring_partition(), ppath)
-    code = cli.main(
-        ["enumerate", "--graph", str(gpath), "--partition", str(ppath), "--p", "0.4"]
-    )
+    """One block of lines per proportion, each with an exact design expectation
+    of HT equal to the true GATE."""
+    cpath = write_tri_ring(tmp_path)
+    code = cli.main(["enumerate", "--config", str(cpath), "--p", "0.2,0.5"])
     assert code == 0
-    out = capsys.readouterr().out
-    diff = float([l for l in out.splitlines() if l.startswith("difference")][0].split()[1])
-    assert diff < 1e-12
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["clusters 3", "true_gate 2"]  # the default model: beta 1, r1 1, r2 0
+    assert [line.split()[0] for line in lines[2:]] == ["p", "difference", "exposure_probability_error",
+                                                       "probability_mass_error"] * 2
+    assert [lines[2], lines[6]] == ["p 0.2", "p 0.5"]
+    for block in (lines[2:6], lines[6:10]):
+        assert all(float(line.split()[1]) < 1e-12 for line in block[1:])
+
+
+@pytest.mark.parametrize(
+    "model, message",
+    [("{beta: .inf}", "model.beta must be a finite number, got inf"),
+     ("{beta: 1.0e+308, r1: 1.0e+308}", "oracle case p=0.1: HT is not finite on cluster bits")],
+    ids=["infinite", "overflowing"],
+)
+def test_cli_enumerate_refuses_a_non_finite_model(tmp_path, capsys, model, message):
+    """A coefficient that is not finite is refused with the config; finite
+    ones whose potential overflows leave HT non-finite on an assignment,
+    which the enumeration refuses instead of summing."""
+    cpath = write_tri_ring(tmp_path)
+    with cpath.open("a", encoding="utf-8") as fh:
+        fh.write(f"model: {model}\n")
+    code = cli.main(["enumerate", "--config", str(cpath)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 def test_readme_library_example_names_resolve_on_the_package_root():
