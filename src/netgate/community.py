@@ -12,9 +12,8 @@ from dataclasses import astuple, dataclass
 from itertools import repeat
 
 import numpy as np
-import scipy.sparse as sp
 
-from .graph import Graph, Partition, decompose
+from .graph import Graph, Partition, decompose, run_starts
 
 _PASS_GAIN_TOL = 1e-7
 
@@ -77,6 +76,7 @@ class _LevelGraph:
         self.indptr = indptr
         self.indices = indices
         self.weights = weights
+        self.unit_weights = bool((weights == 1.0).all())
         self.self_w = self_w
         self.total_weight = total_weight  # invariant across levels (= 2m)
         self.n = len(indptr) - 1
@@ -91,22 +91,35 @@ class _LevelGraph:
         return cls(g.indptr, g.indices, w, np.zeros(g.node_count), 2.0 * g.edge_count)
 
     def aggregate(self, comm: np.ndarray) -> "_LevelGraph":
+        """The level whose nodes are the communities comm labels 0..k-1: an entry
+        per linked pair, weighing the entries between them, and a self-loop per
+        community, weighing the entries and self-loops within it."""
         k = int(comm.max()) + 1
-        row = np.repeat(comm, self.row_len)
-        col = comm[self.indices]
-        coarse = sp.coo_matrix((self.weights, (row, col)), shape=(k, k)).tocsr()
-        coarse.sum_duplicates()
-        self_w = np.asarray(coarse.diagonal()).ravel()
-        self_w += np.bincount(comm, weights=self.self_w, minlength=k)
-        coarse.setdiag(0.0)
-        coarse.eliminate_zeros()
-        return _LevelGraph(
-            coarse.indptr.astype(np.int64),
-            coarse.indices.astype(np.int64),
-            coarse.data,
-            self_w,
-            self.total_weight,
-        )
+        # one key comm[row]*k + comm[col] per entry, sorted in place: each run of
+        # equal keys is one coarse entry, in CSR order, and c*(k+1) is c's self-loop
+        keys = np.repeat(comm * k, self.row_len)
+        keys += comm[self.indices]
+        if self.unit_weights:
+            keys.sort()
+            weights = None
+        else:
+            order = np.argsort(keys, kind="stable")
+            keys = keys[order]
+            weights = self.weights[order]
+        first = run_starts(keys)
+        starts = np.flatnonzero(first)
+        if weights is None:
+            weights = np.diff(starts, append=len(keys)).astype(np.float64)
+        else:
+            weights = np.add.reduceat(weights, starts)
+        keys = keys[first]
+        loop = keys % (k + 1) == 0
+        self_w = np.bincount(comm, weights=self.self_w, minlength=k)
+        self_w[keys[loop] // (k + 1)] += weights[loop]
+        keys, weights = keys[~loop], weights[~loop]
+        indptr = np.searchsorted(keys, np.arange(k + 1) * k)  # row c's keys start at c*k
+        keys %= k
+        return _LevelGraph(indptr, keys, weights, self_w, self.total_weight)
 
 
 def _one_level(
@@ -132,11 +145,11 @@ def _one_level(
     self_w = level.self_w.tolist()
     intra = list(self_w)
     ptr = level.indptr.tolist()
-    # no self-loops at any level: Graph is simple and aggregate() drops the diagonal
-    labels = np.array(comm, dtype=object)[level.indices]
-    nbrs = [labels[s:e].tolist() for s, e in zip(ptr, ptr[1:])]
-    del labels
-    if (level.weights == 1.0).all():
+    # no self-loops at any level: Graph is simple and aggregate() keeps them apart;
+    # one row's gather at a time, so no gathered copy of every entry is made
+    ids = np.array(comm, dtype=object)
+    nbrs = [ids[level.indices[s:e]].tolist() for s, e in zip(ptr, ptr[1:])]
+    if level.unit_weights:
         wts = None  # integer counts equal the float sums of unit weights
     else:
         wts = [level.weights[s:e].tolist() for s, e in zip(ptr, ptr[1:])]

@@ -39,8 +39,9 @@ class DrawBlock:
     @cached_property
     def pz(self) -> np.ndarray:
         table, offset = self.partition.graph.share_table
-        index = self.partition.neighbor_counts @ self.bits.T  # N T: each node's treated neighbors per draw
-        index += offset[:, None]
+        # N T (int32): each node's treated neighbors per draw; the index is int64,
+        # as the table may hold 2^31 entries or more
+        index = offset[:, None] + self.partition.neighbor_counts @ self.bits.T
         pz = table[index]
         pz.setflags(write=False)
         return pz

@@ -133,28 +133,39 @@ def from_edges(
         raise EdgeListFormatError("empty graph")
     u = np.asarray(u, dtype=np.int64)
     v = np.asarray(v, dtype=np.int64)
-    loops = u == v
-    u, v = u[~loops], v[~loops]
-    # one sort of the directed keys src*n + dst puts both halves in CSR order; an
-    # edge repeated in either direction repeats both of its keys
-    forward = u * node_count + v
-    keys = _sorted_unique(np.concatenate([forward, v * node_count + u]))
-    src, dst = np.divmod(keys, node_count)
-    indptr = np.zeros(node_count + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=node_count), out=indptr[1:])
-    distinct = len(_sorted_unique(forward)) if general else len(keys) // 2
-    if general and distinct != len(keys):  # the keys also hold the mirror of every entry
-        raise EdgeListFormatError(f"MatrixMarket general file: no mirror entry for {len(keys) - distinct} of its "
+    kept = u != v
+    m = int(kept.sum())
+    # one array of the directed keys src*n + dst, forward half then reverse half;
+    # one in-place sort puts both halves in CSR order, and an edge repeated in
+    # either direction repeats both of its keys
+    keys = np.empty(2 * m, dtype=np.int64)
+    np.multiply(u[kept], node_count, out=keys[:m])
+    keys[:m] += v[kept]
+    np.multiply(v[kept], node_count, out=keys[m:])
+    keys[m:] += u[kept]
+    entries = len(_sorted_unique(keys[:m])) if general else 0  # counted before the sort mixes the halves
+    keys.sort()
+    keys = keys[run_starts(keys)]
+    if general and entries != len(keys):  # the keys also hold the mirror of every entry
+        raise EdgeListFormatError(f"MatrixMarket general file: no mirror entry for {len(keys) - entries} of its "
                                   "distinct entries (list each edge in both directions)")
-    return Graph(indptr, dst, labels, int(loops.sum()), len(u) - distinct)
+    distinct = entries if general else len(keys) // 2
+    indptr = np.searchsorted(keys, np.arange(node_count + 1) * node_count)  # row i's keys start at i*n
+    keys %= node_count  # now each entry's column: the CSR indices
+    return Graph(indptr, keys, labels, len(u) - m, m - distinct)
+
+
+def run_starts(a: np.ndarray) -> np.ndarray:
+    """Mask of the first element of each run of equal values in a sorted array."""
+    first = np.ones(len(a), dtype=bool)
+    np.not_equal(a[1:], a[:-1], out=first[1:])
+    return first
 
 
 def _sorted_unique(a: np.ndarray) -> np.ndarray:
     """np.unique(a) by one sort; numpy's hash-based unique is several times slower here."""
     a = np.sort(a)
-    keep = np.ones(len(a), dtype=bool)
-    np.not_equal(a[1:], a[:-1], out=keep[1:])
-    return a[keep]
+    return a[run_starts(a)]
 
 
 _INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
@@ -300,10 +311,12 @@ def load_edge_list(path: str | Path, fmt: EdgeFormat = "auto") -> Graph:
     data = Path(path).read_bytes()
     parsed = _bulk_parse(data, fmt)
     if parsed is None:
-        lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")  # universal newlines
-        raw_u, raw_v, mm_size = _parse_lines(lines, fmt)
+        # universal newlines; no name keeps the wrapper, so the del below frees the bytes
+        raw_u, raw_v, mm_size = _parse_lines(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"), fmt)
         parsed = np.asarray(raw_u, dtype=np.int64), np.asarray(raw_v, dtype=np.int64), mm_size
+        del raw_u, raw_v
     u, v, mm_size = parsed
+    del data, parsed  # so that the relabeled endpoints replace the parsed ones
 
     if mm_size is not None and len(u) != mm_size[1]:
         raise EdgeListFormatError(
@@ -338,7 +351,7 @@ class Partition:
     {i} union N(i,1); interior_mask[i] (touch count 1) is True iff every neighbor of
     i shares i's cluster, and interior_nodes lists those nodes in increasing order
     (read-only). neighbor_counts is the sparse node-by-cluster matrix N whose entry
-    (i, j) counts i's neighbors in cluster j (CSC, read-only), so N t counts each
+    (i, j) counts i's neighbors in cluster j (CSC, int32, read-only), so N t counts each
     node's treated neighbors under cluster bits t. graph is the Graph it was
     decomposed on, and clustering records the method that made it (None: by hand).
     """
@@ -392,19 +405,17 @@ def decompose(g: Graph, cluster_of: np.ndarray, clustering: dict | None = None) 
     # j is i's own cluster, and the runs of node i count its touched clusters
     k = len(used)
     nodes = np.arange(n)
-    keys = np.sort(np.concatenate([
-        cluster_of[g.indices] * n + np.repeat(nodes, g.degrees), cluster_of * n + nodes
-    ]))
-    first = np.ones(len(keys), dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    starts = np.flatnonzero(first)
+    keys = np.concatenate([cluster_of[g.indices] * n + np.repeat(nodes, g.degrees), cluster_of * n + nodes])
+    keys.sort()
+    starts = np.flatnonzero(run_starts(keys))
     cluster, node = np.divmod(keys[starts], n)
     touch = np.bincount(node, minlength=n)
     counts = np.diff(starts, append=len(keys)) - (cluster == cluster_of[node])
     linked = counts > 0
     indptr = np.zeros(k + 1, dtype=np.int64)
     np.cumsum(np.bincount(cluster[linked], minlength=k), out=indptr[1:])
-    neighbor_counts = sp.csc_matrix((counts[linked], node[linked], indptr), shape=(n, k))
+    # 4-byte counts (each at most a degree) make N T a 4-byte product
+    neighbor_counts = sp.csc_matrix((counts[linked].astype(np.int32), node[linked], indptr), shape=(n, k))
     return Partition(cluster_of, touch, neighbor_counts, g, clustering)
 
 

@@ -341,6 +341,64 @@ def test_from_edges_matches_dedupe_then_build(edges):
     assert np.allclose(g.diag_p_squared, np.diag(p @ p), rtol=0.0, atol=1e-12)
 
 
+def _copying_from_edges(u, v, n, general=False):
+    """from_edges as separate forward, reverse, concatenated and sorted copies
+    of the directed keys and a divmod pair: indptr, indices and the two drop
+    counts, or the EdgeListFormatError of a general list with a missing mirror."""
+    loops = u == v
+    u, v = u[~loops], v[~loops]
+    forward = u * n + v
+    keys = np.unique(np.concatenate([forward, v * n + u]))
+    src, dst = np.divmod(keys, n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    distinct = len(np.unique(forward)) if general else len(keys) // 2
+    if general and distinct != len(keys):
+        raise EdgeListFormatError(f"MatrixMarket general file: no mirror entry for {len(keys) - distinct} of its "
+                                  "distinct entries (list each edge in both directions)")
+    return indptr, dst, int(loops.sum()), len(u) - distinct
+
+
+@st.composite
+def general_entry_lists(draw):
+    """The entries of a MatrixMarket general file over n nodes (some isolated):
+    each edge in both directions, some entries repeated as they are, some
+    self-loops and, in about half the lists, some mirror entries left out."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    node = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(node, node).filter(lambda e: e[0] != e[1]), max_size=20))
+    entries = pairs + [(b, a) for a, b in pairs]
+    if entries:
+        entries += draw(st.lists(st.sampled_from(entries), max_size=10))
+        if draw(st.booleans()):
+            left_out = set(draw(st.lists(st.sampled_from(entries), min_size=1, max_size=5)))
+            entries = [e for e in entries if e not in left_out]
+    entries += [(i, i) for i in draw(st.lists(node, max_size=4))]
+    entries = draw(st.permutations(entries))
+    u = np.array([a for a, _ in entries], dtype=np.int64)
+    v = np.array([b for _, b in entries], dtype=np.int64)
+    return u, v, n
+
+
+@given(st.one_of(endpoint_lists().map(lambda e: (*e, False)), general_entry_lists().map(lambda e: (*e, True))))
+@settings(max_examples=300, deadline=None)
+def test_from_edges_equals_the_copying_construction(case):
+    """One key array, sorted and deduplicated in place, gives the CSR, the drop
+    counts and the mirror error of the construction that copies its keys."""
+    u, v, n, general = case
+    try:
+        want = _copying_from_edges(u, v, n, general)
+    except EdgeListFormatError as err:
+        with pytest.raises(EdgeListFormatError) as got:
+            from_edges(u, v, n, general=general)
+        assert str(got.value) == str(err)
+        return
+    g = from_edges(u, v, n, general=general)
+    assert g.indptr.tobytes() == want[0].tobytes()
+    assert g.indices.tobytes() == want[1].tobytes()
+    assert (g.dropped_self_loops, g.dropped_duplicates) == want[2:]
+
+
 def test_load_label_beyond_int64_reports_line_number(temp_file):
     with pytest.raises(EdgeListFormatError) as err:
         load_edge_list(temp_file(b"0 1\n1 2\n99999999999999999999 2\n"))
