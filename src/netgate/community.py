@@ -13,7 +13,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .graph import Graph, Partition, decompose, run_starts
+from .graph import Graph, Partition, decompose, index_dtype, key_csr
 
 _PASS_GAIN_TOL = 1e-7
 
@@ -70,56 +70,50 @@ class _LevelGraph:
 
     Every weight is a count of original edges, so sums of weights are exact
     in floating point whatever the order of additions and subtractions.
+    weights is None when every weight is 1, as at level 0.
     """
 
     def __init__(self, indptr, indices, weights, self_w, total_weight):
         self.indptr = indptr
         self.indices = indices
         self.weights = weights
-        self.unit_weights = bool((weights == 1.0).all())
         self.self_w = self_w
         self.total_weight = total_weight  # invariant across levels (= 2m)
         self.n = len(indptr) - 1
         self.row_len = np.diff(indptr)
-        row = np.repeat(np.arange(self.n), self.row_len)
-        # strength includes the self-loop weight once
-        self.strength = np.bincount(row, weights=weights, minlength=self.n) + self_w
+        row_w = self.row_len  # each row's weight sum
+        if weights is not None:
+            row_w = np.bincount(np.repeat(np.arange(self.n), self.row_len), weights=weights, minlength=self.n)
+        self.strength = row_w + self_w  # the self-loop weight counts once
 
     @classmethod
     def from_graph(cls, g: Graph) -> "_LevelGraph":
-        w = np.ones(len(g.indices))
-        return cls(g.indptr, g.indices, w, np.zeros(g.node_count), 2.0 * g.edge_count)
+        return cls(g.indptr, g.indices, None, np.zeros(g.node_count), 2.0 * g.edge_count)
 
     def aggregate(self, comm: np.ndarray) -> "_LevelGraph":
         """The level whose nodes are the communities comm labels 0..k-1: an entry
         per linked pair, weighing the entries between them, and a self-loop per
         community, weighing the entries and self-loops within it."""
         k = int(comm.max()) + 1
-        # one key comm[row]*k + comm[col] per entry, sorted in place: each run of
-        # equal keys is one coarse entry, in CSR order, and c*(k+1) is c's self-loop
+        # one key comm[row]*k + comm[col] per entry: each run of equal keys is one
+        # coarse entry, in CSR order, and the entries on the diagonal are self-loops
+        comm = comm.astype(index_dtype(k * k))
         keys = np.repeat(comm * k, self.row_len)
         keys += comm[self.indices]
-        if self.unit_weights:
-            keys.sort()
-            weights = None
-        else:
+        if self.weights is not None:  # sorted with their keys; key_csr's sort then keeps the order
             order = np.argsort(keys, kind="stable")
-            keys = keys[order]
-            weights = self.weights[order]
-        first = run_starts(keys)
+            keys, weights = keys[order], self.weights[order]
+        indptr, cols, first = key_csr(keys, k, k)
         starts = np.flatnonzero(first)
-        if weights is None:
-            weights = np.diff(starts, append=len(keys)).astype(np.float64)
+        if self.weights is None:
+            weights = np.diff(starts, append=len(first)).astype(np.float64)
         else:
             weights = np.add.reduceat(weights, starts)
-        keys = keys[first]
-        loop = keys % (k + 1) == 0
+        loop = cols == np.repeat(np.arange(k), np.diff(indptr))
         self_w = np.bincount(comm, weights=self.self_w, minlength=k)
-        self_w[keys[loop] // (k + 1)] += weights[loop]
-        keys, weights = keys[~loop], weights[~loop]
-        indptr = np.searchsorted(keys, np.arange(k + 1) * k)  # row c's keys start at c*k
-        keys %= k
-        return _LevelGraph(indptr, keys, weights, self_w, self.total_weight)
+        self_w[cols[loop]] += weights[loop]
+        indptr[1:] -= np.cumsum(np.bincount(cols[loop], minlength=k))
+        return _LevelGraph(indptr, cols[~loop], weights[~loop], self_w, self.total_weight)
 
 
 def _one_level(
@@ -149,7 +143,7 @@ def _one_level(
     # one row's gather at a time, so no gathered copy of every entry is made
     ids = np.array(comm, dtype=object)
     nbrs = [ids[level.indices[s:e]].tolist() for s, e in zip(ptr, ptr[1:])]
-    if level.unit_weights:
+    if level.weights is None:
         wts = None  # integer counts equal the float sums of unit weights
     else:
         wts = [level.weights[s:e].tolist() for s, e in zip(ptr, ptr[1:])]

@@ -32,7 +32,7 @@ class Graph:
     """Immutable undirected simple graph in CSR form.
 
     Node i's neighbors are indices[indptr[i]:indptr[i + 1]], sorted; degrees[i]
-    is their count.
+    is their count. All three are int32 while n and nnz fit it, so scipy's operators share them.
     """
 
     def __init__(
@@ -43,8 +43,9 @@ class Graph:
         dropped_self_loops: int = 0,
         dropped_duplicates: int = 0,
     ):
-        self.indptr = np.asarray(indptr, dtype=np.int64)
-        self.indices = np.asarray(indices, dtype=np.int64)
+        index = index_dtype(max(len(indptr), len(indices)))
+        self.indptr = np.asarray(indptr, dtype=index)
+        self.indices = np.asarray(indices, dtype=index)
         self.degrees = np.diff(self.indptr)
         self.labels = None if labels is None else np.asarray(labels)
         self.dropped_self_loops = int(dropped_self_loops)
@@ -78,7 +79,7 @@ class Graph:
     def row_normalized(self) -> sp.csr_matrix:
         """Random-walk matrix P = D^-1 A, zero rows on isolated nodes."""
         n = self.node_count
-        data = 1.0 / np.repeat(self.degrees, self.degrees)  # every CSR entry's row has degree >= 1
+        data = np.repeat(1.0 / np.maximum(self.degrees, 1), self.degrees)  # isolated nodes repeat 0 times
         return sp.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
 
     @cached_property
@@ -112,11 +113,14 @@ class Graph:
 
     @cached_property
     def diag_p_squared(self) -> np.ndarray:
-        """diag((D^-1 A)^2): sum over neighbors j of 1/(deg_i deg_j) (read-only).
-        Every CSR entry's row and column have degree >= 1."""
-        deg = self.degrees.astype(np.float64)
-        row = np.repeat(np.arange(self.node_count), self.degrees)
-        diag = np.bincount(row, weights=1.0 / (deg[row] * deg[self.indices]), minlength=self.node_count)
+        """diag((D^-1 A)^2): sum over neighbors j of 1/(deg_i deg_j), from 0.0 in
+        index order (read-only)."""
+        deg, diag = self.degrees.astype(np.float64), np.empty(self.node_count)
+        for r in range(0, len(diag), 1024):  # a block of rows at a time: no temporary of nnz entries
+            rows = slice(r, min(r + 1024, len(diag)))
+            row = np.repeat(np.arange(rows.stop - r), self.degrees[rows])
+            col = self.indices[self.indptr[r] : self.indptr[rows.stop]]
+            diag[rows] = np.bincount(row, weights=1.0 / (deg[rows][row] * deg[col]), minlength=rows.stop - r)
         diag.setflags(write=False)
         return diag
 
@@ -124,35 +128,51 @@ class Graph:
 def from_edges(
     u: np.ndarray, v: np.ndarray, node_count: int, labels: np.ndarray | None = None, general: bool = False
 ) -> Graph:
-    """Build a simple Graph from parallel endpoint arrays already relabeled to
-    0..n-1. Self-loops and edges repeated in either direction are dropped, and
-    the Graph counts both; with general=True (the entries of a MatrixMarket general
-    file, which lists each edge's mirror entry too) a duplicate is an entry repeated as it is,
-    and an entry without its mirror, a directed edge, is an EdgeListFormatError."""
+    """Build a simple Graph from parallel endpoint arrays already relabeled to 0..n-1 (any other
+    endpoint is an EdgeListFormatError). Self-loops and edges repeated in either direction are dropped,
+    and the Graph counts both; with general=True (the entries of a MatrixMarket general file, which
+    lists each edge's mirror entry too) a duplicate is an entry repeated as it is, and an entry
+    without its mirror, a directed edge, is an EdgeListFormatError."""
     if node_count <= 0:
         raise EdgeListFormatError("empty graph")
     u = np.asarray(u, dtype=np.int64)
     v = np.asarray(v, dtype=np.int64)
+    outside = sum(np.count_nonzero(a.view(np.uint64) >= node_count) for a in (u, v))  # negatives wrap high
+    if outside:
+        raise EdgeListFormatError(f"entry outside declared size: {outside} endpoints not among the {node_count} nodes")
     kept = u != v
     m = int(kept.sum())
     # one array of the directed keys src*n + dst, forward half then reverse half;
-    # one in-place sort puts both halves in CSR order, and an edge repeated in
-    # either direction repeats both of its keys
-    keys = np.empty(2 * m, dtype=np.int64)
+    # key_csr's in-place sort puts both halves in CSR order, and an edge repeated
+    # in either direction repeats both of its keys
+    keys = np.empty(2 * m, dtype=index_dtype(node_count * node_count))
     np.multiply(u[kept], node_count, out=keys[:m])
     keys[:m] += v[kept]
     np.multiply(v[kept], node_count, out=keys[m:])
     keys[m:] += u[kept]
     entries = len(_sorted_unique(keys[:m])) if general else 0  # counted before the sort mixes the halves
+    indptr, indices, _ = key_csr(keys, node_count, node_count)
+    if general and entries != len(indices):  # the keys also hold the mirror of every entry
+        raise EdgeListFormatError(f"MatrixMarket general file: no mirror entry for {len(indices) - entries} of "
+                                  "its distinct entries (list each edge in both directions)")
+    distinct = entries if general else len(indices) // 2
+    return Graph(indptr, indices, labels, len(u) - m, m - distinct)
+
+
+def index_dtype(largest: int) -> type:
+    """int32 for indices up to `largest` if it fits, else int64; keys row*width + col take rows*width."""
+    return np.int32 if largest <= np.iinfo(np.int32).max else np.int64
+
+
+def key_csr(keys: np.ndarray, rows: int, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSR of keys row*width + col (col < width) of `index_dtype(rows*width)`, sorted here in place:
+    indptr, the col of each run of equal keys (one entry a run) and the mask of each run's first key."""
     keys.sort()
-    keys = keys[run_starts(keys)]
-    if general and entries != len(keys):  # the keys also hold the mirror of every entry
-        raise EdgeListFormatError(f"MatrixMarket general file: no mirror entry for {len(keys) - entries} of its "
-                                  "distinct entries (list each edge in both directions)")
-    distinct = entries if general else len(keys) // 2
-    indptr = np.searchsorted(keys, np.arange(node_count + 1) * node_count)  # row i's keys start at i*n
-    keys %= node_count  # now each entry's column: the CSR indices
-    return Graph(indptr, keys, labels, len(u) - m, m - distinct)
+    first = run_starts(keys)
+    cols = keys[first]
+    indptr = np.searchsorted(cols, np.arange(rows + 1, dtype=keys.dtype) * width)  # row r's keys start at r*width
+    cols %= width
+    return indptr, cols, first
 
 
 def run_starts(a: np.ndarray) -> np.ndarray:
@@ -327,10 +347,8 @@ def load_edge_list(path: str | Path, fmt: EdgeFormat = "auto") -> Graph:
 
     if mm_size is not None:
         n = mm_size[0]
-        u -= 1
+        u -= 1  # from_edges refuses an entry outside the declared size
         v -= 1
-        if u.min() < 0 or v.min() < 0 or u.max() >= n or v.max() >= n:
-            raise EdgeListFormatError("MatrixMarket entry outside declared size")
         labels = np.arange(1, n + 1, dtype=np.int64)
     else:
         labels = _sorted_unique(np.concatenate([u, v]))
@@ -400,22 +418,19 @@ def decompose(g: Graph, cluster_of: np.ndarray, clustering: dict | None = None) 
     if used[0] != 0 or used[-1] != len(used) - 1:
         raise ValueError("cluster indices must be dense 0..K-1")
 
-    # one sort of (cluster, node) keys over every neighbor plus each node itself:
-    # a run of equal keys holds i's neighbors in cluster j, and i once more when
-    # j is i's own cluster, and the runs of node i count its touched clusters
+    # one (cluster, node) key cluster_of[j]*n + i per neighbor j of node i: a run
+    # of equal keys holds i's neighbors in cluster j, one entry of N's column j,
+    # and node i touches its own cluster and the others its runs name
     k = len(used)
-    nodes = np.arange(n)
-    keys = np.concatenate([cluster_of[g.indices] * n + np.repeat(nodes, g.degrees), cluster_of * n + nodes])
-    keys.sort()
-    starts = np.flatnonzero(run_starts(keys))
-    cluster, node = np.divmod(keys[starts], n)
-    touch = np.bincount(node, minlength=n)
-    counts = np.diff(starts, append=len(keys)) - (cluster == cluster_of[node])
-    linked = counts > 0
-    indptr = np.zeros(k + 1, dtype=np.int64)
-    np.cumsum(np.bincount(cluster[linked], minlength=k), out=indptr[1:])
+    index = index_dtype(k * n)
+    keys = (cluster_of * n).astype(index)[g.indices]
+    keys += np.repeat(np.arange(n, dtype=index), g.degrees)
+    indptr, node, first = key_csr(keys, k, n)
+    other = np.repeat(np.arange(k), np.diff(indptr)) != cluster_of[node]
+    touch = 1 + np.bincount(node[other], minlength=n)
     # 4-byte counts (each at most a degree) make N T a 4-byte product
-    neighbor_counts = sp.csc_matrix((counts[linked].astype(np.int32), node[linked], indptr), shape=(n, k))
+    counts = np.diff(np.flatnonzero(first), append=len(first)).astype(np.int32)
+    neighbor_counts = sp.csc_matrix((counts, node, indptr), shape=(n, k))
     return Partition(cluster_of, touch, neighbor_counts, g, clustering)
 
 

@@ -2,6 +2,7 @@ import hashlib
 import tracemalloc
 from collections import Counter
 from itertools import repeat
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,11 +10,11 @@ import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from netgate import community, sbm
+from netgate import community, graph, sbm
 from netgate.community import _LevelGraph, _modularity, louvain, louvain_with_history, stats
 from netgate.graph import decompose, from_edges, load_edge_list
 
-from conftest import two_triangles
+from conftest import path_graph, two_triangles
 
 
 def all_set_partitions(items):
@@ -335,7 +336,8 @@ def edge_pass_modularity(level, comm, resolution):
     comm_row = np.repeat(comm, level.row_len)  # comm of each entry's row
     same = comm_row == comm[level.indices]
     k = int(comm.max()) + 1
-    intra = np.bincount(comm_row[same], weights=level.weights[same], minlength=k).astype(np.float64)
+    weights = np.ones(len(level.indices)) if level.weights is None else level.weights  # None: unit weights
+    intra = np.bincount(comm_row[same], weights=weights[same], minlength=k).astype(np.float64)
     intra += np.bincount(comm, weights=level.self_w, minlength=k)
     tot = np.bincount(comm, weights=level.strength, minlength=k)
     return _modularity(intra, tot, level.total_weight, resolution)
@@ -350,7 +352,8 @@ def counter_one_level(level, resolution, rng, q_trace):
     strength = level.strength.tolist()
     cuts = level.indptr[1:-1]
     nbrs = [a.tolist() for a in np.split(level.indices, cuts)]
-    wts = None if (level.weights == 1.0).all() else [a.tolist() for a in np.split(level.weights, cuts)]
+    unit = level.weights is None or (level.weights == 1.0).all()
+    wts = None if unit else [a.tolist() for a in np.split(level.weights, cuts)]
     gamma_over_t = resolution / level.total_weight
 
     def count_links(i):
@@ -467,7 +470,8 @@ def coo_aggregate(level, comm):
     k = int(comm.max()) + 1
     row = np.repeat(comm, level.row_len)
     col = comm[level.indices]
-    coarse = sp.coo_matrix((level.weights, (row, col)), shape=(k, k)).tocsr()
+    weights = np.ones(len(col)) if level.weights is None else level.weights
+    coarse = sp.coo_matrix((weights, (row, col)), shape=(k, k)).tocsr()
     coarse.sum_duplicates()
     self_w = np.asarray(coarse.diagonal()).ravel()
     self_w += np.bincount(comm, weights=level.self_w, minlength=k)
@@ -478,8 +482,9 @@ def coo_aggregate(level, comm):
 
 @st.composite
 def level_graphs(draw):
-    """A working graph of 1-14 nodes, with unit weights and no self-loops (as
-    level 0) or integer weights and self-loops, and dense community labels."""
+    """A working graph of 1-14 nodes, with unit weights (None) and no self-loops
+    over the Graph's int32 arrays (as level 0) or integer weights and self-loops,
+    and dense community labels."""
     n = draw(st.integers(1, 14))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     unit = draw(st.booleans())
@@ -487,7 +492,8 @@ def level_graphs(draw):
     w = upper * (1 if unit else rng.integers(1, 6, (n, n)))
     adj = sp.csr_matrix((w + w.T).astype(np.float64))
     self_w = np.zeros(n) if unit else rng.integers(0, 4, n).astype(np.float64)
-    level = _LevelGraph(adj.indptr.astype(np.int64), adj.indices.astype(np.int64), adj.data, self_w,
+    index = np.int32 if unit else np.int64
+    level = _LevelGraph(adj.indptr.astype(index), adj.indices.astype(index), None if unit else adj.data, self_w,
                         float(adj.data.sum() + self_w.sum()))
     comm = np.unique(rng.integers(0, draw(st.integers(1, n)), n), return_inverse=True)[1].astype(np.int64)
     return level, comm
@@ -497,20 +503,58 @@ def level_graphs(draw):
 @settings(max_examples=300, deadline=None)
 def test_aggregate_equals_the_coo_to_csr_conversion(case):
     """One sorted key per entry gives the coarse CSR, its weights and the
-    self-loop weights of the COO conversion, bit for bit."""
+    self-loop weights of the COO conversion, bit for bit; the coarse indices
+    hold the int32 keys' columns (k*k fits int32), indptr the searchsorted int64."""
     level, comm = case
     got = level.aggregate(comm)
-    for array, want in zip((got.indptr, got.indices, got.weights, got.self_w), coo_aggregate(level, comm)):
+    want = coo_aggregate(level, comm)
+    want = (want[0], want[1].astype(np.int32), *want[2:])
+    for array, want in zip((got.indptr, got.indices, got.weights, got.self_w), want):
         assert array.dtype == want.dtype
         assert array.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("n, key", [(46_340, np.int32), (46_341, np.int64)])
+def test_keys_turn_int64_just_past_two_to_the_31(n, key):
+    """On an n-node path with each node its own cluster the keys' last row
+    start is n*n: 2,147,395,600 <= 2^31-1 at n = 46,340, 2,147,488,281 above it at
+    46,341. from_edges, decompose and aggregate sort keys of the dtype that
+    rule gives, and each builds the path's CSR on either side."""
+    real, dtypes = graph.key_csr, []
+
+    def spy(keys, rows, width):
+        dtypes.append(keys.dtype)
+        return real(keys, rows, width)
+
+    with mock.patch.object(graph, "key_csr", spy), mock.patch.object(community, "key_csr", spy):
+        g = path_graph(n)
+        part = decompose(g, np.arange(n))
+        coarse = _LevelGraph.from_graph(g).aggregate(np.arange(n))
+    assert dtypes == [key] * 3 and graph.index_dtype(n * n) is key
+    deg = np.full(n, 2)
+    deg[[0, -1]] = 1
+    nbrs = np.column_stack([np.arange(n) - 1, np.arange(n) + 1]).ravel()
+    indptr, indices = np.concatenate([[0], np.cumsum(deg)]), nbrs[(nbrs >= 0) & (nbrs < n)]
+    counts = part.neighbor_counts  # node by cluster: the adjacency itself
+    for csr in (g, counts, coarse):
+        assert np.array_equal(csr.indptr, indptr) and np.array_equal(csr.indices, indices)
+    assert coarse.indices.dtype == key and g.indices.dtype == counts.indices.dtype == np.int32
+    assert (counts.data == 1).all() and np.array_equal(part.touch_counts, deg + 1)
+    assert (coarse.weights == 1.0).all() and not coarse.self_w.any()
+
+
 def test_load_and_louvain_peaks_stay_within_a_few_csr_sizes(tmp_path):
-    """tracemalloc's peak, in multiples of the CSR's bytes, on a 20x200 SBM
-    edge list (94,818 edges, sparse labels): load_edge_list keeps one key array
-    (3.14x; 7.20x with separate key copies) and Louvain gathers neighbour ids
-    row by row and aggregates on one sorted key array (5.67x; 6.56x with a
-    full gathered id array and a COO to CSR aggregation)."""
+    """tracemalloc's peak, in multiples of the bytes of the CSR in int64,
+    8*(n+1+nnz), on a 20x200 SBM edge list (94,818 edges, sparse labels),
+    with the graph (and then the partition) held. In int32 keys and indices:
+    load_edge_list keeps one key array (2.94x; 3.14x in int64, 7.20x with
+    separate key copies); Louvain gathers neighbour ids row by row and
+    aggregates on one sorted key array without a unit weight array (4.17x;
+    5.67x in int64, 6.56x with a full gathered id array and a COO to CSR
+    aggregation); decompose sorts one key per CSR entry (1.92x; 3.28x with
+    int64 keys and one more per node); diag(P^2) adds by blocks of rows
+    (1.59x; 4.22x with an int64 row array and float temporaries of every
+    entry)."""
     g0, _ = sbm.generate(communities=20, size=200, p_in=0.2, p_out=0.002, seed=3)
     path = tmp_path / "sbm.edges"
     path.write_text("".join(f"{7 * a + 11} {7 * b + 11}\n" for a, b in g0.edge_array().tolist()), encoding="utf-8")
@@ -519,11 +563,19 @@ def test_load_and_louvain_peaks_stay_within_a_few_csr_sizes(tmp_path):
         g = load_edge_list(path)
         load_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
-        community.louvain_with_history(g, 2.0, 1)
+        part, _ = community.louvain_with_history(g, 2.0, 1)
         louvain_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        decompose(g, part.cluster_of)
+        decompose_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        g.diag_p_squared
+        diag_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    csr = g.indptr.nbytes + g.indices.nbytes
+    csr = 8 * (g.node_count + 1 + len(g.indices))
     assert g.edge_count == 94_818
-    assert load_peak <= 4.0 * csr, load_peak / csr
-    assert louvain_peak <= 6.0 * csr, louvain_peak / csr
+    assert load_peak <= 3.1 * csr, load_peak / csr
+    assert louvain_peak <= 4.4 * csr, louvain_peak / csr
+    assert decompose_peak <= 2.2 * csr, decompose_peak / csr
+    assert diag_peak <= 1.8 * csr, diag_peak / csr

@@ -329,8 +329,9 @@ def test_from_edges_matches_dedupe_then_build(edges):
     u, v, n = edges
     g = from_edges(u, v, n)
     indptr, indices, loops, duplicates = _dedupe_then_build(u, v, n)
-    assert g.indptr.tobytes() == indptr.tobytes()
-    assert g.indices.tobytes() == indices.tobytes()
+    # the CSR holds int32 while n and nnz fit it
+    assert g.indptr.tobytes() == indptr.astype(np.int32).tobytes()
+    assert g.indices.tobytes() == indices.astype(np.int32).tobytes()
     assert (g.dropped_self_loops, g.dropped_duplicates) == (loops, duplicates)
     # dense P = D^-1 A with zero rows on isolated nodes
     a = np.zeros((n, n))
@@ -394,9 +395,58 @@ def test_from_edges_equals_the_copying_construction(case):
         assert str(got.value) == str(err)
         return
     g = from_edges(u, v, n, general=general)
-    assert g.indptr.tobytes() == want[0].tobytes()
-    assert g.indices.tobytes() == want[1].tobytes()
+    assert g.indptr.tobytes() == want[0].astype(np.int32).tobytes()
+    assert g.indices.tobytes() == want[1].astype(np.int32).tobytes()
     assert (g.dropped_self_loops, g.dropped_duplicates) == want[2:]
+
+
+@pytest.mark.parametrize("u, v, outside", [([0, 1], [1, 3], 1), ([0], [-1], 1), ([-4, 5, 1, 2], [3, 0, 7, 0], 4)])
+def test_from_edges_refuses_endpoints_outside_the_nodes(u, v, outside):
+    """An endpoint outside 0..n-1 would build a corrupt CSR (an index past
+    indptr's count, or a negative key read as another row's); it is refused,
+    with the count of such endpoints, before any key is built."""
+    message = f"entry outside declared size: {outside} endpoints not among the 3 nodes"
+    with pytest.raises(EdgeListFormatError, match=message):
+        from_edges(np.array(u), np.array(v), 3)
+
+
+@pytest.mark.parametrize("comment", ["", "% a comment among the edges: the line loop\n"])
+@pytest.mark.parametrize("entries", ["1 2\n{}2 5\n", "0 1\n{}1 2\n"])  # past the 4 nodes, or below 1
+def test_load_matrix_market_entry_outside_declared_size(temp_file, entries, comment):
+    text = f"{SYMMETRIC}4 4 2\n{entries.format(comment)}"
+    with pytest.raises(EdgeListFormatError, match="entry outside declared size: 1 endpoints"):
+        load_edge_list(temp_file(text.encode()))
+
+
+@st.composite
+def random_graphs(draw):
+    """Up to 150 nodes with random edges, some isolated nodes and, in about half
+    the graphs, a hub linked to most nodes, so that degrees and row sums vary."""
+    n = draw(st.integers(1, 150))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(0, 4 * n))
+    u, v = rng.integers(0, n, m), rng.integers(0, n, m)
+    if draw(st.booleans()):
+        leaves = np.flatnonzero(rng.random(n) < 0.8)
+        u, v = np.concatenate([u, np.zeros(len(leaves), dtype=np.int64)]), np.concatenate([v, leaves])
+    return from_edges(u, v, n)
+
+
+@given(random_graphs())
+@settings(max_examples=200, deadline=None)
+def test_operators_equal_the_int64_formulas_bit_for_bit(g):
+    """P's data and diag(P^2) from the int32 CSR give the bits of the int64
+    formulas: 1/d repeated per entry, and the bincount over every entry of
+    1/(d_i d_j); P views the Graph's indices."""
+    n = g.node_count
+    deg = g.degrees.astype(np.int64)
+    row, col = np.repeat(np.arange(n), deg), g.indices.astype(np.int64)
+    p = g.row_normalized
+    assert p.data.tobytes() == (1.0 / np.repeat(deg, deg)).tobytes()
+    assert p.indices.base is g.indices  # a view: scipy copies no index array of nnz entries
+    fdeg = deg.astype(np.float64)
+    want = np.bincount(row, weights=1.0 / (fdeg[row] * fdeg[col]), minlength=n)
+    assert g.diag_p_squared.tobytes() == want.tobytes()
 
 
 def test_load_label_beyond_int64_reports_line_number(temp_file):
